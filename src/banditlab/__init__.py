@@ -10,10 +10,8 @@ __version__ = "0.1.0"
 from .env import (
     EnvironmentSpec,
     OracleResult,
-    RoundDraw,
     build_environment,
     oracle_target,
-    sample_round,
     sample_rounds,
 )
 from .estimator import (
@@ -33,7 +31,6 @@ from .harness import (
     ExperimentConfig,
     ReplicationSummary,
     cadr_ope,
-    compare_ope,
     convergence_diagnostic,
     qq_points,
     replicate,
@@ -59,7 +56,6 @@ from .policy import (
     init_state,
     linucb_distribution,
     mab_distribution,
-    select_action,
     ts_optimal_prob,
     update_state,
 )

@@ -44,7 +44,6 @@ from .estimator import (
 from .harness import (
     ExperimentConfig,
     config_fingerprint,
-    compare_ope,
     convergence_diagnostic,
     qq_points,
     replicate,
@@ -276,28 +275,27 @@ def cmd_diagnose(config: dict, out_dir: Path, argv) -> int:
 
 def cmd_compare_ope(config: dict, out_dir: Path, argv) -> int:
     exp = build_experiment(config)
+    if exp.target.family != "ope":
+        raise ConfigError("compare-ope requires an ope-family target")
     regressions = tuple(config.get("cadr_regressions", ("zero",)))
-    comparison = compare_ope(exp, regressions=regressions,
-                             variance_floor=float(config.get("cadr_variance_floor", 1e-6)))
+    summary = replicate(exp, cadr_regressions=regressions)
     rows = []
-    methods = [("ipwz", comparison.ipwz_values, comparison.ipwz_covered)]
+    methods = [("ipwz", summary.ope_values, summary.ope_covered)]
     for reg in regressions:
-        methods.append((f"cadr_{reg}", comparison.cadr_values[reg],
-                        comparison.cadr_covered[reg]))
+        methods.append((f"cadr_{reg}", summary.cadr_values[reg], summary.cadr_covered[reg]))
     for name, values, covered in methods:
-        for li, level in enumerate(comparison.levels):
+        for li, level in enumerate(exp.levels):
             p = float(covered[li].mean())
             rows.append([name, level, f"{p:.6f}",
                          f"{float(values.mean()):.10g}",
                          f"{float(values.var(ddof=1)):.10g}",
-                         f"{comparison.v_star:.10g}"])
+                         f"{summary.v_star:.10g}"])
     _write_csv(out_dir / "compare_ope.csv",
                ["method", "level", "coverage", "mean_value", "variance", "v_star"], rows)
-    from .harness import oracle_thetas
-    write_oracle(out_dir, exp, oracle_thetas(exp.env, exp.target,
-                                             n_oracle=exp.n_oracle, seed=exp.seed))
+    write_oracle(out_dir, exp, summary.thetas_star)
     write_manifest(out_dir, "compare-ope", config, argv)
-    print(f"wrote {out_dir / 'compare_ope.csv'}")
+    print(f"wrote {out_dir / 'compare_ope.csv'} ({len(rows)} rows, "
+          f"{summary.replications_used} replications used, {len(summary.failures)} failed)")
     return 0
 
 

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimator import ScoreTarget, SingularDesign, MAX_CONDITION
+from .estimator import ScoreTarget, _require_conditioned
 from .rng import PURPOSE_ORACLE, PURPOSE_PARAMS, stream
 
 ENVIRONMENT_NAMES = (
@@ -109,12 +109,6 @@ class EnvironmentSpec:
     @property
     def has_latent(self) -> bool:
         return self.noise_law is not None
-
-
-class RoundDraw(NamedTuple):
-    context: np.ndarray
-    latent_state: np.ndarray | None
-    potential_outcomes: np.ndarray
 
 
 class RoundBatch(NamedTuple):
@@ -366,16 +360,6 @@ def sample_rounds(env: EnvironmentSpec, rng: np.random.Generator, n: int) -> Rou
     return RoundBatch(contexts=contexts, latents=latents, potentials=means)
 
 
-def sample_round(env: EnvironmentSpec, rng: np.random.Generator) -> RoundDraw:
-    """Draw a single round from the stream."""
-    batch = sample_rounds(env, rng, 1)
-    return RoundDraw(
-        context=batch.contexts[0],
-        latent_state=None if batch.latents is None else batch.latents[0],
-        potential_outcomes=batch.potentials[0],
-    )
-
-
 def support(env: EnvironmentSpec):
     """Joint finite support [(prob, latent, context), ...], or None if continuous."""
     law = env.context_law
@@ -419,9 +403,7 @@ def _enumerate_oracle(env: EnvironmentSpec, target: ScoreTarget, arm: int) -> np
         return np.array([value])
     if target.family == "noisy_context":
         second = second - np.asarray(target.sigma_e, dtype=float)
-    cond = np.linalg.cond(second)
-    if not np.isfinite(cond) or cond > MAX_CONDITION:
-        raise SingularDesign(arm, cond)
+    _require_conditioned(second, arm)
     return np.linalg.solve(second, cross)
 
 
@@ -438,9 +420,7 @@ def _mc_oracle(env: EnvironmentSpec, target: ScoreTarget, arm: int,
     design = X.T @ X / n
     if target.family == "noisy_context":
         design = design - np.asarray(target.sigma_e, dtype=float)
-    cond = np.linalg.cond(design)
-    if not np.isfinite(cond) or cond > MAX_CONDITION:
-        raise SingularDesign(arm, cond)
+    _require_conditioned(design, arm)
     theta = np.linalg.solve(design, X.T @ Y / n)
     if target.family == "misspec_linear":
         g = X * (Y - X @ theta)[:, None]

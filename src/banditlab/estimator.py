@@ -78,8 +78,11 @@ class TargetPolicy:
             if p.ndim != 1 or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
                 raise ValueError("target policy probs must lie on the simplex")
             object.__setattr__(self, "probs", p)
-        if self.kind == "point_mass" and self.arm is None:
-            raise ValueError("point_mass target policy requires arm")
+        if self.kind == "point_mass":
+            if self.arm is None:
+                raise ValueError("point_mass target policy requires arm")
+            if self.arm < 0:
+                raise ValueError(f"point_mass arm {self.arm} is negative")
 
     def vector(self, num_arms: int) -> np.ndarray:
         """Probability over arms (identical at every context)."""
@@ -89,6 +92,8 @@ class TargetPolicy:
             if len(self.probs) != num_arms:
                 raise ValueError("target policy probs length != num_arms")
             return np.asarray(self.probs, dtype=float)
+        if self.arm >= num_arms:
+            raise ValueError(f"point_mass arm {self.arm} is out of range for {num_arms} arms")
         out = np.zeros(num_arms)
         out[self.arm] = 1.0
         return out
@@ -236,10 +241,15 @@ def _arm_rows(log: BanditLog, arm: int):
     return log.contexts[mask], log.outcomes[mask], 1.0 / log.propensities[mask]
 
 
-def _solve_checked(design: np.ndarray, moment: np.ndarray, arm: int) -> np.ndarray:
-    cond = np.linalg.cond(design)
+def _require_conditioned(matrix: np.ndarray, arm: int) -> None:
+    """Raise SingularDesign unless ``matrix`` has a finite condition number <= MAX_CONDITION."""
+    cond = np.linalg.cond(matrix)
     if not np.isfinite(cond) or cond > MAX_CONDITION:
         raise SingularDesign(arm, cond)
+
+
+def _solve_checked(design: np.ndarray, moment: np.ndarray, arm: int) -> np.ndarray:
+    _require_conditioned(design, arm)
     return np.linalg.solve(design, moment)
 
 
@@ -263,24 +273,6 @@ def ipwz_solve(log: BanditLog, target: ScoreTarget, arm: int) -> np.ndarray:
         design = design - (w.sum() / T) * np.asarray(target.sigma_e, dtype=float)
     moment = X.T @ (w * Y) / T
     return _solve_checked(design, moment, arm)
-
-
-def ipwz_residual(log: BanditLog, target: ScoreTarget, arm: int, theta: np.ndarray) -> np.ndarray:
-    """Value of the empirical weighted estimating equation at ``theta``."""
-    X, Y, w = _arm_rows(log, arm)
-    T = log.horizon
-    theta = np.asarray(theta, dtype=float).ravel()
-    if target.family == "misspec_linear":
-        g = X * (w * (Y - X @ theta))[:, None]
-    elif target.family == "noisy_context":
-        sigma_e = np.asarray(target.sigma_e, dtype=float)
-        g = (X * (w * Y)[:, None]
-             - (X * w[:, None]) * (X @ theta)[:, None]
-             + w[:, None] * (sigma_e @ theta))
-    else:
-        pe = target.target_policy.vector(log.num_arms)[arm]
-        g = (w * (pe * Y - theta[0]))[:, None]
-    return g.sum(axis=0) / T
 
 
 def ipwz_solve_estimated_sigma(

@@ -14,7 +14,10 @@ process pool yields identical summaries because every stream is keyed by
 
 ``cadr_ope`` implements the contextual adaptive doubly-robust baseline with
 variance-stabilization weights, with the behavior policy replayed from the
-log so the stabilization weights use the exact round-t policy.
+log so the stabilization weights use the exact round-t policy. It is one more
+per-replication estimator: ``replicate(config, cadr_regressions=...)`` runs it
+on each replication's log next to IPW-Z, on the same pool, fold and failure
+rule.
 """
 
 from __future__ import annotations
@@ -193,19 +196,27 @@ def run_trajectory(env: EnvironmentSpec, policy: PolicyConfig,
 
 class _RepResult(NamedTuple):
     rep: int
-    theta: np.ndarray | None          # (K, d_theta)
-    sigma_diag: np.ndarray | None     # (K, d_theta)
-    covered: np.ndarray | None        # (L, K, d_theta) bool
-    std_err: np.ndarray | None        # (K, d_theta)
-    diag_probs: np.ndarray | None     # (n_ctx, K)
-    ope_value: float | None
-    ope_var: float | None
-    ope_covered: np.ndarray | None    # (L,) bool
-    error: str | None
+    theta: np.ndarray | None = None          # (K, d_theta)
+    sigma_diag: np.ndarray | None = None     # (K, d_theta)
+    covered: np.ndarray | None = None        # (L, K, d_theta) bool
+    std_err: np.ndarray | None = None        # (K, d_theta)
+    diag_probs: np.ndarray | None = None     # (n_ctx, K)
+    ope_value: float | None = None
+    ope_var: float | None = None
+    ope_covered: np.ndarray | None = None    # (L,) bool
+    cadr_values: np.ndarray | None = None    # (n_reg,)
+    cadr_covered: np.ndarray | None = None   # (n_reg, L) bool
+    error: str | None = None
+
+
+def _covers(cis: dict, levels, value: float) -> np.ndarray:
+    """(L,) bool: does each level's (lo, hi) interval contain ``value``?"""
+    return np.array([cis[float(level)][0] <= value <= cis[float(level)][1]
+                     for level in levels])
 
 
 def _replicate_one(config: ExperimentConfig, rep: int, thetas_star: np.ndarray,
-                   v_star: float | None) -> _RepResult:
+                   v_star: float | None, cadr_regressions: tuple = ()) -> _RepResult:
     env, target = config.env, config.target
     log, state = _run_trajectory_core(env, config.policy, target,
                                       config.horizon, config.seed, (rep,))
@@ -238,18 +249,20 @@ def _replicate_one(config: ExperimentConfig, rep: int, thetas_star: np.ndarray,
             for li, level in enumerate(config.levels):
                 ci = cis[float(level)]
                 covered[li, arm] = (ci[:, 0] <= thetas_star[arm]) & (thetas_star[arm] <= ci[:, 1])
-        o_value = o_var = None
-        o_covered = None
+        o_value = o_var = o_covered = c_values = c_covered = None
         if target.family == "ope":
             report = ope_value(log, target, mode=config.variance_mode, levels=config.levels)
             o_value, o_var = report.value, report.variance
-            o_covered = np.array([
-                report.cis[float(level)][0] <= v_star <= report.cis[float(level)][1]
-                for level in config.levels])
+            o_covered = _covers(report.cis, config.levels, v_star)
+            cadr = [cadr_ope(log, target.target_policy, regression=reg, levels=config.levels,
+                             behavior_policy=config.policy, behavior_target=target)
+                    for reg in cadr_regressions]
+            c_values = np.array([res.value for res in cadr])
+            c_covered = np.array([_covers(res.cis, config.levels, v_star) for res in cadr])
     except (NoDataForArm, SingularDesign) as exc:
-        return _RepResult(rep, None, None, None, None, diag, None, None, None, str(exc))
+        return _RepResult(rep, diag_probs=diag, error=str(exc))
     return _RepResult(rep, theta, sigma_diag, covered, std_err, diag,
-                      o_value, o_var, o_covered, None)
+                      o_value, o_var, o_covered, c_values, c_covered)
 
 
 @dataclass
@@ -267,6 +280,8 @@ class ReplicationSummary:
     ope_values: np.ndarray | None
     ope_vars: np.ndarray | None
     ope_covered: np.ndarray | None
+    cadr_values: dict              # regression -> (R_ok,)
+    cadr_covered: dict             # regression -> (L, R_ok) bool
     failures: list
 
     @property
@@ -307,8 +322,16 @@ def _resolve_workers(requested: int) -> int:
     return workers
 
 
-def replicate(config: ExperimentConfig) -> ReplicationSummary:
-    """Run R independent replications and aggregate coverage against theta*."""
+def replicate(config: ExperimentConfig, cadr_regressions=()) -> ReplicationSummary:
+    """Run R independent replications and aggregate coverage against theta*.
+
+    Each name in ``cadr_regressions`` ("zero", "online_linear") adds a CADR
+    estimate of the target-policy value per replication, computed on the same
+    log as the IPW-Z value; it requires an ope-family target.
+    """
+    cadr_regressions = tuple(cadr_regressions)
+    if cadr_regressions and config.target.family != "ope":
+        raise ValueError("CADR requires an ope-family target")
     thetas_star = oracle_thetas(config.env, config.target,
                                 n_oracle=config.n_oracle, seed=config.seed)
     v_star = float(thetas_star.sum()) if config.target.family == "ope" else None
@@ -318,10 +341,11 @@ def replicate(config: ExperimentConfig) -> ReplicationSummary:
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replicate_one, [config] * R, range(R),
-                                    [thetas_star] * R, [v_star] * R,
+                                    [thetas_star] * R, [v_star] * R, [cadr_regressions] * R,
                                     chunksize=max(1, R // (workers * 4))))
     else:
-        results = [_replicate_one(config, rep, thetas_star, v_star) for rep in range(R)]
+        results = [_replicate_one(config, rep, thetas_star, v_star, cadr_regressions)
+                   for rep in range(R)]
     results.sort(key=lambda r: r.rep)  # deterministic fold regardless of pool order
 
     failures = [(r.rep, r.error) for r in results if r.error is not None]
@@ -343,11 +367,16 @@ def replicate(config: ExperimentConfig) -> ReplicationSummary:
         ope_vals = np.array([r.ope_value for r in ok])
         ope_vars = np.array([r.ope_var for r in ok])
         ope_cov = np.stack([r.ope_covered for r in ok], axis=1)
+    cadr_values = {reg: np.array([r.cadr_values[i] for r in ok])
+                   for i, reg in enumerate(cadr_regressions)}
+    cadr_covered = {reg: np.stack([r.cadr_covered[i] for r in ok], axis=1)
+                    for i, reg in enumerate(cadr_regressions)}
     return ReplicationSummary(
         config=config, thetas_star=thetas_star, v_star=v_star,
         theta_hat=theta_hat, sigma_diag=sigma_diag, covered=covered,
         std_errors=std_errors, last_step_probs=diag,
         ope_values=ope_vals, ope_vars=ope_vars, ope_covered=ope_cov,
+        cadr_values=cadr_values, cadr_covered=cadr_covered,
         failures=failures,
     )
 
@@ -498,48 +527,3 @@ def cadr_ope(
         half = z * gamma / math.sqrt(T)
         cis[float(level)] = (psi - half, psi + half)
     return CadrResult(value=psi, gamma=gamma, cis=cis, floored=floored)
-
-
-class OpeComparison(NamedTuple):
-    v_star: float
-    levels: tuple
-    ipwz_values: np.ndarray            # (R,)
-    ipwz_covered: np.ndarray           # (L, R)
-    cadr_values: dict                  # regression -> (R,)
-    cadr_covered: dict                 # regression -> (L, R)
-
-
-def compare_ope(config: ExperimentConfig, regressions=("zero",),
-                variance_floor: float = 1e-6) -> OpeComparison:
-    """Head-to-head IPW-Z vs CADR over R replications of one logging setup."""
-    if config.target.family != "ope":
-        raise ValueError("compare_ope requires an ope-family target")
-    thetas_star = oracle_thetas(config.env, config.target,
-                                n_oracle=config.n_oracle, seed=config.seed)
-    v_star = float(thetas_star.sum())
-    R, L = config.replications, len(config.levels)
-    ipwz_values = np.zeros(R)
-    ipwz_covered = np.zeros((L, R), dtype=bool)
-    cadr_values = {reg: np.zeros(R) for reg in regressions}
-    cadr_covered = {reg: np.zeros((L, R), dtype=bool) for reg in regressions}
-    for rep in range(R):
-        log = run_trajectory(config.env, config.policy, config.target,
-                             config.horizon, config.seed, (rep,))
-        report = ope_value(log, config.target, mode=config.variance_mode,
-                           levels=config.levels)
-        ipwz_values[rep] = report.value
-        for li, level in enumerate(config.levels):
-            lo, hi = report.cis[float(level)]
-            ipwz_covered[li, rep] = lo <= v_star <= hi
-        for reg in regressions:
-            res = cadr_ope(log, config.target.target_policy, regression=reg,
-                           variance_floor=variance_floor, levels=config.levels,
-                           behavior_policy=config.policy,
-                           behavior_target=config.target)
-            cadr_values[reg][rep] = res.value
-            for li, level in enumerate(config.levels):
-                lo, hi = res.cis[float(level)]
-                cadr_covered[reg][li, rep] = lo <= v_star <= hi
-    return OpeComparison(v_star=v_star, levels=config.levels,
-                         ipwz_values=ipwz_values, ipwz_covered=ipwz_covered,
-                         cadr_values=cadr_values, cadr_covered=cadr_covered)

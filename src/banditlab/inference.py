@@ -30,10 +30,9 @@ from scipy.special import erfc
 from .estimator import (
     AuxiliaryData,
     BanditLog,
-    NoDataForArm,
     ScoreTarget,
-    SingularDesign,
-    MAX_CONDITION,
+    _arm_rows,
+    _require_conditioned,
     ipwz_solve,
 )
 
@@ -92,16 +91,6 @@ def norm_ppf(p):
     return float(x) if x.ndim == 0 else x
 
 
-def _weighted_pieces(log: BanditLog, target: ScoreTarget, arm: int, theta: np.ndarray):
-    mask = log.arms == arm
-    if not mask.any():
-        raise NoDataForArm(arm)
-    X = log.contexts[mask]
-    Y = log.outcomes[mask]
-    w = 1.0 / log.propensities[mask]
-    return X, Y, w
-
-
 def sandwich_variance(
     log: BanditLog,
     target: ScoreTarget,
@@ -113,7 +102,7 @@ def sandwich_variance(
     if mode not in ("full", "simplified"):
         raise ValueError(f"unknown variance mode {mode!r}")
     theta = np.asarray(theta_hat, dtype=float).ravel()
-    X, Y, w = _weighted_pieces(log, target, arm, theta)
+    X, Y, w = _arm_rows(log, arm)
     T = log.horizon
 
     if target.family == "ope":
@@ -139,9 +128,7 @@ def sandwich_variance(
         if mode == "simplified":
             gdot = log.contexts.T @ log.contexts / T - sigma_e
 
-    cond = np.linalg.cond(gdot)
-    if not np.isfinite(cond) or cond > MAX_CONDITION:
-        raise SingularDesign(arm, cond)
+    _require_conditioned(gdot, arm)
     ginv = np.linalg.inv(gdot)
     sigma = ginv @ imat @ ginv.T
     sigma = (sigma + sigma.T) / 2.0
@@ -293,9 +280,7 @@ def variance_estimated_sigma(
     vt = err * (err @ theta)[:, None] - np.asarray(sigma_e_hat) @ theta
     h_bar = vt.T @ vt / n
 
-    cond = np.linalg.cond(gdot)
-    if not np.isfinite(cond) or cond > MAX_CONDITION:
-        raise SingularDesign(arm, cond)
+    _require_conditioned(gdot, arm)
     ginv = np.linalg.inv(gdot)
     if regime == "n_dominant":
         middle, scaling = imat, "sqrt_T"

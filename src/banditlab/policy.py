@@ -399,15 +399,6 @@ def action_distribution_batch(config: PolicyConfig, state: PolicyState,
     raise ValueError(f"unknown policy kind {kind!r}")
 
 
-def select_action(config: PolicyConfig, state: PolicyState, context: np.ndarray,
-                  rng: np.random.Generator) -> tuple[int, float, np.ndarray]:
-    """Sample an arm; returns (arm, realized probability, full distribution)."""
-    probs = action_distribution(config, state, context)
-    arm = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-    arm = min(arm, state.num_arms - 1)
-    return arm, float(probs[arm]), probs
-
-
 # --- state updates --------------------------------------------------------------
 
 

@@ -3,20 +3,53 @@
 These deliberately avoid the code paths they check: the simplex projection
 is solved by exhaustive active-set enumeration (an exact brute-force QP for
 small K), scores are recomputed from their definitions, and the martingale
-check draws fresh rounds against a frozen policy state.
+check draws fresh rounds against a frozen policy state. The single-draw
+helpers (``sample_round``, ``select_action``) exist only for tests; the
+package itself draws rounds and actions in batches.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
 from banditlab.env import EnvironmentSpec, sample_rounds
-from banditlab.estimator import ScoreTarget
+from banditlab.estimator import BanditLog, ScoreTarget
 from banditlab.harness import _run_trajectory_core
-from banditlab.policy import PolicyConfig, action_distribution_batch
+from banditlab.policy import (
+    PolicyConfig,
+    PolicyState,
+    action_distribution,
+    action_distribution_batch,
+)
 from banditlab.rng import stream
+
+
+class RoundDraw(NamedTuple):
+    context: np.ndarray
+    latent_state: np.ndarray | None
+    potential_outcomes: np.ndarray
+
+
+def sample_round(env: EnvironmentSpec, rng: np.random.Generator) -> RoundDraw:
+    """Draw a single round from the stream."""
+    batch = sample_rounds(env, rng, 1)
+    return RoundDraw(
+        context=batch.contexts[0],
+        latent_state=None if batch.latents is None else batch.latents[0],
+        potential_outcomes=batch.potentials[0],
+    )
+
+
+def select_action(config: PolicyConfig, state: PolicyState, context: np.ndarray,
+                  rng: np.random.Generator) -> tuple[int, float, np.ndarray]:
+    """Sample an arm; returns (arm, realized probability, full distribution)."""
+    probs = action_distribution(config, state, context)
+    arm = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
+    arm = min(arm, state.num_arms - 1)
+    return arm, float(probs[arm]), probs
 
 
 def qp_project(v: np.ndarray, pi_min: float) -> np.ndarray:
@@ -84,3 +117,12 @@ def martingale_zscores(env: EnvironmentSpec, policy: PolicyConfig,
     mean = z.mean(axis=0)
     stderr = z.std(axis=0, ddof=1) / np.sqrt(n_draws)
     return np.abs(mean) / stderr
+
+
+def ipwz_residual(log: BanditLog, target: ScoreTarget, arm: int,
+                  theta: np.ndarray) -> np.ndarray:
+    """(1/T) sum_t (1{A_t = arm} / pi_t) g(X_t, Y_t; theta): the estimating equation at theta."""
+    mask = log.arms == arm
+    w = 1.0 / log.propensities[mask]
+    g = score_batch(target, arm, log.contexts[mask], log.outcomes[mask], theta, log.num_arms)
+    return (w[:, None] * g).sum(axis=0) / log.horizon

@@ -15,7 +15,6 @@ from banditlab.env import build_environment, oracle_target
 from banditlab.estimator import ScoreTarget, TargetPolicy
 from banditlab.harness import (
     ExperimentConfig,
-    compare_ope,
     convergence_diagnostic,
     replicate,
 )
@@ -165,13 +164,14 @@ def test_criterion_07_ope_head_to_head():
     env = build_environment("nonconv_demo", seed=0)
     config = ExperimentConfig(
         env=env, policy=PolicyConfig(kind="boltzmann_ridge", gamma=20.0, pi_min=0.05),
-        target=OPE_UNIFORM, horizon=2500, replications=500, seed=307, levels=(0.95,))
-    comparison = compare_ope(config, regressions=("zero",))
-    cov_ipwz = float(comparison.ipwz_covered[0].mean())
-    cov_cadr = float(comparison.cadr_covered["zero"][0].mean())
-    var_ipwz = float(comparison.ipwz_values.var(ddof=1))
-    var_cadr = float(comparison.cadr_values["zero"].var(ddof=1))
-    ok = (abs(comparison.v_star - 7.0 / 24.0) < 1e-12
+        target=OPE_UNIFORM, horizon=2500, replications=500, seed=307, levels=(0.95,),
+        workers=WORKERS)
+    summary = replicate(config, cadr_regressions=("zero",))
+    cov_ipwz = float(summary.ope_covered[0].mean())
+    cov_cadr = float(summary.cadr_covered["zero"][0].mean())
+    var_ipwz = float(summary.ope_values.var(ddof=1))
+    var_cadr = float(summary.cadr_values["zero"].var(ddof=1))
+    ok = (abs(summary.v_star - 7.0 / 24.0) < 1e-12
           and cov_ipwz >= 0.92 and cov_cadr >= 0.92
           and var_ipwz <= 1.5 * var_cadr)
     _report(7, "OPE head-to-head", ok,

@@ -122,7 +122,7 @@ def test_diagnose_outputs(tmp_path):
     assert sum(int(l.split(",")[2]) for l in hist[1:]) == 4
 
 
-def test_compare_ope_outputs(tmp_path):
+def test_compare_ope_outputs(tmp_path, capsys):
     cfg = _tiny_config(
         tmp_path, horizon=120, replications=3,
         policy={"kind": "boltzmann_ridge", "gamma": 20.0, "pi_min": 0.05},
@@ -134,6 +134,23 @@ def test_compare_ope_outputs(tmp_path):
     assert lines[0] == "method,level,coverage,mean_value,variance,v_star"
     methods = {l.split(",")[0] for l in lines[1:]}
     assert methods == {"ipwz", "cadr_zero"}
+    assert "3 replications used, 0 failed" in capsys.readouterr().out
+
+
+def test_compare_ope_non_ope_target_exits_one(tmp_path, capsys):
+    cfg = _tiny_config(tmp_path)
+    rc = main(["compare-ope", "--config", str(cfg), "--out", str(tmp_path / "cmp")])
+    assert rc == 1
+    assert "ope-family target" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("arm", [-1, 2])
+def test_point_mass_arm_out_of_range_exits_one(tmp_path, capsys, arm):
+    cfg = _tiny_config(
+        tmp_path, target={"family": "ope", "target_policy": {"kind": "point_mass", "arm": arm}})
+    rc = main(["coverage", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "point_mass arm" in capsys.readouterr().err
 
 
 def test_checked_in_configs_parse(tmp_path):

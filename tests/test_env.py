@@ -9,12 +9,13 @@ from banditlab.env import (
     build_environment,
     implied_sigma_e,
     oracle_target,
-    sample_round,
     sample_rounds,
     support,
 )
 from banditlab.estimator import ScoreTarget, TargetPolicy
 from banditlab.rng import stream
+
+from helpers import sample_round
 
 
 def test_unknown_name_rejected():

@@ -10,7 +10,6 @@ from banditlab.estimator import (
     NoDataForArm,
     ScoreTarget,
     TargetPolicy,
-    ipwz_residual,
     ipwz_solve,
     ipwz_solve_estimated_sigma,
     read_log_csv,
@@ -21,7 +20,7 @@ from banditlab.harness import run_trajectory
 from banditlab.policy import PolicyConfig
 from banditlab.rng import stream
 
-from helpers import martingale_zscores
+from helpers import ipwz_residual, martingale_zscores
 
 
 def _log(contexts, arms, pis, ys, K=2, **kw):
@@ -51,6 +50,18 @@ class TestScoreG:
         target = ScoreTarget(family="misspec_linear")
         with pytest.raises(ValueError):
             score_g(target, 0, np.array([1.0, 2.0]), 3.0, np.array([1.0]))
+
+
+class TestTargetPolicy:
+    def test_point_mass_negative_arm_rejected(self):
+        # -1 would otherwise index the last arm silently.
+        with pytest.raises(ValueError, match="negative"):
+            TargetPolicy(kind="point_mass", arm=-1)
+
+    def test_point_mass_arm_beyond_num_arms_rejected(self):
+        policy = TargetPolicy(kind="point_mass", arm=2)
+        with pytest.raises(ValueError, match="out of range"):
+            policy.vector(2)
 
 
 class TestIpwzSolve:

@@ -8,13 +8,13 @@ from banditlab.estimator import ScoreTarget, TargetPolicy, write_log_csv
 from banditlab.harness import (
     ExperimentConfig,
     cadr_ope,
-    compare_ope,
     convergence_diagnostic,
+    oracle_thetas,
     qq_points,
     replicate,
     run_trajectory,
 )
-from banditlab.inference import norm_ppf
+from banditlab.inference import norm_ppf, ope_value
 from banditlab.policy import PolicyConfig
 
 MISSPEC = ScoreTarget(family="misspec_linear")
@@ -233,8 +233,88 @@ def test_compare_ope_smoke():
     config = ExperimentConfig(env=env, policy=PolicyConfig(kind="boltzmann_ridge", gamma=20.0),
                               target=OPE_UNIFORM, horizon=400, replications=10,
                               seed=27, levels=(0.95,))
-    cmp = compare_ope(config, regressions=("zero",))
-    assert cmp.v_star == pytest.approx(7.0 / 24.0)
-    assert cmp.ipwz_values.shape == (10,)
-    assert cmp.cadr_values["zero"].shape == (10,)
-    assert 0.0 <= cmp.ipwz_covered.mean() <= 1.0
+    summary = replicate(config, cadr_regressions=("zero",))
+    assert summary.v_star == pytest.approx(7.0 / 24.0)
+    assert summary.ope_values.shape == (10,)
+    assert summary.cadr_values["zero"].shape == (10,)
+    assert 0.0 <= summary.ope_covered.mean() <= 1.0
+
+
+def _reference_ope_loop(config: ExperimentConfig, regressions):
+    """IPW-Z and CADR per replication in a plain serial loop over fresh trajectories."""
+    v_star = float(oracle_thetas(config.env, config.target, n_oracle=config.n_oracle,
+                                 seed=config.seed).sum())
+    R, L = config.replications, len(config.levels)
+    ipwz_values = np.zeros(R)
+    ipwz_covered = np.zeros((L, R), dtype=bool)
+    cadr_values = {reg: np.zeros(R) for reg in regressions}
+    cadr_covered = {reg: np.zeros((L, R), dtype=bool) for reg in regressions}
+    for rep in range(R):
+        log = run_trajectory(config.env, config.policy, config.target,
+                             config.horizon, config.seed, (rep,))
+        report = ope_value(log, config.target, mode=config.variance_mode,
+                           levels=config.levels)
+        ipwz_values[rep] = report.value
+        for li, level in enumerate(config.levels):
+            lo, hi = report.cis[float(level)]
+            ipwz_covered[li, rep] = lo <= v_star <= hi
+        for reg in regressions:
+            res = cadr_ope(log, config.target.target_policy, regression=reg,
+                           levels=config.levels, behavior_policy=config.policy,
+                           behavior_target=config.target)
+            cadr_values[reg][rep] = res.value
+            for li, level in enumerate(config.levels):
+                lo, hi = res.cis[float(level)]
+                cadr_covered[reg][li, rep] = lo <= v_star <= hi
+    return v_star, ipwz_values, ipwz_covered, cadr_values, cadr_covered
+
+
+class TestCadrInReplicate:
+    REGRESSIONS = ("zero", "online_linear")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_equals_reference_loop_bit_for_bit(self, workers):
+        env = build_environment("nonconv_demo")
+        config = ExperimentConfig(
+            env=env, policy=PolicyConfig(kind="boltzmann_ridge", gamma=20.0, pi_min=0.05),
+            target=OPE_UNIFORM, horizon=300, replications=6, seed=28,
+            levels=(0.5, 0.95), workers=workers)
+        v_star, ipwz_values, ipwz_covered, cadr_values, cadr_covered = \
+            _reference_ope_loop(config, self.REGRESSIONS)
+        summary = replicate(config, cadr_regressions=self.REGRESSIONS)
+        assert summary.failures == []
+        assert summary.v_star == v_star
+        np.testing.assert_array_equal(summary.ope_values, ipwz_values)
+        np.testing.assert_array_equal(summary.ope_covered, ipwz_covered)
+        assert set(summary.cadr_values) == set(self.REGRESSIONS)
+        for reg in self.REGRESSIONS:
+            np.testing.assert_array_equal(summary.cadr_values[reg], cadr_values[reg])
+            np.testing.assert_array_equal(summary.cadr_covered[reg], cadr_covered[reg])
+
+    def test_failed_replications_drop_cadr_too(self):
+        # Four arms over 12 rounds leave an arm unpulled in some replications;
+        # those drop out of every estimator's arrays alike.
+        env = build_environment("nc_gaussian", {"num_arms": 4}, seed=1)
+        config = ExperimentConfig(env=env, policy=PolicyConfig(kind="random"),
+                                  target=OPE_UNIFORM, horizon=12, replications=20,
+                                  seed=29, levels=(0.95,), failure_tolerance=1.0)
+        summary = replicate(config, cadr_regressions=("zero",))
+        used = summary.replications_used
+        assert summary.failures and used + len(summary.failures) == 20
+        assert summary.ope_values.shape == (used,)
+        assert summary.cadr_values["zero"].shape == (used,)
+        assert summary.cadr_covered["zero"].shape == (1, used)
+
+    def test_requires_ope_target(self):
+        env = build_environment("nonconv_demo")
+        config = ExperimentConfig(env=env, policy=PolicyConfig(kind="random"),
+                                  target=MISSPEC, horizon=50, replications=1, seed=30)
+        with pytest.raises(ValueError, match="ope-family"):
+            replicate(config, cadr_regressions=("zero",))
+
+    def test_no_regressions_no_cadr(self):
+        env = build_environment("nonconv_demo")
+        config = ExperimentConfig(env=env, policy=PolicyConfig(kind="random"),
+                                  target=OPE_UNIFORM, horizon=50, replications=2, seed=31)
+        summary = replicate(config)
+        assert summary.cadr_values == {} and summary.cadr_covered == {}

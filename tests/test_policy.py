@@ -17,13 +17,12 @@ from banditlab.policy import (
     init_state,
     linucb_distribution,
     mab_distribution,
-    select_action,
     ts_optimal_prob,
     update_state,
 )
 from banditlab.rng import stream
 
-from helpers import qp_project
+from helpers import qp_project, select_action
 
 
 class TestClipSimplex:
