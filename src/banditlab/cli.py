@@ -34,13 +34,7 @@ from .env import (
     UnknownEnvironmentError,
     build_environment,
 )
-from .estimator import (
-    BanditLog,
-    ScoreTarget,
-    TargetPolicy,
-    read_log_csv,
-    write_log_csv,
-)
+from .estimator import ScoreTarget, TargetPolicy, read_log_csv, write_log_csv
 from .harness import (
     ExperimentConfig,
     config_fingerprint,
@@ -97,7 +91,33 @@ def apply_overrides(config: dict, sets: list[str]) -> dict:
     return config
 
 
-def parse_target(doc: dict) -> ScoreTarget:
+# The keys each config object may carry; any other key is a ConfigError, so a
+# misspelt key fails loudly instead of silently taking its default. An
+# ``infer`` config may be a bare target: its keys at the top level.
+CONFIG_KEYS = {
+    "experiment config": ("env", "policy", "target", "horizon", "replications", "seed",
+                          "levels", "diagnostics", "variance_mode", "workers", "n_oracle",
+                          "cadr_regressions"),
+    "env": ("name", "params", "seed"),
+    "policy": ("kind", "pi_min", "epsilon", "gamma", "ridge_lambda", "linucb_alpha", "ts_prior"),
+    "target": ("family", "sigma_e", "target_policy"),
+    "target.target_policy": ("kind", "probs", "arm"),
+    "diagnostics": ("contexts",),
+    "infer config": ("family", "sigma_e", "target_policy", "levels", "variance_mode", "workers"),
+}
+
+
+def _check_keys(doc, where: str) -> None:
+    allowed = sorted(CONFIG_KEYS[where])
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {where}; allowed: {allowed}")
+
+
+def parse_target(doc: dict, where: str = "target") -> ScoreTarget:
+    _check_keys(doc, where)
     if "family" not in doc:
         raise ConfigError("target config requires a 'family'")
     family = doc["family"]
@@ -107,6 +127,7 @@ def parse_target(doc: dict) -> ScoreTarget:
     tp_doc = doc.get("target_policy")
     target_policy = None
     if tp_doc is not None:
+        _check_keys(tp_doc, "target.target_policy")
         target_policy = TargetPolicy(
             kind=tp_doc.get("kind", "uniform"),
             probs=None if tp_doc.get("probs") is None else np.asarray(tp_doc["probs"], dtype=float),
@@ -116,28 +137,29 @@ def parse_target(doc: dict) -> ScoreTarget:
 
 
 def parse_policy(doc: dict) -> PolicyConfig:
+    _check_keys(doc, "policy")
     if "kind" not in doc:
         raise ConfigError("policy config requires a 'kind'")
-    kwargs = {"kind": doc["kind"]}
-    for key in ("pi_min", "epsilon", "gamma", "ridge_lambda", "linucb_alpha"):
-        if key in doc:
-            kwargs[key] = doc[key]
+    kwargs = dict(doc)
     if "ts_prior" in doc:
         kwargs["ts_prior"] = tuple(doc["ts_prior"])
     return PolicyConfig(**kwargs)
 
 
 def parse_env(doc: dict) -> EnvironmentSpec:
+    _check_keys(doc, "env")
     if "name" not in doc:
         raise ConfigError("env config requires a 'name'")
     return build_environment(doc["name"], doc.get("params") or {}, seed=doc.get("seed", 0))
 
 
 def build_experiment(config: dict) -> ExperimentConfig:
+    _check_keys(config, "experiment config")
     for key in ("env", "policy", "target", "horizon"):
         if key not in config:
             raise ConfigError(f"experiment config is missing {key!r}")
     diagnostics = config.get("diagnostics") or {}
+    _check_keys(diagnostics, "diagnostics")
     return ExperimentConfig(
         env=parse_env(config["env"]),
         policy=parse_policy(config["policy"]),
@@ -198,12 +220,16 @@ def cmd_infer(config: dict, out_dir: Path, argv, log_path: str) -> int:
     if not Path(log_path).exists():
         raise ConfigError(f"log file not found: {log_path}")
     log = read_log_csv(log_path)
-    target = parse_target(config.get("target") or config)
+    if "target" in config:
+        _check_keys(config, "experiment config")
+        target = parse_target(config["target"])
+    else:
+        target = parse_target(config, "infer config")
     levels = tuple(config.get("levels", (0.5, 0.95)))
     mode = config.get("variance_mode", "full")
     reports = [estimate_report(log, target, arm, levels=levels, mode=mode)
                for arm in range(log.num_arms)]
-    ope = ope_value(log, target, mode=mode, levels=levels) if target.family == "ope" else None
+    ope = ope_value(log, target, levels=levels, reports=reports) if target.family == "ope" else None
     write_reports_json(reports, out_dir / "report.json", ope_report=ope)
     write_manifest(out_dir, "infer", config, argv)
     print(f"wrote {out_dir / 'report.json'}")
@@ -277,7 +303,9 @@ def cmd_compare_ope(config: dict, out_dir: Path, argv) -> int:
     exp = build_experiment(config)
     if exp.target.family != "ope":
         raise ConfigError("compare-ope requires an ope-family target")
-    regressions = tuple(config.get("cadr_regressions", ("zero",)))
+    regressions = config.get("cadr_regressions", ["zero"])
+    if not isinstance(regressions, list):
+        raise ConfigError(f"cadr_regressions must be a JSON list of names, got {regressions!r}")
     summary = replicate(exp, cadr_regressions=regressions)
     rows = []
     methods = [("ipwz", summary.ope_values, summary.ope_covered)]

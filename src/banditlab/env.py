@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimator import ScoreTarget, _require_conditioned
+from .estimator import ScoreTarget, _solve_checked, normal_equations, scores
 from .rng import PURPOSE_ORACLE, PURPOSE_PARAMS, stream
 
 ENVIRONMENT_NAMES = (
@@ -384,27 +384,17 @@ def support(env: EnvironmentSpec):
 def _enumerate_oracle(env: EnvironmentSpec, target: ScoreTarget, arm: int) -> np.ndarray:
     """Exact target parameter on finite-support environments.
 
-    Reward noise has mean zero given (latent, context), so it drops out of
-    every moment the three families use.
+    The normal equations are weighted by the support probabilities, with each
+    point's mean reward as its outcome: reward noise has mean zero given
+    (latent, context), so it drops out of every moment the score uses.
     """
     points = support(env)
-    d = env.context_dim
-    second = np.zeros((d, d))
-    cross = np.zeros(d)
-    value = 0.0
-    for prob, latent, x in points:
-        lat = None if latent is None else latent.reshape(1, -1)
-        mean = env.reward.mean_batch(x.reshape(1, -1), lat)[0, arm]
-        second += prob * np.outer(x, x)
-        cross += prob * x * mean
-        if target.family == "ope":
-            value += prob * target.target_policy.prob(arm, x, env.num_arms) * mean
-    if target.family == "ope":
-        return np.array([value])
-    if target.family == "noisy_context":
-        second = second - np.asarray(target.sigma_e, dtype=float)
-    _require_conditioned(second, arm)
-    return np.linalg.solve(second, cross)
+    probs = np.array([prob for prob, _, _ in points])
+    X = np.stack([x for _, _, x in points])
+    lat = None if points[0][1] is None else np.stack([latent for _, latent, _ in points])
+    means = env.reward.mean_batch(X, lat)[:, arm]
+    design, moment = normal_equations(target, arm, X, means, probs, env.num_arms, 1.0)
+    return _solve_checked(design, moment, arm)
 
 
 def _mc_oracle(env: EnvironmentSpec, target: ScoreTarget, arm: int,
@@ -414,19 +404,10 @@ def _mc_oracle(env: EnvironmentSpec, target: ScoreTarget, arm: int,
     X = batch.contexts
     Y = batch.potentials[:, arm]
     n = n_oracle
-    if target.family == "ope":
-        vals = target.target_policy.vector(env.num_arms)[arm] * Y
-        return np.array([vals.mean()]), np.array([vals.std(ddof=1) / np.sqrt(n)])
-    design = X.T @ X / n
-    if target.family == "noisy_context":
-        design = design - np.asarray(target.sigma_e, dtype=float)
-    _require_conditioned(design, arm)
-    theta = np.linalg.solve(design, X.T @ Y / n)
-    if target.family == "misspec_linear":
-        g = X * (Y - X @ theta)[:, None]
-    else:
-        g = X * Y[:, None] - (X @ theta)[:, None] * X + (np.asarray(target.sigma_e) @ theta)
-    cov_g = np.cov(g, rowvar=False).reshape(X.shape[1], X.shape[1])
+    design, moment = normal_equations(target, arm, X, Y, None, env.num_arms, n)
+    theta = _solve_checked(design, moment, arm)
+    g = scores(target, arm, X, Y, theta, env.num_arms)
+    cov_g = np.cov(g, rowvar=False).reshape(theta.size, theta.size)
     inv = np.linalg.inv(design)
     stderr = np.sqrt(np.diag(inv @ cov_g @ inv.T) / n)
     return theta, stderr

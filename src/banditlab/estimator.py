@@ -2,22 +2,26 @@
 
 Three estimand families are supported, each defined by a moment condition
 ``E[g(X, Y(a); theta)] = 0`` on a generic draw of context and potential
-outcome:
+outcome. All three scores are linear in theta,
 
-* ``misspec_linear``: g = x (y - x'theta), the best linear approximation
-  of the outcome by the observed context.
-* ``noisy_context``: g = x y - (x x' - Sigma_e) theta, the measurement-error
-  corrected score identifying the coefficient on the latent context.
-* ``ope``: g = pi_e(a|x) y - theta, whose per-arm solutions sum to the value
-  of a fixed target policy pi_e.
+    g(x, y; theta) = z (c_a y) - (z z' - S) theta,
+
+with the pieces ``ScoreTarget`` supplies (``regressors``, ``outcome_scale``,
+``shift``):
+
+    family          z   c_a       S         theta
+    misspec_linear  x   1         0         best linear approximation of y by x
+    noisy_context   x   1         Sigma_e   coefficient on the latent context
+    ope             1   pi_e(a)   0         arm a's term of the value of pi_e
 
 Given an adaptively collected log, the estimator for arm ``a`` is the exact
 root of the empirical weighted estimating equation
 
     (1/T) sum_t (1{A_t = a} / pi_t) g(X_t, Y_t; theta) = 0,
 
-where ``pi_t`` is the realized propensity recorded at collection time. All
-three families are linear in theta, so the root is a single linear solve.
+where ``pi_t`` is the realized propensity recorded at collection time: one
+linear solve of ``normal_equations``. The solver, the sandwich variance, the
+oracles and the ``ipwz_greedy`` policy are all written on this one form.
 """
 
 from __future__ import annotations
@@ -98,9 +102,6 @@ class TargetPolicy:
         out[self.arm] = 1.0
         return out
 
-    def prob(self, arm: int, x: np.ndarray, num_arms: int) -> float:
-        return float(self.vector(num_arms)[arm])
-
 
 @dataclass(frozen=True)
 class ScoreTarget:
@@ -136,6 +137,31 @@ class ScoreTarget:
 
     def theta_dim(self, context_dim: int) -> int:
         return 1 if self.family == "ope" else context_dim
+
+    def regressors(self, contexts: np.ndarray) -> np.ndarray:
+        """z: the context itself, or a column of ones for the value target."""
+        if self.family == "ope":
+            return np.ones(contexts.shape[:-1] + (1,))
+        return contexts
+
+    def outcome_scale(self, arm: int, num_arms: int | None) -> float:
+        """c_a: the target policy's probability of ``arm`` for ope, else 1."""
+        if self.family != "ope":
+            return 1.0
+        if num_arms is None:
+            raise ValueError("num_arms required for the ope score")
+        return float(self.target_policy.vector(num_arms)[arm])
+
+    @property
+    def shift(self):
+        """S: Sigma_e for noisy_context, else 0."""
+        if self.family != "noisy_context":
+            return 0.0
+        if isinstance(self.sigma_e, str):
+            raise ValueError(
+                "sigma_e is marked estimate-from-aux; use ipwz_solve_estimated_sigma "
+                "with an AuxiliaryData sample")
+        return self.sigma_e
 
 
 @dataclass
@@ -206,32 +232,49 @@ class AuxiliaryData:
         return err.T @ err / self.size
 
 
-def score_g(
-    target: ScoreTarget,
-    arm: int,
-    x: np.ndarray,
-    y: float,
-    theta: np.ndarray,
-    num_arms: int | None = None,
-) -> np.ndarray:
+def score_g(target: ScoreTarget, arm: int, x: np.ndarray, y: float, theta: np.ndarray,
+            num_arms: int | None = None) -> np.ndarray:
     """Evaluate the family score g(x, y; theta) for one observation."""
-    x = np.asarray(x, dtype=float).ravel()
+    z = target.regressors(np.asarray(x, dtype=float).ravel())
     theta = np.asarray(theta, dtype=float).ravel()
-    if target.family == "misspec_linear":
-        if theta.shape[0] != x.shape[0]:
-            raise ValueError("theta dimension must match context dimension")
-        return x * (y - x @ theta)
-    if target.family == "noisy_context":
-        if theta.shape[0] != x.shape[0]:
-            raise ValueError("theta dimension must match context dimension")
-        sigma_e = np.asarray(target.sigma_e, dtype=float)
-        return x * y - (np.outer(x, x) - sigma_e) @ theta
-    if theta.shape[0] != 1:
-        raise ValueError("ope theta is scalar")
-    if num_arms is None:
-        raise ValueError("num_arms required for the ope score")
-    pe = target.target_policy.prob(arm, x, num_arms)
-    return np.array([pe * y - theta[0]])
+    if theta.shape[0] != z.shape[0]:
+        raise ValueError("theta dimension must match the score dimension")
+    c = target.outcome_scale(arm, num_arms)
+    return z * (c * y) - (np.outer(z, z) - target.shift) @ theta
+
+
+def _design(target: ScoreTarget, Z: np.ndarray, w: np.ndarray | None, scale: float) -> np.ndarray:
+    """sum_t w_t (z_t z_t' - S) / scale over regressor rows ``Z``: the score's gradient."""
+    design = (Z.T @ Z if w is None else (Z * w[:, None]).T @ Z) / scale
+    S = target.shift
+    if isinstance(S, np.ndarray):  # the scalar zero shift adds nothing
+        design = design - ((Z.shape[0] if w is None else w.sum()) / scale) * S
+    return design
+
+
+def normal_equations(target: ScoreTarget, arm: int, X: np.ndarray, Y: np.ndarray,
+                     w: np.ndarray | None, num_arms: int, scale: float):
+    """(sum_t w_t (z_t z_t' - S), sum_t w_t z_t c_a y_t) / scale; unit weights if ``w`` is None."""
+    Z = target.regressors(X)
+    moment = Z.T @ (Y if w is None else w * Y)
+    return (_design(target, Z, w, scale),
+            target.outcome_scale(arm, num_arms) * moment / scale)
+
+
+def scores(target: ScoreTarget, arm: int, X: np.ndarray, Y: np.ndarray,
+           theta: np.ndarray, num_arms: int, w: np.ndarray | None = None) -> np.ndarray:
+    """Rows g(X_t, Y_t; theta), each times w_t when weights are given; (n, p)."""
+    Z = target.regressors(X)
+    c = target.outcome_scale(arm, num_arms)
+    resid = (Y if c == 1.0 else c * Y) - Z @ theta
+    if w is not None:
+        resid = w * resid
+    rows = Z * resid[:, None]
+    S = target.shift
+    if isinstance(S, np.ndarray):  # the scalar zero shift adds nothing
+        shift = S @ theta
+        rows += shift if w is None else w[:, None] * shift
+    return rows
 
 
 def _arm_rows(log: BanditLog, arm: int):
@@ -243,35 +286,26 @@ def _arm_rows(log: BanditLog, arm: int):
 
 def _require_conditioned(matrix: np.ndarray, arm: int) -> None:
     """Raise SingularDesign unless ``matrix`` has a finite condition number <= MAX_CONDITION."""
-    cond = np.linalg.cond(matrix)
+    if matrix.shape == (1, 1):  # cond of a nonzero finite scalar is 1
+        cond = 1.0 if np.isfinite(matrix[0, 0]) and matrix[0, 0] != 0.0 else np.inf
+    else:
+        cond = np.linalg.cond(matrix)
     if not np.isfinite(cond) or cond > MAX_CONDITION:
         raise SingularDesign(arm, cond)
 
 
 def _solve_checked(design: np.ndarray, moment: np.ndarray, arm: int) -> np.ndarray:
+    """Root of the normal equations, raising SingularDesign on an ill-conditioned design."""
     _require_conditioned(design, arm)
+    if design.shape == (1, 1):
+        return moment / design[0, 0]
     return np.linalg.solve(design, moment)
-
-
-def _require_known_sigma(target: ScoreTarget) -> None:
-    if target.family == "noisy_context" and isinstance(target.sigma_e, str):
-        raise ValueError(
-            "sigma_e is marked estimate-from-aux; use ipwz_solve_estimated_sigma "
-            "with an AuxiliaryData sample")
 
 
 def ipwz_solve(log: BanditLog, target: ScoreTarget, arm: int) -> np.ndarray:
     """Exact root of the weighted estimating equation for one arm."""
-    _require_known_sigma(target)
     X, Y, w = _arm_rows(log, arm)
-    T = log.horizon
-    if target.family == "ope":
-        pe = target.target_policy.vector(log.num_arms)[arm]
-        return np.array([float(w @ (pe * Y)) / float(w.sum())])
-    design = (X * w[:, None]).T @ X / T
-    if target.family == "noisy_context":
-        design = design - (w.sum() / T) * np.asarray(target.sigma_e, dtype=float)
-    moment = X.T @ (w * Y) / T
+    design, moment = normal_equations(target, arm, X, Y, w, log.num_arms, log.horizon)
     return _solve_checked(design, moment, arm)
 
 

@@ -33,15 +33,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .env import EnvironmentSpec, oracle_target, sample_rounds, support
-from .estimator import (
-    BanditLog,
-    NoDataForArm,
-    ScoreTarget,
-    SingularDesign,
-    TargetPolicy,
-    ipwz_solve,
-)
-from .inference import confidence_intervals, norm_ppf, ope_value, sandwich_variance
+from .estimator import BanditLog, NoDataForArm, ScoreTarget, SingularDesign, TargetPolicy
+from .inference import estimate_report, norm_ppf, ope_value
 from .policy import (
     PolicyConfig,
     Transition,
@@ -53,6 +46,8 @@ from .policy import (
 from .rng import PURPOSE_ENV, PURPOSE_POLICY, stream
 
 MAX_WORKERS_ENV_VAR = "BANDITLAB_MAX_WORKERS"
+
+CADR_REGRESSIONS = ("zero", "online_linear")
 
 
 @dataclass(frozen=True)
@@ -225,35 +220,24 @@ def _replicate_one(config: ExperimentConfig, rep: int, thetas_star: np.ndarray,
     if n_ctx:
         diag = np.stack([action_distribution(config.policy, state, np.atleast_1d(np.asarray(c, dtype=float)))
                          for c in config.diagnostic_contexts])
-    K = env.num_arms
-    d_theta = target.theta_dim(env.context_dim)
-    L = len(config.levels)
-    theta = np.zeros((K, d_theta))
-    sigma_diag = np.zeros((K, d_theta))
-    covered = np.zeros((L, K, d_theta), dtype=bool)
-    std_err = np.zeros((K, d_theta))
     try:
-        for arm in range(K):
-            th = ipwz_solve(log, target, arm)
-            sig, gdot, imat = sandwich_variance(log, target, arm, th,
-                                                mode=config.variance_mode)
-            cis = confidence_intervals(th, sig, log.horizon, config.levels)
-            theta[arm] = th
-            sigma_diag[arm] = np.diag(sig)
-            err = th - thetas_star[arm]
-            scale = np.sqrt(np.maximum(np.diag(sig), 0.0))
-            degenerate = np.where(err > 0, np.inf, np.where(err < 0, -np.inf, 0.0))
-            std_err[arm] = np.where(
-                scale > 0, math.sqrt(log.horizon) * err / np.where(scale > 0, scale, 1.0),
-                degenerate)
-            for li, level in enumerate(config.levels):
-                ci = cis[float(level)]
-                covered[li, arm] = (ci[:, 0] <= thetas_star[arm]) & (thetas_star[arm] <= ci[:, 1])
+        reports = [estimate_report(log, target, arm, levels=config.levels,
+                                   mode=config.variance_mode) for arm in range(env.num_arms)]
+        theta = np.stack([r.theta for r in reports])                  # (K, d_theta)
+        sigma_diag = np.stack([np.diag(r.sigma) for r in reports])
+        lo, hi = (np.array([[r.cis[float(level)][:, side] for r in reports]
+                            for level in config.levels]) for side in (0, 1))
+        covered = (lo <= thetas_star) & (thetas_star <= hi)           # (L, K, d_theta)
+        err = theta - thetas_star
+        scale = np.sqrt(np.maximum(sigma_diag, 0.0))
+        degenerate = np.where(err > 0, np.inf, np.where(err < 0, -np.inf, 0.0))
+        std_err = np.where(
+            scale > 0, math.sqrt(log.horizon) * err / np.where(scale > 0, scale, 1.0), degenerate)
         o_value = o_var = o_covered = c_values = c_covered = None
         if target.family == "ope":
-            report = ope_value(log, target, mode=config.variance_mode, levels=config.levels)
-            o_value, o_var = report.value, report.variance
-            o_covered = _covers(report.cis, config.levels, v_star)
+            ope = ope_value(log, target, levels=config.levels, reports=reports)
+            o_value, o_var = ope.value, ope.variance
+            o_covered = _covers(ope.cis, config.levels, v_star)
             cadr = [cadr_ope(log, target.target_policy, regression=reg, levels=config.levels,
                              behavior_policy=config.policy, behavior_target=target)
                     for reg in cadr_regressions]
@@ -332,6 +316,9 @@ def replicate(config: ExperimentConfig, cadr_regressions=()) -> ReplicationSumma
     cadr_regressions = tuple(cadr_regressions)
     if cadr_regressions and config.target.family != "ope":
         raise ValueError("CADR requires an ope-family target")
+    for reg in cadr_regressions:
+        if reg not in CADR_REGRESSIONS:
+            raise ValueError(f"unknown regression {reg!r}; expected one of {CADR_REGRESSIONS}")
     thetas_star = oracle_thetas(config.env, config.target,
                                 n_oracle=config.n_oracle, seed=config.seed)
     v_star = float(thetas_star.sum()) if config.target.family == "ope" else None
@@ -451,8 +438,8 @@ def cadr_ope(
     stabilization weights; otherwise the ratio is taken as 1 (its limit under
     policy convergence). The first ``burn_in`` steps use sigma_t = 1.
     """
-    if regression not in ("zero", "online_linear"):
-        raise ValueError(f"unknown regression {regression!r}")
+    if regression not in CADR_REGRESSIONS:
+        raise ValueError(f"unknown regression {regression!r}; expected one of {CADR_REGRESSIONS}")
     if log.distributions is None:
         raise ValueError("cadr_ope requires a log that stores full action distributions")
     T, K, d = log.horizon, log.num_arms, log.context_dim

@@ -6,12 +6,14 @@ form Gdot^-1 I Gdot^-T, estimated by plugging the fitted theta into
     Gdot = (1/T) sum_t w_t  grad_g(X_t, Y_t; theta_hat)
     I    = (1/T) sum_t w_t^2 g g' (X_t, Y_t; theta_hat)
 
-with w_t = 1{A_t = a} / pi_t. The gradient is constant in theta for all
-three families (x x', x x' - Sigma_e, and -1 respectively), so it is coded
-directly rather than differentiated numerically; a finite-difference guard
-lives in the test suite. ``simplified`` mode swaps Gdot for its unweighted
-plug-in (the context second moment, or the constant 1 for the value target),
-which estimates the same limit.
+with w_t = 1{A_t = a} / pi_t. Every family's score is linear in theta,
+g = z (c_a y) - (z z' - S) theta (the table of z, c_a and S is in the
+``estimator`` module docstring), so its gradient is the constant -(z z' - S)
+and Gdot is the design of ``estimator.normal_equations``, coded directly
+rather than differentiated numerically; a finite-difference guard lives in
+the test suite. ``simplified`` mode swaps Gdot for its unweighted plug-in over
+all T rows (the context second moment less Sigma_e, or the constant 1 for the
+value target), which estimates the same limit.
 
 Confidence intervals use a self-contained normal quantile (rational
 approximation plus one Halley refinement), deterministic and accurate to
@@ -32,8 +34,10 @@ from .estimator import (
     BanditLog,
     ScoreTarget,
     _arm_rows,
+    _design,
     _require_conditioned,
     ipwz_solve,
+    scores,
 )
 
 # Incremented whenever a negative variance diagonal (floating error) is floored.
@@ -104,29 +108,10 @@ def sandwich_variance(
     theta = np.asarray(theta_hat, dtype=float).ravel()
     X, Y, w = _arm_rows(log, arm)
     T = log.horizon
-
-    if target.family == "ope":
-        pe = target.target_policy.vector(log.num_arms)[arm]
-        gdot = np.array([[w.sum() / T]])
-        resid = pe * Y - theta[0]
-        imat = np.array([[np.sum((w * resid) ** 2) / T]])
-        if mode == "simplified":
-            gdot = np.array([[1.0]])
-    elif target.family == "misspec_linear":
-        gdot = (X * w[:, None]).T @ X / T
-        resid = Y - X @ theta
-        Xr = X * (w * resid)[:, None]
-        imat = Xr.T @ Xr / T
-        if mode == "simplified":
-            gdot = log.contexts.T @ log.contexts / T
-    else:
-        sigma_e = np.asarray(target.sigma_e, dtype=float)
-        gdot = (X * w[:, None]).T @ X / T - (w.sum() / T) * sigma_e
-        gvec = (X @ theta)[:, None] * X - (sigma_e @ theta) - X * Y[:, None]
-        gw = gvec * w[:, None]
-        imat = gw.T @ gw / T
-        if mode == "simplified":
-            gdot = log.contexts.T @ log.contexts / T - sigma_e
+    rows, weights = (X, w) if mode == "full" else (log.contexts, None)
+    gdot = _design(target, target.regressors(rows), weights, T)
+    gw = scores(target, arm, X, Y, theta, log.num_arms, w)
+    imat = gw.T @ gw / T
 
     _require_conditioned(gdot, arm)
     ginv = np.linalg.inv(gdot)
@@ -218,30 +203,23 @@ def estimate_report(
                           imat=imat, cis=cis, horizon=log.horizon)
 
 
-def ope_value(
-    log: BanditLog,
-    target: ScoreTarget,
-    mode: str = "full",
-    levels=(0.95,),
-) -> OPEReport:
-    """Target-policy value V_hat = sum_a theta_hat_a with its scalar variance."""
+def ope_value(log: BanditLog, target: ScoreTarget, mode: str = "full", levels=(0.95,),
+              reports: list[EstimateReport] | None = None) -> OPEReport:
+    """Target-policy value V_hat = sum_a theta_hat_a with its scalar variance.
+
+    ``reports`` are the per-arm ``estimate_report`` results already computed
+    on ``log`` (in arm order); without them each arm is solved here.
+    """
     if target.family != "ope":
         raise ValueError("ope_value requires an ope-family target")
-    per_arm = np.zeros(log.num_arms)
-    variance = 0.0
-    for arm in range(log.num_arms):
-        theta = ipwz_solve(log, target, arm)
-        _, gdot, imat = sandwich_variance(log, target, arm, theta, mode=mode)
-        per_arm[arm] = theta[0]
-        variance += float(imat[0, 0]) / float(gdot[0, 0]) ** 2
+    if reports is None:
+        reports = [estimate_report(log, target, arm, levels=levels, mode=mode)
+                   for arm in range(log.num_arms)]
+    per_arm = np.array([r.theta[0] for r in reports])
+    variance = sum(float(r.imat[0, 0]) / float(r.gdot[0, 0]) ** 2 for r in reports)
     value = float(per_arm.sum())
-    half = math.sqrt(variance / log.horizon)
-    cis = {}
-    for level in levels:
-        if not 0.0 < level < 1.0:
-            raise ValueError(f"confidence level {level} outside (0, 1)")
-        z = norm_ppf((1.0 + level) / 2.0)
-        cis[float(level)] = (value - z * half, value + z * half)
+    cis = {level: tuple(ci[0]) for level, ci in confidence_intervals(
+        value, np.array([[variance]]), log.horizon, levels).items()}
     return OPEReport(value=value, variance=variance, cis=cis,
                      per_arm=per_arm, horizon=log.horizon)
 
@@ -272,6 +250,7 @@ def variance_estimated_sigma(
 
     theta = np.asarray(theta_tilde, dtype=float).ravel()
     target = ScoreTarget(family="noisy_context", sigma_e=np.asarray(sigma_e_hat, dtype=float))
+    # sandwich_variance has already rejected an ill-conditioned gdot.
     _, gdot, imat = sandwich_variance(log, target, arm, theta, mode="full")
 
     # H = mean over aux rows of (V_i - Sigma_e) theta theta' (V_i - Sigma_e),
@@ -280,7 +259,6 @@ def variance_estimated_sigma(
     vt = err * (err @ theta)[:, None] - np.asarray(sigma_e_hat) @ theta
     h_bar = vt.T @ vt / n
 
-    _require_conditioned(gdot, arm)
     ginv = np.linalg.inv(gdot)
     if regime == "n_dominant":
         middle, scaling = imat, "sqrt_T"

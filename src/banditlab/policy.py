@@ -112,9 +112,10 @@ class PolicyState:
     sgd_beta: np.ndarray = None         # (K, d_theta)
     sgd_clip_count: int = 0
     # Incremental inverse-propensity-weighted sufficient statistics.
+    # In the score's terms (estimator module docstring), z = regressors(x).
     ipw_weight: np.ndarray = None       # (K,) sum of weights
-    ipw_gram: np.ndarray = None         # (K, d, d) sum w x x'
-    ipw_moment: np.ndarray = None       # (K, d) sum w x y (ope: sum w pi_e y)
+    ipw_gram: np.ndarray = None         # (K, d_theta, d_theta) sum w z z'
+    ipw_moment: np.ndarray = None       # (K, d_theta) sum w z c_a y
     ipw_theta: np.ndarray = None        # (K, d_theta) current estimates
     ipw_ok: np.ndarray = None           # (K,) per-arm solve succeeded
     ipw_ready: bool = False
@@ -159,8 +160,8 @@ def init_state(config: PolicyConfig, num_arms: int, context_dim: int,
             raise ValueError("ipwz_greedy requires a ScoreTarget")
         dt = target.theta_dim(d)
         state.ipw_weight = np.zeros(K)
-        state.ipw_gram = np.zeros((K, d, d))
-        state.ipw_moment = np.zeros((K, dt if target.family == "ope" else d))
+        state.ipw_gram = np.zeros((K, dt, dt))
+        state.ipw_moment = np.zeros((K, dt))
         state.ipw_theta = np.zeros((K, dt))
         state.ipw_ok = np.zeros(K, dtype=bool)
         state.target = target
@@ -329,12 +330,6 @@ def linucb_distribution(state: PolicyState, context: np.ndarray,
     return _greedy_vector(int(np.argmax(index)), state.num_arms, pi_min)
 
 
-def _ipwz_scores(state: PolicyState, context: np.ndarray) -> np.ndarray:
-    if state.target.family == "ope":
-        return state.ipw_theta[:, 0]
-    return state.ipw_theta @ context
-
-
 def action_distribution(config: PolicyConfig, state: PolicyState,
                         context: np.ndarray) -> np.ndarray:
     """The policy's action distribution at ``context`` given current state."""
@@ -358,7 +353,7 @@ def action_distribution(config: PolicyConfig, state: PolicyState,
         if not state.ipw_ready:
             return np.full(K, 1.0 / K)
         eps = config.epsilon_for(K, state.t + 1)
-        best = int(np.argmax(_ipwz_scores(state, context)))
+        best = int(np.argmax(state.ipw_theta @ state.target.regressors(context)))
         return clip_simplex(_greedy_vector(best, K, eps / K), config.pi_min)
     raise ValueError(f"unknown policy kind {kind!r}")
 
@@ -389,10 +384,7 @@ def action_distribution_batch(config: PolicyConfig, state: PolicyState,
         if not state.ipw_ready:
             return np.full((n, K), 1.0 / K)
         eps = config.epsilon_for(K, state.t + 1)
-        if state.target.family == "ope":
-            best = np.full(n, int(np.argmax(state.ipw_theta[:, 0])))
-        else:
-            best = np.argmax(contexts @ state.ipw_theta.T, axis=1)
+        best = np.argmax(state.target.regressors(contexts) @ state.ipw_theta.T, axis=1)
         out = np.full((n, K), eps / K)
         out[np.arange(n), best] = 1.0 - (K - 1) * eps / K
         return clip_simplex_rows(out, config.pi_min)
@@ -427,11 +419,12 @@ def _inv_small(G: np.ndarray) -> np.ndarray:
 def _well_conditioned(G: np.ndarray, threshold: float = 1e12) -> bool:
     """Cheap invertibility screen for the per-step policy solves."""
     d = G.shape[0]
+    if d == 1:  # any nonzero finite scalar passes the scale-relative test below
+        g = float(G[0, 0])
+        return g != 0.0 and math.isfinite(g)
     scale = float(np.max(np.abs(G)))
     if scale == 0.0 or not np.isfinite(scale):
         return False
-    if d == 1:
-        return abs(G[0, 0]) > scale / threshold
     if d == 2:
         det = G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]
         return abs(det) > scale ** 2 / threshold
@@ -445,19 +438,10 @@ def _well_conditioned(G: np.ndarray, threshold: float = 1e12) -> bool:
 def _refresh_ipwz(state: PolicyState, arm: int) -> None:
     """Re-solve the pulled arm's IPW-Z estimate; flag readiness."""
     target = state.target
-    if target.family == "ope":
-        if state.ipw_weight[arm] > 0:
-            state.ipw_theta[arm, 0] = state.ipw_moment[arm, 0] / state.ipw_weight[arm]
-            state.ipw_ok[arm] = True
-    else:
-        gram = state.ipw_gram[arm]
-        if target.family == "noisy_context":
-            gram = gram - state.ipw_weight[arm] * np.asarray(target.sigma_e, dtype=float)
-        if _well_conditioned(gram):
-            state.ipw_theta[arm] = _solve_small(gram, state.ipw_moment[arm])
-            state.ipw_ok[arm] = True
-        else:
-            state.ipw_ok[arm] = False
+    gram = state.ipw_gram[arm] - state.ipw_weight[arm] * target.shift
+    state.ipw_ok[arm] = _well_conditioned(gram)
+    if state.ipw_ok[arm]:
+        state.ipw_theta[arm] = _solve_small(gram, state.ipw_moment[arm])
     need = target.theta_dim(state.context_dim)
     state.ipw_ready = bool(np.all(state.counts >= need) and state.ipw_ok.all())
 
@@ -492,13 +476,11 @@ def update_state(config: PolicyConfig, state: PolicyState,
 
     if config.kind == "ipwz_greedy":
         w = 1.0 / prob
+        target = state.target
+        z = target.regressors(x)
         state.ipw_weight[arm] += w
-        if state.target.family == "ope":
-            pe = state.target.target_policy.prob(arm, x, state.num_arms)
-            state.ipw_moment[arm, 0] += w * pe * y
-        else:
-            state.ipw_gram[arm] += w * np.outer(x, x)
-            state.ipw_moment[arm] += w * x * y
+        state.ipw_gram[arm] += w * np.outer(z, z)
+        state.ipw_moment[arm] += w * z * (target.outcome_scale(arm, state.num_arms) * y)
         _refresh_ipwz(state, arm)
 
     return state

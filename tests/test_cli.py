@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from banditlab.cli import main
+from banditlab.cli import ConfigError, build_experiment, load_config, main
 from banditlab.estimator import read_log_csv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -153,13 +153,62 @@ def test_point_mass_arm_out_of_range_exits_one(tmp_path, capsys, arm):
     assert "point_mass arm" in capsys.readouterr().err
 
 
-def test_checked_in_configs_parse(tmp_path):
-    from banditlab.cli import build_experiment, load_config
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_checked_in_config_builds(path):
+    # Every key of a shipped config is one some command reads.
+    exp = build_experiment(load_config(str(path)))
+    assert exp.horizon >= 1
 
-    for path in sorted(CONFIGS.glob("*.json")):
-        config = load_config(str(path))
-        exp = build_experiment(config)
-        assert exp.horizon >= 1
+
+def test_misspelt_key_exits_one(tmp_path, capsys):
+    cfg = _tiny_config(tmp_path)
+    rc = main(["coverage", "--config", str(cfg), "--out", str(tmp_path / "out"),
+               "--set", "replicatons=3"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "'replicatons'" in err and "'replications'" in err
+    assert not (tmp_path / "out" / "coverage.csv").exists()
+
+
+@pytest.mark.parametrize("where, extra", [
+    ("experiment config", {"cadr_variance_floor": 1e-6}),
+    ("env", {"env": {"name": "nonconv_demo", "sed": 0}}),
+    ("policy", {"policy": {"kind": "random", "pi_mn": 0.1}}),
+    ("target", {"target": {"family": "misspec_linear", "sigma": 1.0}}),
+    ("target.target_policy", {"target": {"family": "ope",
+                                         "target_policy": {"kind": "uniform", "prob": [1]}}}),
+    ("diagnostics", {"diagnostics": {"context": [[-4.0]]}}),
+])
+def test_unknown_nested_key_rejected(tmp_path, where, extra):
+    config = json.loads(_tiny_config(tmp_path, **extra).read_text())
+    with pytest.raises(ConfigError, match=f"unknown key .* in {where}"):
+        build_experiment(config)
+
+
+def test_infer_bare_target_config(tmp_path):
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", str(_tiny_config(tmp_path, horizon=200)),
+                 "--out", str(sim)]) == 0
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({"family": "ope", "target_policy": {"kind": "uniform"},
+                                "levels": [0.95]}))
+    inf = tmp_path / "inf"
+    assert main(["infer", "--config", str(bare), "--out", str(inf),
+                 "--log", str(sim / "log.csv")]) == 0
+    doc = json.loads((inf / "report.json").read_text())
+    assert doc["ope"]["value"] == pytest.approx(sum(a["theta"][0] for a in doc["arms"]))
+    bare.write_text(json.dumps({"family": "ope", "target_policy": {"kind": "uniform"},
+                                "horizon": 5}))
+    assert main(["infer", "--config", str(bare), "--out", str(inf),
+                 "--log", str(sim / "log.csv")]) == 1
+
+
+def test_compare_ope_regressions_must_be_a_list(tmp_path, capsys):
+    cfg = _tiny_config(tmp_path, target={"family": "ope", "target_policy": {"kind": "uniform"}})
+    rc = main(["compare-ope", "--config", str(cfg), "--out", str(tmp_path / "cmp"),
+               "--set", "cadr_regressions=zero"])
+    assert rc == 1
+    assert "cadr_regressions must be a JSON list" in capsys.readouterr().err
 
 
 def test_runtime_failure_exits_two(tmp_path, capsys):

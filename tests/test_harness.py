@@ -318,3 +318,40 @@ class TestCadrInReplicate:
                                   target=OPE_UNIFORM, horizon=50, replications=2, seed=31)
         summary = replicate(config)
         assert summary.cadr_values == {} and summary.cadr_covered == {}
+
+
+def test_replicate_solves_each_arm_once(monkeypatch):
+    # The OPE value reuses the per-arm estimates: K * R solves, not 2 * K * R.
+    import banditlab.harness as harness
+    import banditlab.inference as inference
+
+    calls = []
+    solve = inference.ipwz_solve
+
+    def counting(*args, **kw):
+        calls.append(args[2])
+        return solve(*args, **kw)
+
+    # Wherever the engine looks the solver up, the count sees it.
+    monkeypatch.setattr(inference, "ipwz_solve", counting)
+    monkeypatch.setattr(harness, "ipwz_solve", counting, raising=False)
+    env = build_environment("nonconv_demo")
+    config = ExperimentConfig(env=env, policy=PolicyConfig(kind="boltzmann_ridge", gamma=20.0),
+                              target=OPE_UNIFORM, horizon=100, replications=3, seed=32)
+    summary = replicate(config, cadr_regressions=("zero",))
+    assert summary.failures == []
+    assert calls == [0, 1] * 3
+
+
+def test_unknown_cadr_regression_rejected_before_oracle(monkeypatch):
+    import banditlab.harness as harness
+
+    def no_oracle(*args, **kw):
+        raise AssertionError("oracle computed before the regression names were checked")
+
+    monkeypatch.setattr(harness, "oracle_thetas", no_oracle)
+    env = build_environment("nonconv_demo")
+    config = ExperimentConfig(env=env, policy=PolicyConfig(kind="random"),
+                              target=OPE_UNIFORM, horizon=50, replications=1, seed=33)
+    with pytest.raises(ValueError, match="unknown regression 'z'"):
+        replicate(config, cadr_regressions="zero")

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from banditlab.estimator import ScoreTarget, TargetPolicy
+from banditlab.env import build_environment
+from banditlab.estimator import ScoreTarget, TargetPolicy, ipwz_solve
+from banditlab.harness import _run_trajectory_core
 from banditlab.policy import (
     InfeasibleClipError,
     PolicyConfig,
@@ -305,6 +307,23 @@ class TestUpdateState:
         update_state(config, state, Transition(np.array([1.0]), 0, 0.5, 2.0))
         np.testing.assert_allclose(
             action_distribution(config, state, np.array([1.0])), [0.5, 0.5])
+
+
+@pytest.mark.parametrize("env_name, target", [
+    ("nc_gaussian", ScoreTarget(family="misspec_linear")),
+    ("nc_hard2", ScoreTarget(family="noisy_context", sigma_e=[[2.0]])),
+    ("nonconv_demo", ScoreTarget(family="ope", target_policy=TargetPolicy(kind="uniform"))),
+], ids=["misspec_linear", "noisy_context", "ope"])
+def test_ipwz_incremental_equals_batch(env_name, target):
+    # The running per-arm estimate the policy acts on is the batch IPW-Z
+    # root of the same trajectory's log.
+    env = build_environment(env_name)
+    config = PolicyConfig(kind="ipwz_greedy", pi_min=0.05)
+    log, state = _run_trajectory_core(env, config, target, 1500, seed=41)
+    assert state.ipw_ok.all()
+    for arm in range(env.num_arms):
+        np.testing.assert_allclose(state.ipw_theta[arm], ipwz_solve(log, target, arm),
+                                   rtol=1e-10)
 
 
 def test_infeasible_pi_min_at_init():
