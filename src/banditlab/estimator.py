@@ -144,13 +144,13 @@ class ScoreTarget:
             return np.ones(contexts.shape[:-1] + (1,))
         return contexts
 
-    def outcome_scale(self, arm: int, num_arms: int | None) -> float:
-        """c_a: the target policy's probability of ``arm`` for ope, else 1."""
+    def outcome_scale(self, arm, num_arms: int | None):
+        """c_a: the target policy's probability of ``arm`` (one per entry of an arm array) for ope, else 1."""
         if self.family != "ope":
             return 1.0
         if num_arms is None:
             raise ValueError("num_arms required for the ope score")
-        return float(self.target_policy.vector(num_arms)[arm])
+        return self.target_policy.vector(num_arms)[arm]
 
     @property
     def shift(self):
@@ -232,15 +232,25 @@ class AuxiliaryData:
         return err.T @ err / self.size
 
 
-def score_g(target: ScoreTarget, arm: int, x: np.ndarray, y: float, theta: np.ndarray,
+def score_g(target: ScoreTarget, arm, x: np.ndarray, y, theta: np.ndarray,
             num_arms: int | None = None) -> np.ndarray:
-    """Evaluate the family score g(x, y; theta) for one observation."""
-    z = target.regressors(np.asarray(x, dtype=float).ravel())
-    theta = np.asarray(theta, dtype=float).ravel()
-    if theta.shape[0] != z.shape[0]:
+    """Evaluate the family score g(x, y; theta) for one observation.
+
+    Row-wise for a block of observations, each with its own arm and theta:
+    ``arm`` (B,), ``x`` (B, d), ``y`` (B,) and ``theta`` (B, p) give (B, p).
+    Each row's (z z' - S) theta is one BLAS call, as for a single observation.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        theta = np.asarray(theta, dtype=float).ravel()
+        return score_g(target, np.array([arm]), x[None], np.array([y], dtype=float),
+                       theta[None], num_arms)[0]
+    Z = target.regressors(x)
+    if theta.shape != Z.shape:
         raise ValueError("theta dimension must match the score dimension")
     c = target.outcome_scale(arm, num_arms)
-    return z * (c * y) - (np.outer(z, z) - target.shift) @ theta
+    zz = Z[:, :, None] * Z[:, None, :] - target.shift
+    return Z * (c * y)[:, None] - np.matmul(zz, theta[:, :, None])[:, :, 0]
 
 
 def _design(target: ScoreTarget, Z: np.ndarray, w: np.ndarray | None, scale: float) -> np.ndarray:
@@ -278,6 +288,7 @@ def scores(target: ScoreTarget, arm: int, X: np.ndarray, Y: np.ndarray,
 
 
 def _arm_rows(log: BanditLog, arm: int):
+    """(contexts, outcomes, inverse propensities) of the rounds that pulled ``arm``."""
     mask = log.arms == arm
     if not mask.any():
         raise NoDataForArm(arm)
@@ -302,9 +313,12 @@ def _solve_checked(design: np.ndarray, moment: np.ndarray, arm: int) -> np.ndarr
     return np.linalg.solve(design, moment)
 
 
-def ipwz_solve(log: BanditLog, target: ScoreTarget, arm: int) -> np.ndarray:
-    """Exact root of the weighted estimating equation for one arm."""
-    X, Y, w = _arm_rows(log, arm)
+def ipwz_solve(log: BanditLog, target: ScoreTarget, arm: int, rows=None) -> np.ndarray:
+    """Exact root of the weighted estimating equation for one arm.
+
+    ``rows`` are the arm's (X, Y, w) rows of ``log`` when the caller has them.
+    """
+    X, Y, w = _arm_rows(log, arm) if rows is None else rows
     design, moment = normal_equations(target, arm, X, Y, w, log.num_arms, log.horizon)
     return _solve_checked(design, moment, arm)
 

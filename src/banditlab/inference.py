@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import erfc
@@ -101,15 +102,19 @@ def sandwich_variance(
     arm: int,
     theta_hat: np.ndarray,
     mode: str = "full",
+    rows=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Plug-in sandwich estimate; returns (Sigma_hat, Gdot_hat, I_hat)."""
+    """Plug-in sandwich estimate; returns (Sigma_hat, Gdot_hat, I_hat).
+
+    ``rows`` are the arm's (X, Y, w) rows of ``log`` when the caller has them.
+    """
     if mode not in ("full", "simplified"):
         raise ValueError(f"unknown variance mode {mode!r}")
     theta = np.asarray(theta_hat, dtype=float).ravel()
-    X, Y, w = _arm_rows(log, arm)
+    X, Y, w = _arm_rows(log, arm) if rows is None else rows
     T = log.horizon
-    rows, weights = (X, w) if mode == "full" else (log.contexts, None)
-    gdot = _design(target, target.regressors(rows), weights, T)
+    design_rows, weights = (X, w) if mode == "full" else (log.contexts, None)
+    gdot = _design(target, target.regressors(design_rows), weights, T)
     gw = scores(target, arm, X, Y, theta, log.num_arms, w)
     imat = gw.T @ gw / T
 
@@ -122,6 +127,14 @@ def sandwich_variance(
         counters["negative_variance_floored"] += int(neg.sum())
         sigma[np.diag_indices_from(sigma)] = np.maximum(np.diag(sigma), 0.0)
     return sigma, gdot, imat
+
+
+@lru_cache(maxsize=64)
+def two_sided_z(level: float) -> float:
+    """The normal quantile z with P(|N(0, 1)| <= z) = ``level``, computed once per level."""
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"confidence level {level} outside (0, 1)")
+    return norm_ppf((1.0 + level) / 2.0)
 
 
 def confidence_intervals(
@@ -138,9 +151,7 @@ def confidence_intervals(
     half_widths = np.sqrt(np.maximum(np.diag(sigma), 0.0) / horizon)
     out = {}
     for level in levels:
-        if not 0.0 < level < 1.0:
-            raise ValueError(f"confidence level {level} outside (0, 1)")
-        z = norm_ppf((1.0 + level) / 2.0)
+        z = two_sided_z(float(level))
         out[float(level)] = np.column_stack([theta - z * half_widths,
                                              theta + z * half_widths])
     return out
@@ -195,9 +206,10 @@ def estimate_report(
     levels=(0.95,),
     mode: str = "full",
 ) -> EstimateReport:
-    """Solve, estimate variance and build intervals for one arm."""
-    theta = ipwz_solve(log, target, arm)
-    sigma, gdot, imat = sandwich_variance(log, target, arm, theta, mode=mode)
+    """Solve, estimate variance and build intervals for one arm (its rows gathered once)."""
+    rows = _arm_rows(log, arm)
+    theta = ipwz_solve(log, target, arm, rows=rows)
+    sigma, gdot, imat = sandwich_variance(log, target, arm, theta, mode=mode, rows=rows)
     cis = confidence_intervals(theta, sigma, log.horizon, levels)
     return EstimateReport(arm=arm, theta=theta, sigma=sigma, gdot=gdot,
                           imat=imat, cis=cis, horizon=log.horizon)

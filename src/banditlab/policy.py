@@ -4,10 +4,20 @@ Every policy here is a summary-statistic policy: the action distribution at
 round t is a fixed function of the current context and a finite-dimensional
 statistic of the past (arm counts and means, ridge or SGD coefficients, or
 incremental IPW-Z estimates). Distribution construction is pure; state lives
-in a mutable ``PolicyState`` owned by exactly one trajectory.
+in a mutable ``PolicyState`` owned by one trajectory, or by a block of B
+trajectories that advance in lockstep.
+
+Each policy kind has one implementation, written row-wise: its distribution
+maps a block state and B contexts to B distributions, and its update folds B
+transitions into the block state. A single trajectory is a block of one
+(``PolicyState.as_block``), and ``action_distribution_batch`` broadcasts one
+state over many contexts. Every per-row reduction is computed exactly as it
+would be for that row alone (elementwise arithmetic, or one BLAS call per
+row through a stacked ``np.matmul``), so a row's result does not depend on
+the block it runs in.
 
 Clipped policies floor every action probability at ``pi_min`` via the exact
-L2 projection onto the constrained simplex (``clip_simplex``), keeping
+L2 projection onto the constrained simplex (``clip_simplex_rows``), keeping
 inverse propensity weights bounded.
 """
 
@@ -94,9 +104,23 @@ class PolicyConfig:
         return eps
 
 
+# Fields holding one value per trajectory; a block state gives each a leading axis.
+_PER_TRAJECTORY = (
+    "counts", "sums", "ridge_gram", "ridge_moment", "ridge_beta", "ridge_gram_inv",
+    "sgd_beta", "sgd_clip_count", "ipw_weight", "ipw_gram", "ipw_moment", "ipw_theta",
+    "ipw_ok", "ipw_ready",
+)
+
+
 @dataclass
 class PolicyState:
-    """Mutable summary statistics owned by one trajectory."""
+    """Mutable summary statistics of one trajectory, or of a block of them.
+
+    The shapes below are a single trajectory's (``block`` is None). A block
+    state (``block = B``) holds B trajectories advanced in lockstep: every
+    per-trajectory field, ``sgd_clip_count`` and ``ipw_ready`` included, gains
+    a leading axis of length B, while the round counter ``t`` is shared.
+    """
 
     num_arms: int
     context_dim: int
@@ -120,6 +144,7 @@ class PolicyState:
     ipw_ok: np.ndarray = None           # (K,) per-arm solve succeeded
     ipw_ready: bool = False
     target: ScoreTarget | None = None
+    block: int | None = None
 
     @property
     def means(self) -> np.ndarray:
@@ -127,8 +152,33 @@ class PolicyState:
         return np.divide(self.sums, self.counts,
                          out=np.zeros_like(self.sums), where=self.counts > 0)
 
+    def _with(self, per_trajectory, block: int | None) -> PolicyState:
+        view = object.__new__(PolicyState)
+        view.__dict__ = {name: per_trajectory(value)
+                         if name in _PER_TRAJECTORY and value is not None else value
+                         for name, value in self.__dict__.items()}
+        view.block = block
+        return view
+
+    def as_block(self) -> PolicyState:
+        """This single trajectory as a block of one; array writes reach ``self``.
+
+        ``t``, ``sgd_clip_count`` and ``ipw_ready`` are copies: ``update_state``
+        writes them back.
+        """
+        return self._with(lambda value: np.asarray(value)[None], 1)
+
+    def row(self, b: int) -> PolicyState:
+        """Trajectory ``b`` of a block state as a single-trajectory state (array views)."""
+        view = self._with(lambda value: value[b], None)
+        view.sgd_clip_count = int(view.sgd_clip_count)
+        view.ipw_ready = bool(view.ipw_ready)
+        return view
+
 
 class Transition(NamedTuple):
+    """One observed round, or one per trajectory of a block (then every field has a leading axis)."""
+
     context: np.ndarray
     arm: int
     realized_prob: float
@@ -136,34 +186,41 @@ class Transition(NamedTuple):
 
 
 def init_state(config: PolicyConfig, num_arms: int, context_dim: int,
-               target: ScoreTarget | None = None) -> PolicyState:
-    """Fresh state for a trajectory; validates K-dependent config constraints."""
+               target: ScoreTarget | None = None, block: int | None = None) -> PolicyState:
+    """Fresh state for a trajectory, or for ``block`` trajectories in lockstep.
+
+    Validates the K-dependent config constraints.
+    """
     if num_arms * config.pi_min > 1.0 + 1e-12:
         raise InfeasibleClipError(
             f"K * pi_min = {num_arms * config.pi_min:.4f} > 1 is infeasible")
     K, d = num_arms, context_dim
-    state = PolicyState(num_arms=K, context_dim=d,
-                        counts=np.zeros(K, dtype=np.int64), sums=np.zeros(K))
+    lead = () if block is None else (block,)
+    state = PolicyState(num_arms=K, context_dim=d, block=block,
+                        counts=np.zeros(lead + (K,), dtype=np.int64), sums=np.zeros(lead + (K,)))
+    if block is not None:
+        state.sgd_clip_count = np.zeros(block, dtype=np.int64)
+        state.ipw_ready = np.zeros(block, dtype=bool)
     if config.kind in ("boltzmann_ridge", "linucb"):
         lam = config.ridge_lambda
-        state.ridge_gram = np.stack([lam * np.eye(d)] * K)
-        state.ridge_moment = np.zeros((K, d))
-        state.ridge_beta = np.zeros((K, d))
-        state.ridge_gram_inv = np.stack([np.eye(d) / lam] * K)
+        state.ridge_gram = np.tile(lam * np.eye(d), lead + (K, 1, 1))
+        state.ridge_moment = np.zeros(lead + (K, d))
+        state.ridge_beta = np.zeros(lead + (K, d))
+        state.ridge_gram_inv = np.tile(np.eye(d) / lam, lead + (K, 1, 1))
     if config.kind == "boltzmann_sgd":
         if target is None:
             raise ValueError("boltzmann_sgd requires a ScoreTarget for its update rule")
-        state.sgd_beta = np.zeros((K, target.theta_dim(d)))
+        state.sgd_beta = np.zeros(lead + (K, target.theta_dim(d)))
         state.target = target
     if config.kind == "ipwz_greedy":
         if target is None:
             raise ValueError("ipwz_greedy requires a ScoreTarget")
         dt = target.theta_dim(d)
-        state.ipw_weight = np.zeros(K)
-        state.ipw_gram = np.zeros((K, dt, dt))
-        state.ipw_moment = np.zeros((K, dt))
-        state.ipw_theta = np.zeros((K, dt))
-        state.ipw_ok = np.zeros(K, dtype=bool)
+        state.ipw_weight = np.zeros(lead + (K,))
+        state.ipw_gram = np.zeros(lead + (K, dt, dt))
+        state.ipw_moment = np.zeros(lead + (K, dt))
+        state.ipw_theta = np.zeros(lead + (K, dt))
+        state.ipw_ok = np.zeros(lead + (K,), dtype=bool)
         state.target = target
     return state
 
@@ -172,31 +229,17 @@ def init_state(config: PolicyConfig, num_arms: int, context_dim: int,
 
 
 def clip_simplex(probs: np.ndarray, pi_min: float) -> np.ndarray:
-    """L2 projection of ``probs`` onto {p : sum p = 1, p >= pi_min}.
-
-    The projection is max(probs - nu, pi_min) where nu is the unique root of
-    q(nu) = sum_a max(probs_a - nu, pi_min) = 1; q is piecewise linear in nu,
-    so the root is found exactly by sorting, with no iteration.
-    """
-    p = np.asarray(probs, dtype=float)
-    K = p.shape[0]
-    if K * pi_min > 1.0 + 1e-12:
-        raise InfeasibleClipError(f"K * pi_min = {K * pi_min:.4f} > 1 is infeasible")
-    total = p.sum()
-    if abs(total - 1.0) <= 1e-12 and p.min() >= pi_min:
-        return p.copy()
-    desc = np.sort(p)[::-1]
-    prefix = np.cumsum(desc)
-    for m in range(K, 0, -1):
-        nu = (prefix[m - 1] + (K - m) * pi_min - 1.0) / m
-        if desc[m - 1] - nu >= pi_min - 1e-15 and (m == K or desc[m] - nu <= pi_min + 1e-15):
-            return np.maximum(p - nu, pi_min)
-    # Reachable only when K * pi_min == 1: every coordinate is floored.
-    return np.full(K, pi_min)
+    """L2 projection of ``probs`` onto {p : sum p = 1, p >= pi_min}; one row of ``clip_simplex_rows``."""
+    return clip_simplex_rows(np.asarray(probs, dtype=float)[None], pi_min)[0]
 
 
 def clip_simplex_rows(P: np.ndarray, pi_min: float) -> np.ndarray:
-    """Row-wise clip_simplex, vectorized for batch policy evaluation."""
+    """Row-wise L2 projection onto {p : sum p = 1, p >= pi_min}.
+
+    Each row's projection is max(p - nu, pi_min) where nu is the unique root of
+    q(nu) = sum_a max(p_a - nu, pi_min) = 1; q is piecewise linear in nu, so
+    the root is found exactly by sorting, with no iteration.
+    """
     P = np.asarray(P, dtype=float)
     n, K = P.shape
     if K * pi_min > 1.0 + 1e-12:
@@ -225,13 +268,16 @@ def clip_simplex_rows(P: np.ndarray, pi_min: float) -> np.ndarray:
 # --- Thompson sampling optimal-arm probabilities -------------------------------
 
 
-def _ts_entry_gh(a: int, means: np.ndarray, sds: np.ndarray, nodes, weights) -> float:
-    u = means[a] + math.sqrt(2.0) * sds[a] * nodes
-    others = [i for i in range(means.shape[0]) if i != a]
+def _ts_entries_gh(means: np.ndarray, sds: np.ndarray, rows: np.ndarray, arms: np.ndarray,
+                   n: int) -> np.ndarray:
+    """Gauss-Hermite P(arm is best) for each (row, arm) entry, with ``n`` nodes."""
+    nodes, weights = _hermgauss(n)
+    u = means[rows, arms][:, None] + (math.sqrt(2.0) * sds[rows, arms])[:, None] * nodes
     prod = np.ones_like(u)
-    for i in others:
-        prod *= ndtr((u - means[i]) / sds[i])
-    return float(weights @ prod) / math.sqrt(math.pi)
+    for j in range(means.shape[1] - 1):  # the other arms, in ascending order
+        i = np.where(j < arms, j, j + 1)
+        prod *= ndtr((u - means[rows, i][:, None]) / sds[rows, i][:, None])
+    return (prod * weights).sum(axis=1) / math.sqrt(math.pi)
 
 
 def _ts_entry_quad(a: int, means: np.ndarray, sds: np.ndarray) -> float:
@@ -250,93 +296,141 @@ def _ts_entry_quad(a: int, means: np.ndarray, sds: np.ndarray) -> float:
 
 
 def ts_optimal_prob(post_means: np.ndarray, post_vars: np.ndarray) -> np.ndarray:
-    """P(arm a is best) under independent Gaussian posteriors.
+    """P(arm a is best) under independent Gaussian posteriors, row-wise over (B, K).
 
     Deterministic quadrature of P(all other arms below u) against each arm's
-    posterior density: a nested Gauss-Hermite ladder, falling back to adaptive
-    quadrature with breakpoints when posteriors are near-degenerate. Absolute
-    accuracy <= 1e-6 per entry.
+    posterior density: a nested Gauss-Hermite ladder (40, 80, 160 nodes, until
+    two rungs agree to 5e-7), falling back to adaptive quadrature with
+    breakpoints when posteriors are near-degenerate. Absolute accuracy <= 1e-6
+    per entry. One (K,) pair of arrays gives one (K,) row.
     """
     means = np.asarray(post_means, dtype=float)
     variances = np.asarray(post_vars, dtype=float)
+    if means.ndim == 1:
+        return ts_optimal_prob(means[None], variances[None])[0]
     if np.any(variances <= 0):
         raise ValueError("posterior variances must be positive")
     sds = np.sqrt(variances)
-    K = means.shape[0]
-    out = np.empty(K)
-    for a in range(K):
-        prev = None
-        value = None
-        for n in (40, 80, 160):
-            nodes, weights = _hermgauss(n)
-            value = _ts_entry_gh(a, means, sds, nodes, weights)
-            if prev is not None and abs(value - prev) < 5e-7:
-                break
-            prev = value
-        else:
-            value = _ts_entry_quad(a, means, sds)
-        out[a] = value
+    out = np.empty(means.shape)
+    rows, arms = (idx.ravel() for idx in np.indices(means.shape))
+    prev = _ts_entries_gh(means, sds, rows, arms, 40)
+    for n in (80, 160):
+        if not rows.size:
+            break
+        value = _ts_entries_gh(means, sds, rows, arms, n)
+        done = np.abs(value - prev) < 5e-7
+        out[rows[done], arms[done]] = value[done]
+        rows, arms, prev = rows[~done], arms[~done], value[~done]
+    for b, a in zip(rows.tolist(), arms.tolist()):
+        out[b, a] = _ts_entry_quad(a, means[b], sds[b])
     return out
 
 
 # --- distribution constructors --------------------------------------------------
 
 
-def _greedy_vector(best: int, num_arms: int, explore_each: float) -> np.ndarray:
-    out = np.full(num_arms, explore_each)
-    out[best] = 1.0 - (num_arms - 1) * explore_each
+def _apply(coefs: np.ndarray, contexts: np.ndarray) -> np.ndarray:
+    """(B, K): row b's (K, p) coefficients times its (p,) context.
+
+    A stacked matmul makes one BLAS call per row, so each row equals the
+    one-trajectory product ``coefs[b] @ contexts[b]`` bit for bit.
+    """
+    return np.matmul(coefs, contexts[..., None])[..., 0]
+
+
+def _greedy_rows(best: np.ndarray, num_arms: int, explore_each: float) -> np.ndarray:
+    out = np.full((best.shape[0], num_arms), explore_each)
+    out[np.arange(best.shape[0]), best] = 1.0 - (num_arms - 1) * explore_each
     return out
 
 
 def mab_distribution(kind: str, state: PolicyState, config: PolicyConfig) -> np.ndarray:
-    """Distributions for the context-ignoring multi-armed bandit algorithms."""
+    """Distributions for the context-ignoring multi-armed bandit algorithms.
+
+    One row per trajectory of a block state; a single state gives one (K,) row.
+    """
+    if state.block is None:
+        return mab_distribution(kind, state.as_block(), config)[0]
     K = state.num_arms
     if kind == "eps_greedy":
         eps = config.epsilon_for(K, state.t + 1)
-        return _greedy_vector(int(np.argmax(state.means)), K, eps / K)
+        return _greedy_rows(np.argmax(state.means, axis=1), K, eps / K)
     if kind == "ucb":
         if state.t < K:  # forced initialization: rounds 1..K pull each arm once
-            out = np.zeros(K)
-            out[state.t] = 1.0
+            out = np.zeros((state.block, K))
+            out[:, state.t] = 1.0
             return out
         radius = config.ucb_radius_fn(state.t + 1)
         index = np.where(state.counts > 0,
                          state.means + np.sqrt(radius / np.maximum(state.counts, 1)),
                          np.inf)
-        return _greedy_vector(int(np.argmax(index)), K, config.pi_min)
+        return _greedy_rows(np.argmax(index, axis=1), K, config.pi_min)
     if kind == "ts":
         mu0, s0, s2 = config.ts_prior
         precision = 1.0 / s0 + state.counts / s2
         post_var = 1.0 / precision
         post_mean = post_var * (mu0 / s0 + state.counts * state.means / s2)
-        return clip_simplex(ts_optimal_prob(post_mean, post_var), config.pi_min)
+        return clip_simplex_rows(ts_optimal_prob(post_mean, post_var), config.pi_min)
     raise ValueError(f"unknown MAB kind {kind!r}")
 
 
-def boltzmann_distribution(beta: np.ndarray, context: np.ndarray,
+def boltzmann_distribution(beta: np.ndarray, contexts: np.ndarray,
                            gamma: float, pi_min: float) -> np.ndarray:
-    """Clipped softmax of the working-model action values <beta_a, x> / gamma."""
-    scores = beta @ context / gamma
-    scores -= scores.max()
+    """Clipped softmax of the working-model action values <beta_a, x> / gamma.
+
+    Row-wise over ``beta`` (B, K, d) and ``contexts`` (B, d); a block of one
+    coefficient set broadcasts over B contexts, and one (K, d), (d,) pair gives
+    one (K,) distribution.
+    """
+    if np.ndim(contexts) == 1:
+        return boltzmann_distribution(beta[None], contexts[None], gamma, pi_min)[0]
+    scores = _apply(beta, contexts) / gamma
+    scores -= scores.max(axis=1, keepdims=True)
     expd = np.exp(scores)
-    return clip_simplex(expd / expd.sum(), pi_min)
+    return clip_simplex_rows(expd / expd.sum(axis=1, keepdims=True), pi_min)
 
 
-def linucb_distribution(state: PolicyState, context: np.ndarray,
+def linucb_distribution(state: PolicyState, contexts: np.ndarray,
                         alpha: float, pi_min: float) -> np.ndarray:
-    """Optimism index over per-arm ridge fits; argmax gets the lion's share."""
-    widths = np.sqrt(np.einsum("i,aij,j->a", context, state.ridge_gram_inv, context))
-    index = state.ridge_beta @ context + alpha * widths
-    return _greedy_vector(int(np.argmax(index)), state.num_arms, pi_min)
+    """Optimism index over per-arm ridge fits; argmax gets the lion's share.
+
+    Row-wise like ``boltzmann_distribution``; a single state and one context
+    give one (K,) distribution.
+    """
+    if state.block is None:
+        return linucb_distribution(state.as_block(), np.asarray(contexts, dtype=float)[None],
+                                   alpha, pi_min)[0]
+    widths = np.sqrt(np.einsum("bi,baij,bj->ba", contexts, state.ridge_gram_inv, contexts))
+    index = _apply(state.ridge_beta, contexts) + alpha * widths
+    return _greedy_rows(np.argmax(index, axis=1), state.num_arms, pi_min)
+
+
+def _ipwz_distribution(config: PolicyConfig, state: PolicyState,
+                       contexts: np.ndarray) -> np.ndarray:
+    """Uniform until every arm's estimate is ready, then clipped eps-greedy on them."""
+    K = state.num_arms
+    out = np.full((contexts.shape[0], K), 1.0 / K)
+    if not state.ipw_ready.any():
+        return out
+    eps = config.epsilon_for(K, state.t + 1)
+    best = np.argmax(_apply(state.ipw_theta, state.target.regressors(contexts)), axis=1)
+    greedy = clip_simplex_rows(_greedy_rows(best, K, eps / K), config.pi_min)
+    return np.where(state.ipw_ready[:, None], greedy, out)
 
 
 def action_distribution(config: PolicyConfig, state: PolicyState,
                         context: np.ndarray) -> np.ndarray:
-    """The policy's action distribution at ``context`` given current state."""
+    """The policy's action distribution at ``context`` given the current state.
+
+    For a block state, ``context`` holds one row per trajectory (B, d) and the
+    result is (B, K); for a single state, one (d,) context gives one (K,) row.
+    """
+    if state.block is None:
+        return action_distribution(config, state.as_block(),
+                                   np.asarray(context, dtype=float)[None])[0]
     kind = config.kind
-    K = state.num_arms
     if kind == "random":
-        return np.full(K, 1.0 / K)
+        return np.full((context.shape[0], state.num_arms), 1.0 / state.num_arms)
     if kind == "eps_greedy_mab":
         return mab_distribution("eps_greedy", state, config)
     if kind == "ucb_mab":
@@ -350,84 +444,51 @@ def action_distribution(config: PolicyConfig, state: PolicyState,
     if kind == "linucb":
         return linucb_distribution(state, context, config.linucb_alpha, config.pi_min)
     if kind == "ipwz_greedy":
-        if not state.ipw_ready:
-            return np.full(K, 1.0 / K)
-        eps = config.epsilon_for(K, state.t + 1)
-        best = int(np.argmax(state.ipw_theta @ state.target.regressors(context)))
-        return clip_simplex(_greedy_vector(best, K, eps / K), config.pi_min)
+        return _ipwz_distribution(config, state, context)
     raise ValueError(f"unknown policy kind {kind!r}")
 
 
 def action_distribution_batch(config: PolicyConfig, state: PolicyState,
                               contexts: np.ndarray) -> np.ndarray:
-    """Vectorized ``action_distribution`` over rows of ``contexts``; (n, K)."""
+    """``action_distribution`` of one trajectory's state at each row of ``contexts``; (n, K).
+
+    ``state`` is a single-trajectory state or a block of one.
+    """
     contexts = np.atleast_2d(np.asarray(contexts, dtype=float))
-    n = contexts.shape[0]
-    K = state.num_arms
-    kind = config.kind
-    if kind in ("random", "eps_greedy_mab", "ucb_mab", "ts_mab"):
-        return np.tile(action_distribution(config, state, contexts[0]), (n, 1))
-    if kind in ("boltzmann_ridge", "boltzmann_sgd"):
-        beta = state.ridge_beta if kind == "boltzmann_ridge" else state.sgd_beta
-        scores = contexts @ beta.T / config.gamma
-        scores -= scores.max(axis=1, keepdims=True)
-        expd = np.exp(scores)
-        return clip_simplex_rows(expd / expd.sum(axis=1, keepdims=True), config.pi_min)
-    if kind == "linucb":
-        widths = np.sqrt(np.einsum("ni,aij,nj->na", contexts, state.ridge_gram_inv, contexts))
-        index = contexts @ state.ridge_beta.T + config.linucb_alpha * widths
-        best = np.argmax(index, axis=1)
-        out = np.full((n, K), config.pi_min)
-        out[np.arange(n), best] = 1.0 - (K - 1) * config.pi_min
-        return out
-    if kind == "ipwz_greedy":
-        if not state.ipw_ready:
-            return np.full((n, K), 1.0 / K)
-        eps = config.epsilon_for(K, state.t + 1)
-        best = np.argmax(state.target.regressors(contexts) @ state.ipw_theta.T, axis=1)
-        out = np.full((n, K), eps / K)
-        out[np.arange(n), best] = 1.0 - (K - 1) * eps / K
-        return clip_simplex_rows(out, config.pi_min)
-    raise ValueError(f"unknown policy kind {kind!r}")
+    probs = action_distribution(config, state if state.block == 1 else state.as_block(), contexts)
+    if probs.shape[0] != contexts.shape[0]:  # context-free kinds give one row
+        probs = np.repeat(probs, contexts.shape[0], axis=0)
+    return probs
 
 
 # --- state updates --------------------------------------------------------------
 
 
 def _solve_small(G: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact solve for the tiny symmetric systems in the hot loop."""
-    d = G.shape[0]
+    """Exact row-wise solves G[i] x = b[i] for the tiny symmetric systems in the hot loop."""
+    d = G.shape[-1]
     if d == 1:
-        return b / G[0, 0]
+        return b / G[:, 0]
     if d == 2:
-        det = G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]
-        return np.array([(G[1, 1] * b[0] - G[0, 1] * b[1]) / det,
-                         (G[0, 0] * b[1] - G[1, 0] * b[0]) / det])
-    return np.linalg.solve(G, b)
+        det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
+        return np.stack([(G[:, 1, 1] * b[:, 0] - G[:, 0, 1] * b[:, 1]) / det,
+                         (G[:, 0, 0] * b[:, 1] - G[:, 1, 0] * b[:, 0]) / det], axis=1)
+    return np.linalg.solve(G, b[..., None])[..., 0]
 
 
 def _inv_small(G: np.ndarray) -> np.ndarray:
-    d = G.shape[0]
+    """Exact row-wise inverses of the tiny symmetric matrices G[i]."""
+    d = G.shape[-1]
     if d == 1:
-        return np.array([[1.0 / G[0, 0]]])
+        return 1.0 / G
     if d == 2:
-        det = G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]
-        return np.array([[G[1, 1], -G[0, 1]], [-G[1, 0], G[0, 0]]]) / det
+        det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
+        adj = np.stack([G[:, 1, 1], -G[:, 0, 1], -G[:, 1, 0], G[:, 0, 0]], axis=1)
+        return adj.reshape(-1, 2, 2) / det[:, None, None]
     return np.linalg.inv(G)
 
 
-def _well_conditioned(G: np.ndarray, threshold: float = 1e12) -> bool:
-    """Cheap invertibility screen for the per-step policy solves."""
-    d = G.shape[0]
-    if d == 1:  # any nonzero finite scalar passes the scale-relative test below
-        g = float(G[0, 0])
-        return g != 0.0 and math.isfinite(g)
-    scale = float(np.max(np.abs(G)))
-    if scale == 0.0 or not np.isfinite(scale):
-        return False
-    if d == 2:
-        det = G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]
-        return abs(det) > scale ** 2 / threshold
+def _cond_below(G: np.ndarray, threshold: float) -> bool:
     try:
         cond = np.linalg.cond(G)
     except np.linalg.LinAlgError:
@@ -435,52 +496,88 @@ def _well_conditioned(G: np.ndarray, threshold: float = 1e12) -> bool:
     return bool(np.isfinite(cond) and cond < threshold)
 
 
-def _refresh_ipwz(state: PolicyState, arm: int) -> None:
-    """Re-solve the pulled arm's IPW-Z estimate; flag readiness."""
+def _well_conditioned(G: np.ndarray, threshold: float = 1e12) -> np.ndarray:
+    """Cheap invertibility screen for the per-step policy solves; one bool per G[i]."""
+    d = G.shape[-1]
+    if d == 1:  # any nonzero finite scalar passes the scale-relative test below
+        g = G[:, 0, 0]
+        return (g != 0.0) & np.isfinite(g)
+    scale = np.abs(G).max(axis=(1, 2))
+    ok = (scale != 0.0) & np.isfinite(scale)
+    if d == 2:
+        det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
+        return ok & (np.abs(det) > scale ** 2 / threshold)
+    return ok & np.array([_cond_below(g, threshold) for g in G], dtype=bool)
+
+
+def _refresh_ipwz(state: PolicyState, rows: np.ndarray, arms: np.ndarray) -> None:
+    """Re-solve each row's pulled-arm IPW-Z estimate; flag readiness."""
     target = state.target
-    gram = state.ipw_gram[arm] - state.ipw_weight[arm] * target.shift
-    state.ipw_ok[arm] = _well_conditioned(gram)
-    if state.ipw_ok[arm]:
-        state.ipw_theta[arm] = _solve_small(gram, state.ipw_moment[arm])
+    gram = state.ipw_gram[rows, arms] - state.ipw_weight[rows, arms][:, None, None] * target.shift
+    ok = _well_conditioned(gram)
+    state.ipw_ok[rows, arms] = ok
+    if ok.any():
+        state.ipw_theta[rows[ok], arms[ok]] = _solve_small(gram[ok],
+                                                           state.ipw_moment[rows[ok], arms[ok]])
     need = target.theta_dim(state.context_dim)
-    state.ipw_ready = bool(np.all(state.counts >= need) and state.ipw_ok.all())
+    state.ipw_ready[:] = np.all(state.counts >= need, axis=1) & state.ipw_ok.all(axis=1)
 
 
 def update_state(config: PolicyConfig, state: PolicyState,
                  transition: Transition) -> PolicyState:
-    """Fold one observed transition into the summary statistics (in place)."""
-    x, arm, prob, y = transition
-    if not 0 <= arm < state.num_arms:
-        raise ValueError(f"arm {arm} out of range for K={state.num_arms}")
-    x = np.asarray(x, dtype=float)
+    """Fold observed transitions into the summary statistics (in place).
+
+    For a block state, every field of ``transition`` carries one entry per
+    trajectory: contexts (B, d), arms, realized probabilities and outcomes (B,).
+    """
+    if state.block is None:
+        x, arm, prob, y = transition
+        if not 0 <= arm < state.num_arms:
+            raise ValueError(f"arm {arm} out of range for K={state.num_arms}")
+        rows = state.as_block()
+        update_state(config, rows, Transition(np.asarray(x, dtype=float)[None], np.array([arm]),
+                                               np.array([prob], dtype=float),
+                                               np.array([y], dtype=float)))
+        state.t = rows.t
+        state.sgd_clip_count = int(rows.sgd_clip_count[0])
+        state.ipw_ready = bool(rows.ipw_ready[0])
+        return state
+
+    X, arms, probs, ys = transition
+    rows = np.arange(state.block)
+    pulled = (rows, arms)
     state.t += 1
-    state.counts[arm] += 1
-    state.sums[arm] += y
+    np.add.at(state.counts, pulled, 1)
+    np.add.at(state.sums, pulled, ys)
 
     if state.ridge_gram is not None:
-        state.ridge_gram[arm] += np.outer(x, x)
-        state.ridge_moment[arm] += x * y
-        state.ridge_gram_inv[arm] = _inv_small(state.ridge_gram[arm])
-        state.ridge_beta[arm] = _solve_small(state.ridge_gram[arm], state.ridge_moment[arm])
+        gram = state.ridge_gram[rows, arms] + X[:, :, None] * X[:, None, :]
+        moment = state.ridge_moment[rows, arms] + X * ys[:, None]
+        state.ridge_gram[rows, arms] = gram
+        state.ridge_moment[rows, arms] = moment
+        state.ridge_gram_inv[rows, arms] = _inv_small(gram)
+        state.ridge_beta[rows, arms] = _solve_small(gram, moment)
 
     if config.kind == "boltzmann_sgd":
         rate = config.sgd_rate_fn(state.t)
-        step = score_g(state.target, arm, x, y, state.sgd_beta[arm],
-                       num_arms=state.num_arms)
-        beta = state.sgd_beta[arm] + rate * step
-        norm = np.linalg.norm(beta)
-        if norm > SGD_COEF_RADIUS:
-            beta *= SGD_COEF_RADIUS / norm
-            state.sgd_clip_count += 1
-        state.sgd_beta[arm] = beta
+        beta = state.sgd_beta[rows, arms]
+        beta = beta + rate * score_g(state.target, arms, X, ys, beta, num_arms=state.num_arms)
+        # One dot per row, as np.linalg.norm computes it for one vector.
+        norm = np.sqrt(np.matmul(beta[:, None, :], beta[:, :, None])[:, 0, 0])
+        clipped = norm > SGD_COEF_RADIUS
+        if clipped.any():
+            beta[clipped] *= (SGD_COEF_RADIUS / norm[clipped])[:, None]
+            state.sgd_clip_count[clipped] += 1
+        state.sgd_beta[rows, arms] = beta
 
     if config.kind == "ipwz_greedy":
-        w = 1.0 / prob
+        w = 1.0 / probs
         target = state.target
-        z = target.regressors(x)
-        state.ipw_weight[arm] += w
-        state.ipw_gram[arm] += w * np.outer(z, z)
-        state.ipw_moment[arm] += w * z * (target.outcome_scale(arm, state.num_arms) * y)
-        _refresh_ipwz(state, arm)
+        Z = target.regressors(X)
+        c = target.outcome_scale(arms, state.num_arms)
+        np.add.at(state.ipw_weight, pulled, w)
+        np.add.at(state.ipw_gram, pulled, w[:, None, None] * (Z[:, :, None] * Z[:, None, :]))
+        np.add.at(state.ipw_moment, pulled, w[:, None] * Z * (c * ys)[:, None])
+        _refresh_ipwz(state, rows, arms)
 
     return state

@@ -1,5 +1,7 @@
 """Trajectory runner, replication engine, diagnostics, CADR baseline."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from banditlab.env import build_environment
 from banditlab.estimator import ScoreTarget, TargetPolicy, write_log_csv
 from banditlab.harness import (
     ExperimentConfig,
+    _run_block,
+    _run_trajectory_core,
     cadr_ope,
     convergence_diagnostic,
     oracle_thetas,
@@ -15,10 +19,11 @@ from banditlab.harness import (
     run_trajectory,
 )
 from banditlab.inference import norm_ppf, ope_value
-from banditlab.policy import PolicyConfig
+from banditlab.policy import POLICY_KINDS, PolicyConfig, PolicyState
 
 MISSPEC = ScoreTarget(family="misspec_linear")
 OPE_UNIFORM = ScoreTarget(family="ope", target_policy=TargetPolicy(kind="uniform"))
+LOOPED_KINDS = tuple(k for k in POLICY_KINDS if k != "random")
 
 
 class TestRunTrajectory:
@@ -61,6 +66,63 @@ class TestRunTrajectory:
         assert np.all(log.propensities[2:] >= 0.05)
 
 
+def _block_cases():
+    targets = {
+        "nc_hard1": {"misspec_linear": MISSPEC,
+                     "noisy_context": ScoreTarget(family="noisy_context", sigma_e=[[2.0]]),
+                     "ope": OPE_UNIFORM},
+        "nc_gaussian": {"misspec_linear": MISSPEC,
+                        "noisy_context": ScoreTarget(family="noisy_context",
+                                                     sigma_e=[[1.0, 0.0], [0.0, 1.0]]),
+                        "ope": OPE_UNIFORM},
+    }
+    for env_name, by_family in targets.items():
+        for kind in LOOPED_KINDS:
+            families = ("misspec_linear", "noisy_context", "ope") \
+                if kind in ("boltzmann_sgd", "ipwz_greedy") else ("misspec_linear",)
+            for family in families:
+                if kind == "boltzmann_sgd" and family == "ope" and env_name == "nc_gaussian":
+                    continue  # a one-coefficient working model cannot score a 2-d context
+                yield pytest.param(env_name, kind, by_family[family],
+                                   id=f"{env_name}-{kind}-{family}")
+
+
+def _assert_states_equal(got: PolicyState, want: PolicyState, what: str):
+    for f in fields(PolicyState):
+        if f.name in ("target", "block"):
+            continue
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert (a is None) == (b is None), f"{what}: {f.name}"
+        if a is not None:
+            np.testing.assert_array_equal(a, b, err_msg=f"{what}: {f.name}")
+
+
+@pytest.mark.parametrize("env_name, kind, target", _block_cases())
+def test_block_layout_invariance(env_name, kind, target):
+    # Each replication's log and final state are the same bits whether it
+    # runs alone or in a lockstep block of 1, 3 or all R.
+    env = build_environment(env_name)
+    policy = PolicyConfig(kind=kind, pi_min=0.05, gamma=2.0)
+    R, T, seed = 5, 150, 41
+    reference = [_run_trajectory_core(env, policy, target, T, seed, (rep,)) for rep in range(R)]
+    for rep, (log, _) in enumerate(reference):
+        alone = run_trajectory(env, policy, target, T, seed, stream_path=(rep,))
+        for name in ("contexts", "arms", "propensities", "outcomes", "distributions"):
+            np.testing.assert_array_equal(getattr(alone, name), getattr(log, name))
+    for size in (1, 3, R):
+        for start in range(0, R, size):
+            reps = range(start, min(start + size, R))
+            logs, state = _run_block(env, policy, target, T, seed, [(rep,) for rep in reps])
+            for i, rep in enumerate(reps):
+                want_log, want_state = reference[rep]
+                what = f"block of {size}, rep {rep}"
+                for name in ("contexts", "arms", "propensities", "outcomes", "distributions",
+                             "latents"):
+                    np.testing.assert_array_equal(getattr(logs[i], name),
+                                                  getattr(want_log, name), err_msg=what)
+                _assert_states_equal(state.row(i), want_state, what)
+
+
 class TestReplicate:
     def test_single_replication_indicator_coverage(self):
         env = build_environment("nonconv_demo")
@@ -80,13 +142,33 @@ class TestReplicate:
         assert np.all(summary.sigma_diag < 1e-12)
 
     def test_serial_equals_parallel(self):
+        # One block of 8 serially, two blocks of 4 on the pool; random runs
+        # one replication per task.
         env = build_environment("nc_hard1")
-        base = dict(env=env, policy=PolicyConfig(kind="random"), target=MISSPEC,
-                    horizon=300, replications=8, seed=13)
-        serial = replicate(ExperimentConfig(**base, workers=1))
-        parallel = replicate(ExperimentConfig(**base, workers=2))
-        np.testing.assert_array_equal(serial.theta_hat, parallel.theta_hat)
-        np.testing.assert_array_equal(serial.covered, parallel.covered)
+        for kind in POLICY_KINDS:
+            base = dict(env=env, policy=PolicyConfig(kind=kind, gamma=2.0), target=MISSPEC,
+                        horizon=300, replications=8, seed=13,
+                        diagnostic_contexts=((1.0,), (-2.0,)))
+            serial = replicate(ExperimentConfig(**base, workers=1))
+            parallel = replicate(ExperimentConfig(**base, workers=2))
+            np.testing.assert_array_equal(serial.theta_hat, parallel.theta_hat, err_msg=kind)
+            np.testing.assert_array_equal(serial.covered, parallel.covered, err_msg=kind)
+            np.testing.assert_array_equal(serial.last_step_probs, parallel.last_step_probs,
+                                          err_msg=kind)
+            assert serial.failures == parallel.failures
+
+    def test_serial_equals_parallel_ope_with_cadr(self):
+        env = build_environment("nonconv_demo")
+        base = dict(env=env, policy=PolicyConfig(kind="boltzmann_ridge", gamma=20.0),
+                    target=OPE_UNIFORM, horizon=200, replications=6, seed=18,
+                    levels=(0.5, 0.95))
+        serial = replicate(ExperimentConfig(**base, workers=1), cadr_regressions=("zero",))
+        parallel = replicate(ExperimentConfig(**base, workers=2), cadr_regressions=("zero",))
+        np.testing.assert_array_equal(serial.ope_values, parallel.ope_values)
+        np.testing.assert_array_equal(serial.ope_covered, parallel.ope_covered)
+        np.testing.assert_array_equal(serial.cadr_values["zero"], parallel.cadr_values["zero"])
+        np.testing.assert_array_equal(serial.cadr_covered["zero"],
+                                      parallel.cadr_covered["zero"])
 
     def test_coverage_monotone_in_level(self):
         env = build_environment("nc_gaussian", seed=3)

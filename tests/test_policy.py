@@ -71,7 +71,7 @@ class TestClipSimplex:
         P = rng.dirichlet(np.ones(4), size=200)
         got = clip_simplex_rows(P, 0.12)
         want = np.stack([clip_simplex(row, 0.12) for row in P])
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        np.testing.assert_array_equal(got, want)
 
 
 class TestTsOptimalProb:
@@ -334,7 +334,7 @@ def test_infeasible_pi_min_at_init():
 def test_batch_distribution_matches_single():
     rng = stream(314)
     target = ScoreTarget(family="misspec_linear")
-    for kind in ("random", "eps_greedy_mab", "ucb_mab", "boltzmann_ridge",
+    for kind in ("random", "eps_greedy_mab", "ucb_mab", "ts_mab", "boltzmann_ridge",
                  "boltzmann_sgd", "linucb", "ipwz_greedy"):
         config = PolicyConfig(kind=kind, pi_min=0.05, gamma=2.0)
         state = init_state(config, 2, 2, target=target)
@@ -345,4 +345,4 @@ def test_batch_distribution_matches_single():
         X = rng.normal(size=(20, 2))
         batch = action_distribution_batch(config, state, X)
         single = np.stack([action_distribution(config, state, x) for x in X])
-        np.testing.assert_allclose(batch, single, atol=1e-12, err_msg=kind)
+        np.testing.assert_array_equal(batch, single, err_msg=kind)
