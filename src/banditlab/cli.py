@@ -11,10 +11,10 @@ One JSON document configures an experiment end to end:
       "diagnostics": {"contexts": [[-4.0]]}
     }
 
-Every run writes a ``manifest.json`` (resolved config + seed + code version)
-into the output directory; re-running a command with the manifest as its
-config reproduces the outputs byte for byte. Exit codes: 0 success, 1 config
-error, 2 runtime failure.
+Every run writes a ``manifest.json`` (resolved config + seed + code, Python,
+NumPy and SciPy versions) into the output directory; re-running a command with
+the manifest as its config reproduces the outputs byte for byte. Exit codes:
+0 success, 1 config error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -22,10 +22,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import platform
 import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .env import (
@@ -181,6 +183,8 @@ def write_manifest(out_dir: Path, command: str, config: dict, argv: list[str]) -
         "command": command,
         "config": config,
         "package_version": __version__,
+        "versions": {"python": platform.python_version(), "numpy": np.__version__,
+                     "scipy": scipy.__version__},
         "argv": list(argv),
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -232,19 +232,14 @@ class AuxiliaryData:
         return err.T @ err / self.size
 
 
-def score_g(target: ScoreTarget, arm, x: np.ndarray, y, theta: np.ndarray,
-            num_arms: int | None = None) -> np.ndarray:
-    """Evaluate the family score g(x, y; theta) for one observation.
+def score_g(target: ScoreTarget, arm: np.ndarray, x: np.ndarray, y: np.ndarray,
+            theta: np.ndarray, num_arms: int | None = None) -> np.ndarray:
+    """Evaluate the family score g(x, y; theta) row-wise, one row per observation.
 
-    Row-wise for a block of observations, each with its own arm and theta:
-    ``arm`` (B,), ``x`` (B, d), ``y`` (B,) and ``theta`` (B, p) give (B, p).
-    Each row's (z z' - S) theta is one BLAS call, as for a single observation.
+    Each observation has its own arm and theta: ``arm`` (B,), ``x`` (B, d),
+    ``y`` (B,) and ``theta`` (B, p) give (B, p). Each row's (z z' - S) theta
+    is one BLAS call, as for a single observation.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        theta = np.asarray(theta, dtype=float).ravel()
-        return score_g(target, np.array([arm]), x[None], np.array([y], dtype=float),
-                       theta[None], num_arms)[0]
     Z = target.regressors(x)
     if theta.shape != Z.shape:
         raise ValueError("theta dimension must match the score dimension")

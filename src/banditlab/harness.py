@@ -17,7 +17,8 @@ pre-draws its rounds and action uniforms from its own streams; then every
 round makes one row-wise ``action_distribution`` call on the (B, ...) block
 state, draws B arms by inverse CDF, and makes one row-wise ``update_state``.
 The policy computes each row exactly as for a lone trajectory, so a log does
-not depend on the block it ran in, and ``run_trajectory`` is a block of one.
+not depend on the block it ran in; ``run_trajectory`` is a block of one, as
+is every policy state outside the engine.
 ``replicate`` splits the R replications of a looped policy into contiguous
 blocks of at most ``BLOCK_CAP``, as many as a multiple of the worker count,
 and maps them over the process pool; inference, CADR, diagnostics (read from
@@ -51,7 +52,6 @@ from .policy import (
     PolicyConfig,
     Transition,
     action_distribution,
-    action_distribution_batch,
     init_state,
     update_state,
 )
@@ -197,14 +197,6 @@ def _run_block(env: EnvironmentSpec, policy: PolicyConfig, target: ScoreTarget |
                       latents=rounds.latents, distributions=distributions[b])
             for b, (rounds, _) in enumerate(draws)]
     return logs, state
-
-
-def _run_trajectory_core(env: EnvironmentSpec, policy: PolicyConfig,
-                         target: ScoreTarget | None, horizon: int,
-                         seed: int, stream_path: tuple = ()):
-    """One trajectory as a block of one; returns (log, final single-trajectory state)."""
-    logs, state = _run_block(env, policy, target, horizon, seed, [stream_path])
-    return logs[0], state.row(0)
 
 
 def run_trajectory(env: EnvironmentSpec, policy: PolicyConfig,
@@ -499,10 +491,8 @@ def cadr_ope(
     ratio_star = gstar_realized / pi  # g*(A_s|X_s) / g_s(A_s|X_s)
 
     replay_state = None
-    uniq_inv = None
-    uniq_X = None
     if behavior_policy is not None:
-        replay_state = init_state(behavior_policy, K, d, target=behavior_target, block=1)
+        replay_state = init_state(behavior_policy, K, d, target=behavior_target)
         uniq_X, uniq_inv = np.unique(X, axis=0, return_inverse=True)
 
     # Recursive ridge accumulators for the online_linear regression.
@@ -529,10 +519,8 @@ def cadr_ope(
             sigma_t = 1.0
         else:
             if replay_state is not None:
-                g_t_unique = action_distribution_batch(behavior_policy, replay_state,
-                                                       uniq_X)
-                g_t_realized = g_t_unique[uniq_inv[:t], A[:t]]
-                wts = g_t_realized / pi[:t]
+                g_t = action_distribution(behavior_policy, replay_state, uniq_X)
+                wts = g_t[uniq_inv[:t], A[:t]] / pi[:t]
             else:
                 wts = np.ones(t)
             m1 = float(wts @ dprime[:t]) / t

@@ -4,20 +4,19 @@ Every policy here is a summary-statistic policy: the action distribution at
 round t is a fixed function of the current context and a finite-dimensional
 statistic of the past (arm counts and means, ridge or SGD coefficients, or
 incremental IPW-Z estimates). Distribution construction is pure; state lives
-in a mutable ``PolicyState`` owned by one trajectory, or by a block of B
-trajectories that advance in lockstep.
+in a mutable ``PolicyState`` owned by a block of B trajectories that advance
+in lockstep. A lone trajectory is a block of one.
 
 Each policy kind has one implementation, written row-wise: its distribution
 maps a block state and B contexts to B distributions, and its update folds B
-transitions into the block state. A single trajectory is a block of one
-(``PolicyState.as_block``), and ``action_distribution_batch`` broadcasts one
-state over many contexts. Every per-row reduction is computed exactly as it
-would be for that row alone (elementwise arithmetic, or one BLAS call per
-row through a stacked ``np.matmul``), so a row's result does not depend on
-the block it runs in.
+transitions into the block state. A block of one broadcasts over any number
+of contexts. Every per-row reduction is computed exactly as it would be for
+that row alone (elementwise arithmetic, or one BLAS call per row through a
+stacked ``np.matmul``), so a row's result does not depend on the block it
+runs in.
 
 Clipped policies floor every action probability at ``pi_min`` via the exact
-L2 projection onto the constrained simplex (``clip_simplex_rows``), keeping
+L2 projection onto the constrained simplex (``clip_simplex``), keeping
 inverse propensity weights bounded.
 """
 
@@ -104,47 +103,41 @@ class PolicyConfig:
         return eps
 
 
-# Fields holding one value per trajectory; a block state gives each a leading axis.
-_PER_TRAJECTORY = (
-    "counts", "sums", "ridge_gram", "ridge_moment", "ridge_beta", "ridge_gram_inv",
-    "sgd_beta", "sgd_clip_count", "ipw_weight", "ipw_gram", "ipw_moment", "ipw_theta",
-    "ipw_ok", "ipw_ready",
-)
-
-
 @dataclass
 class PolicyState:
-    """Mutable summary statistics of one trajectory, or of a block of them.
+    """Mutable summary statistics of a block of B trajectories advanced in lockstep.
 
-    The shapes below are a single trajectory's (``block`` is None). A block
-    state (``block = B``) holds B trajectories advanced in lockstep: every
-    per-trajectory field, ``sgd_clip_count`` and ``ipw_ready`` included, gains
-    a leading axis of length B, while the round counter ``t`` is shared.
+    Every per-trajectory field has a leading axis of length B; the round
+    counter ``t`` is shared. A lone trajectory is a block of one.
     """
 
     num_arms: int
     context_dim: int
     t: int = 0
-    counts: np.ndarray = None           # (K,) pulls per arm
-    sums: np.ndarray = None             # (K,) outcome sums per arm
+    counts: np.ndarray = None           # (B, K) pulls per arm
+    sums: np.ndarray = None             # (B, K) outcome sums per arm
     # Ridge sufficient statistics and their solved coefficients.
-    ridge_gram: np.ndarray = None       # (K, d, d) lambda*I + sum x x'
-    ridge_moment: np.ndarray = None     # (K, d) sum x y
-    ridge_beta: np.ndarray = None       # (K, d)
-    ridge_gram_inv: np.ndarray = None   # (K, d, d)
+    ridge_gram: np.ndarray = None       # (B, K, d, d) lambda*I + sum x x'
+    ridge_moment: np.ndarray = None     # (B, K, d) sum x y
+    ridge_beta: np.ndarray = None       # (B, K, d)
+    ridge_gram_inv: np.ndarray = None   # (B, K, d, d)
     # SGD coefficients.
-    sgd_beta: np.ndarray = None         # (K, d_theta)
-    sgd_clip_count: int = 0
+    sgd_beta: np.ndarray = None         # (B, K, d_theta)
+    sgd_clip_count: np.ndarray = None   # (B,) steps the coefficient cap bound
     # Incremental inverse-propensity-weighted sufficient statistics.
     # In the score's terms (estimator module docstring), z = regressors(x).
-    ipw_weight: np.ndarray = None       # (K,) sum of weights
-    ipw_gram: np.ndarray = None         # (K, d_theta, d_theta) sum w z z'
-    ipw_moment: np.ndarray = None       # (K, d_theta) sum w z c_a y
-    ipw_theta: np.ndarray = None        # (K, d_theta) current estimates
-    ipw_ok: np.ndarray = None           # (K,) per-arm solve succeeded
-    ipw_ready: bool = False
+    ipw_weight: np.ndarray = None       # (B, K) sum of weights
+    ipw_gram: np.ndarray = None         # (B, K, d_theta, d_theta) sum w z z'
+    ipw_moment: np.ndarray = None       # (B, K, d_theta) sum w z c_a y
+    ipw_theta: np.ndarray = None        # (B, K, d_theta) current estimates
+    ipw_ok: np.ndarray = None           # (B, K) per-arm solve succeeded
+    ipw_ready: np.ndarray = None        # (B,) every arm's estimate is usable
     target: ScoreTarget | None = None
-    block: int | None = None
+
+    @property
+    def block(self) -> int:
+        """Number of trajectories B in the block."""
+        return self.counts.shape[0]
 
     @property
     def means(self) -> np.ndarray:
@@ -152,75 +145,50 @@ class PolicyState:
         return np.divide(self.sums, self.counts,
                          out=np.zeros_like(self.sums), where=self.counts > 0)
 
-    def _with(self, per_trajectory, block: int | None) -> PolicyState:
-        view = object.__new__(PolicyState)
-        view.__dict__ = {name: per_trajectory(value)
-                         if name in _PER_TRAJECTORY and value is not None else value
-                         for name, value in self.__dict__.items()}
-        view.block = block
-        return view
-
-    def as_block(self) -> PolicyState:
-        """This single trajectory as a block of one; array writes reach ``self``.
-
-        ``t``, ``sgd_clip_count`` and ``ipw_ready`` are copies: ``update_state``
-        writes them back.
-        """
-        return self._with(lambda value: np.asarray(value)[None], 1)
-
-    def row(self, b: int) -> PolicyState:
-        """Trajectory ``b`` of a block state as a single-trajectory state (array views)."""
-        view = self._with(lambda value: value[b], None)
-        view.sgd_clip_count = int(view.sgd_clip_count)
-        view.ipw_ready = bool(view.ipw_ready)
-        return view
-
 
 class Transition(NamedTuple):
-    """One observed round, or one per trajectory of a block (then every field has a leading axis)."""
+    """One observed round per trajectory of a block: contexts (B, d), the rest (B,)."""
 
     context: np.ndarray
-    arm: int
-    realized_prob: float
-    outcome: float
+    arm: np.ndarray
+    realized_prob: np.ndarray
+    outcome: np.ndarray
 
 
 def init_state(config: PolicyConfig, num_arms: int, context_dim: int,
-               target: ScoreTarget | None = None, block: int | None = None) -> PolicyState:
-    """Fresh state for a trajectory, or for ``block`` trajectories in lockstep.
+               target: ScoreTarget | None = None, block: int = 1) -> PolicyState:
+    """Fresh state for ``block`` trajectories in lockstep.
 
     Validates the K-dependent config constraints.
     """
     if num_arms * config.pi_min > 1.0 + 1e-12:
         raise InfeasibleClipError(
             f"K * pi_min = {num_arms * config.pi_min:.4f} > 1 is infeasible")
-    K, d = num_arms, context_dim
-    lead = () if block is None else (block,)
-    state = PolicyState(num_arms=K, context_dim=d, block=block,
-                        counts=np.zeros(lead + (K,), dtype=np.int64), sums=np.zeros(lead + (K,)))
-    if block is not None:
-        state.sgd_clip_count = np.zeros(block, dtype=np.int64)
-        state.ipw_ready = np.zeros(block, dtype=bool)
+    B, K, d = block, num_arms, context_dim
+    state = PolicyState(num_arms=K, context_dim=d,
+                        counts=np.zeros((B, K), dtype=np.int64), sums=np.zeros((B, K)),
+                        sgd_clip_count=np.zeros(B, dtype=np.int64),
+                        ipw_ready=np.zeros(B, dtype=bool))
     if config.kind in ("boltzmann_ridge", "linucb"):
         lam = config.ridge_lambda
-        state.ridge_gram = np.tile(lam * np.eye(d), lead + (K, 1, 1))
-        state.ridge_moment = np.zeros(lead + (K, d))
-        state.ridge_beta = np.zeros(lead + (K, d))
-        state.ridge_gram_inv = np.tile(np.eye(d) / lam, lead + (K, 1, 1))
+        state.ridge_gram = np.tile(lam * np.eye(d), (B, K, 1, 1))
+        state.ridge_moment = np.zeros((B, K, d))
+        state.ridge_beta = np.zeros((B, K, d))
+        state.ridge_gram_inv = np.tile(np.eye(d) / lam, (B, K, 1, 1))
     if config.kind == "boltzmann_sgd":
         if target is None:
             raise ValueError("boltzmann_sgd requires a ScoreTarget for its update rule")
-        state.sgd_beta = np.zeros(lead + (K, target.theta_dim(d)))
+        state.sgd_beta = np.zeros((B, K, target.theta_dim(d)))
         state.target = target
     if config.kind == "ipwz_greedy":
         if target is None:
             raise ValueError("ipwz_greedy requires a ScoreTarget")
         dt = target.theta_dim(d)
-        state.ipw_weight = np.zeros(lead + (K,))
-        state.ipw_gram = np.zeros(lead + (K, dt, dt))
-        state.ipw_moment = np.zeros(lead + (K, dt))
-        state.ipw_theta = np.zeros(lead + (K, dt))
-        state.ipw_ok = np.zeros(lead + (K,), dtype=bool)
+        state.ipw_weight = np.zeros((B, K))
+        state.ipw_gram = np.zeros((B, K, dt, dt))
+        state.ipw_moment = np.zeros((B, K, dt))
+        state.ipw_theta = np.zeros((B, K, dt))
+        state.ipw_ok = np.zeros((B, K), dtype=bool)
         state.target = target
     return state
 
@@ -228,19 +196,17 @@ def init_state(config: PolicyConfig, num_arms: int, context_dim: int,
 # --- clipping -----------------------------------------------------------------
 
 
-def clip_simplex(probs: np.ndarray, pi_min: float) -> np.ndarray:
-    """L2 projection of ``probs`` onto {p : sum p = 1, p >= pi_min}; one row of ``clip_simplex_rows``."""
-    return clip_simplex_rows(np.asarray(probs, dtype=float)[None], pi_min)[0]
-
-
-def clip_simplex_rows(P: np.ndarray, pi_min: float) -> np.ndarray:
+def clip_simplex(P: np.ndarray, pi_min: float) -> np.ndarray:
     """Row-wise L2 projection onto {p : sum p = 1, p >= pi_min}.
 
     Each row's projection is max(p - nu, pi_min) where nu is the unique root of
     q(nu) = sum_a max(p_a - nu, pi_min) = 1; q is piecewise linear in nu, so
-    the root is found exactly by sorting, with no iteration.
+    the root is found exactly by sorting, with no iteration. One (K,) row
+    gives one (K,) row.
     """
     P = np.asarray(P, dtype=float)
+    if P.ndim == 1:
+        return clip_simplex(P[None], pi_min)[0]
     n, K = P.shape
     if K * pi_min > 1.0 + 1e-12:
         raise InfeasibleClipError(f"K * pi_min = {K * pi_min:.4f} > 1 is infeasible")
@@ -345,21 +311,14 @@ def _greedy_rows(best: np.ndarray, num_arms: int, explore_each: float) -> np.nda
 
 
 def mab_distribution(kind: str, state: PolicyState, config: PolicyConfig) -> np.ndarray:
-    """Distributions for the context-ignoring multi-armed bandit algorithms.
-
-    One row per trajectory of a block state; a single state gives one (K,) row.
-    """
-    if state.block is None:
-        return mab_distribution(kind, state.as_block(), config)[0]
+    """Distributions of the context-free multi-armed bandit algorithms; one row per trajectory."""
     K = state.num_arms
     if kind == "eps_greedy":
         eps = config.epsilon_for(K, state.t + 1)
         return _greedy_rows(np.argmax(state.means, axis=1), K, eps / K)
     if kind == "ucb":
         if state.t < K:  # forced initialization: rounds 1..K pull each arm once
-            out = np.zeros((state.block, K))
-            out[:, state.t] = 1.0
-            return out
+            return _greedy_rows(np.full(state.block, state.t), K, 0.0)
         radius = config.ucb_radius_fn(state.t + 1)
         index = np.where(state.counts > 0,
                          state.means + np.sqrt(radius / np.maximum(state.counts, 1)),
@@ -370,7 +329,7 @@ def mab_distribution(kind: str, state: PolicyState, config: PolicyConfig) -> np.
         precision = 1.0 / s0 + state.counts / s2
         post_var = 1.0 / precision
         post_mean = post_var * (mu0 / s0 + state.counts * state.means / s2)
-        return clip_simplex_rows(ts_optimal_prob(post_mean, post_var), config.pi_min)
+        return clip_simplex(ts_optimal_prob(post_mean, post_var), config.pi_min)
     raise ValueError(f"unknown MAB kind {kind!r}")
 
 
@@ -379,27 +338,20 @@ def boltzmann_distribution(beta: np.ndarray, contexts: np.ndarray,
     """Clipped softmax of the working-model action values <beta_a, x> / gamma.
 
     Row-wise over ``beta`` (B, K, d) and ``contexts`` (B, d); a block of one
-    coefficient set broadcasts over B contexts, and one (K, d), (d,) pair gives
-    one (K,) distribution.
+    coefficient set broadcasts over any number of contexts.
     """
-    if np.ndim(contexts) == 1:
-        return boltzmann_distribution(beta[None], contexts[None], gamma, pi_min)[0]
     scores = _apply(beta, contexts) / gamma
     scores -= scores.max(axis=1, keepdims=True)
     expd = np.exp(scores)
-    return clip_simplex_rows(expd / expd.sum(axis=1, keepdims=True), pi_min)
+    return clip_simplex(expd / expd.sum(axis=1, keepdims=True), pi_min)
 
 
 def linucb_distribution(state: PolicyState, contexts: np.ndarray,
                         alpha: float, pi_min: float) -> np.ndarray:
     """Optimism index over per-arm ridge fits; argmax gets the lion's share.
 
-    Row-wise like ``boltzmann_distribution``; a single state and one context
-    give one (K,) distribution.
+    Row-wise like ``boltzmann_distribution``.
     """
-    if state.block is None:
-        return linucb_distribution(state.as_block(), np.asarray(contexts, dtype=float)[None],
-                                   alpha, pi_min)[0]
     widths = np.sqrt(np.einsum("bi,baij,bj->ba", contexts, state.ridge_gram_inv, contexts))
     index = _apply(state.ridge_beta, contexts) + alpha * widths
     return _greedy_rows(np.argmax(index, axis=1), state.num_arms, pi_min)
@@ -414,7 +366,7 @@ def _ipwz_distribution(config: PolicyConfig, state: PolicyState,
         return out
     eps = config.epsilon_for(K, state.t + 1)
     best = np.argmax(_apply(state.ipw_theta, state.target.regressors(contexts)), axis=1)
-    greedy = clip_simplex_rows(_greedy_rows(best, K, eps / K), config.pi_min)
+    greedy = clip_simplex(_greedy_rows(best, K, eps / K), config.pi_min)
     return np.where(state.ipw_ready[:, None], greedy, out)
 
 
@@ -422,43 +374,27 @@ def action_distribution(config: PolicyConfig, state: PolicyState,
                         context: np.ndarray) -> np.ndarray:
     """The policy's action distribution at ``context`` given the current state.
 
-    For a block state, ``context`` holds one row per trajectory (B, d) and the
-    result is (B, K); for a single state, one (d,) context gives one (K,) row.
+    ``context`` holds one row per trajectory (B, d) and the result is (B, K).
+    A block of one gives one row per context for any number of contexts (a
+    read-only broadcast of its one row for the context-free MAB kinds).
     """
-    if state.block is None:
-        return action_distribution(config, state.as_block(),
-                                   np.asarray(context, dtype=float)[None])[0]
     kind = config.kind
+    n, K = context.shape[0], state.num_arms
     if kind == "random":
-        return np.full((context.shape[0], state.num_arms), 1.0 / state.num_arms)
-    if kind == "eps_greedy_mab":
-        return mab_distribution("eps_greedy", state, config)
-    if kind == "ucb_mab":
-        return mab_distribution("ucb", state, config)
-    if kind == "ts_mab":
-        return mab_distribution("ts", state, config)
+        return np.full((n, K), 1.0 / K)
+    if kind.endswith("_mab"):
+        probs = mab_distribution(kind.removesuffix("_mab"), state, config)
+        return probs if probs.shape[0] == n else np.broadcast_to(probs, (n, K))
     if kind == "boltzmann_ridge":
         return boltzmann_distribution(state.ridge_beta, context, config.gamma, config.pi_min)
     if kind == "boltzmann_sgd":
-        return boltzmann_distribution(state.sgd_beta, context, config.gamma, config.pi_min)
+        return boltzmann_distribution(state.sgd_beta, state.target.regressors(context),
+                                      config.gamma, config.pi_min)
     if kind == "linucb":
         return linucb_distribution(state, context, config.linucb_alpha, config.pi_min)
     if kind == "ipwz_greedy":
         return _ipwz_distribution(config, state, context)
     raise ValueError(f"unknown policy kind {kind!r}")
-
-
-def action_distribution_batch(config: PolicyConfig, state: PolicyState,
-                              contexts: np.ndarray) -> np.ndarray:
-    """``action_distribution`` of one trajectory's state at each row of ``contexts``; (n, K).
-
-    ``state`` is a single-trajectory state or a block of one.
-    """
-    contexts = np.atleast_2d(np.asarray(contexts, dtype=float))
-    probs = action_distribution(config, state if state.block == 1 else state.as_block(), contexts)
-    if probs.shape[0] != contexts.shape[0]:  # context-free kinds give one row
-        probs = np.repeat(probs, contexts.shape[0], axis=0)
-    return probs
 
 
 # --- state updates --------------------------------------------------------------
@@ -525,25 +461,11 @@ def _refresh_ipwz(state: PolicyState, rows: np.ndarray, arms: np.ndarray) -> Non
 
 def update_state(config: PolicyConfig, state: PolicyState,
                  transition: Transition) -> PolicyState:
-    """Fold observed transitions into the summary statistics (in place).
-
-    For a block state, every field of ``transition`` carries one entry per
-    trajectory: contexts (B, d), arms, realized probabilities and outcomes (B,).
-    """
-    if state.block is None:
-        x, arm, prob, y = transition
-        if not 0 <= arm < state.num_arms:
-            raise ValueError(f"arm {arm} out of range for K={state.num_arms}")
-        rows = state.as_block()
-        update_state(config, rows, Transition(np.asarray(x, dtype=float)[None], np.array([arm]),
-                                               np.array([prob], dtype=float),
-                                               np.array([y], dtype=float)))
-        state.t = rows.t
-        state.sgd_clip_count = int(rows.sgd_clip_count[0])
-        state.ipw_ready = bool(rows.ipw_ready[0])
-        return state
-
+    """Fold one transition per trajectory into the block's summary statistics (in place)."""
     X, arms, probs, ys = transition
+    arm_list = arms.tolist()  # Python's min/max beat two numpy reductions on small blocks
+    if min(arm_list) < 0 or max(arm_list) >= state.num_arms:
+        raise ValueError(f"arms {arm_list} out of range for K={state.num_arms}")
     rows = np.arange(state.block)
     pulled = (rows, arms)
     state.t += 1

@@ -17,13 +17,8 @@ import numpy as np
 
 from banditlab.env import EnvironmentSpec, sample_rounds
 from banditlab.estimator import BanditLog, ScoreTarget
-from banditlab.harness import _run_trajectory_core
-from banditlab.policy import (
-    PolicyConfig,
-    PolicyState,
-    action_distribution,
-    action_distribution_batch,
-)
+from banditlab.harness import _run_block
+from banditlab.policy import PolicyConfig, PolicyState, Transition, action_distribution
 from banditlab.rng import stream
 
 
@@ -45,11 +40,17 @@ def sample_round(env: EnvironmentSpec, rng: np.random.Generator) -> RoundDraw:
 
 def select_action(config: PolicyConfig, state: PolicyState, context: np.ndarray,
                   rng: np.random.Generator) -> tuple[int, float, np.ndarray]:
-    """Sample an arm; returns (arm, realized probability, full distribution)."""
-    probs = action_distribution(config, state, context)
+    """Sample an arm for a block-of-one state: (arm, realized probability, distribution)."""
+    probs = action_distribution(config, state, context[None])[0]
     arm = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
     arm = min(arm, state.num_arms - 1)
     return arm, float(probs[arm]), probs
+
+
+def one_round(context, arm: int, prob: float, outcome: float) -> Transition:
+    """One observed round as the ``Transition`` of a block of one."""
+    return Transition(np.asarray(context, dtype=float)[None], np.array([arm]),
+                      np.array([prob]), np.array([outcome]))
 
 
 def qp_project(v: np.ndarray, pi_min: float) -> np.ndarray:
@@ -103,9 +104,9 @@ def martingale_zscores(env: EnvironmentSpec, policy: PolicyConfig,
     (X, A ~ pi_t, Y(arm)) triples and evaluates w * g at the true parameter;
     under the martingale property each coordinate's mean is 0.
     """
-    _, state = _run_trajectory_core(env, policy, target, warmup, seed)
+    _, state = _run_block(env, policy, target, warmup, seed, [()])
     batch = sample_rounds(env, stream(seed, 101), n_draws)
-    dists = action_distribution_batch(policy, state, batch.contexts)
+    dists = action_distribution(policy, state, batch.contexts)
     u = stream(seed, 102).random(n_draws)
     arms = (u[:, None] > np.cumsum(dists, axis=1)).sum(axis=1)
     arms = np.minimum(arms, env.num_arms - 1)

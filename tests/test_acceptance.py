@@ -149,12 +149,13 @@ def test_criterion_06_ridge_recursive_batch_equivalence():
         x = rng.normal(size=d)
         arm = int(rng.integers(K))
         y = float(x.sum() + rng.normal())
-        update_state(config, state, Transition(x, arm, 0.5, y))
+        update_state(config, state, Transition(x[None], np.array([arm]), np.array([0.5]),
+                                               np.array([y])))
         grams[arm] += np.outer(x, x)
         moments[arm] += x * y
         for a in range(K):
             batch = np.linalg.solve(grams[a], moments[a])
-            worst = max(worst, float(np.max(np.abs(batch - state.ridge_beta[a]))))
+            worst = max(worst, float(np.max(np.abs(batch - state.ridge_beta[0, a]))))
     ok = worst < 1e-10
     _report(6, "ridge recursive/batch equivalence", ok,
             f"max discrepancy over 1000 steps {worst:.2e} < 1e-10")

@@ -84,6 +84,8 @@ def test_simulate_pi_min_override(tmp_path):
     assert np.any(log.propensities < 0.05)  # override actually lowered the floor
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["policy"]["pi_min"] == 0.01
+    assert set(manifest["versions"]) == {"python", "numpy", "scipy"}
+    assert manifest["versions"]["numpy"] == np.__version__
 
 
 def test_manifest_rerun_is_byte_identical(tmp_path):

@@ -32,24 +32,28 @@ def _log(contexts, arms, pis, ys, K=2, **kw):
 class TestScoreG:
     def test_misspec_linear(self):
         target = ScoreTarget(family="misspec_linear")
-        got = score_g(target, 0, np.array([1.0, 2.0]), 3.0, np.array([1.0, 0.0]))
-        np.testing.assert_allclose(got, [2.0, 4.0])
+        got = score_g(target, np.array([0]), np.array([[1.0, 2.0]]), np.array([3.0]),
+                      np.array([[1.0, 0.0]]))
+        np.testing.assert_allclose(got, [[2.0, 4.0]])
 
     def test_noisy_context(self):
         target = ScoreTarget(family="noisy_context", sigma_e=[[0.5]])
-        got = score_g(target, 0, np.array([2.0]), 1.0, np.array([1.0]))
-        np.testing.assert_allclose(got, [-1.5])
+        got = score_g(target, np.array([0]), np.array([[2.0]]), np.array([1.0]),
+                      np.array([[1.0]]))
+        np.testing.assert_allclose(got, [[-1.5]])
 
     def test_ope(self):
         target = ScoreTarget(family="ope",
                              target_policy=TargetPolicy(kind="constant", probs=[0.3, 0.7]))
-        got = score_g(target, 0, np.array([0.0]), 10.0, np.array([2.0]), num_arms=2)
-        np.testing.assert_allclose(got, [1.0])
+        got = score_g(target, np.array([0]), np.array([[0.0]]), np.array([10.0]),
+                      np.array([[2.0]]), num_arms=2)
+        np.testing.assert_allclose(got, [[1.0]])
 
     def test_dimension_mismatch(self):
         target = ScoreTarget(family="misspec_linear")
         with pytest.raises(ValueError):
-            score_g(target, 0, np.array([1.0, 2.0]), 3.0, np.array([1.0]))
+            score_g(target, np.array([0]), np.array([[1.0, 2.0]]), np.array([3.0]),
+                    np.array([[1.0]]))
 
 
 class TestTargetPolicy:

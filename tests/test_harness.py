@@ -10,7 +10,6 @@ from banditlab.estimator import ScoreTarget, TargetPolicy, write_log_csv
 from banditlab.harness import (
     ExperimentConfig,
     _run_block,
-    _run_trajectory_core,
     cadr_ope,
     convergence_diagnostic,
     oracle_thetas,
@@ -81,18 +80,19 @@ def _block_cases():
             families = ("misspec_linear", "noisy_context", "ope") \
                 if kind in ("boltzmann_sgd", "ipwz_greedy") else ("misspec_linear",)
             for family in families:
-                if kind == "boltzmann_sgd" and family == "ope" and env_name == "nc_gaussian":
-                    continue  # a one-coefficient working model cannot score a 2-d context
                 yield pytest.param(env_name, kind, by_family[family],
                                    id=f"{env_name}-{kind}-{family}")
 
 
-def _assert_states_equal(got: PolicyState, want: PolicyState, what: str):
+def _assert_states_equal(got: PolicyState, i: int, want: PolicyState, what: str):
+    """Row ``i`` of block state ``got`` equals the block-of-one state ``want``."""
     for f in fields(PolicyState):
-        if f.name in ("target", "block"):
+        if f.name == "target":
             continue
         a, b = getattr(got, f.name), getattr(want, f.name)
         assert (a is None) == (b is None), f"{what}: {f.name}"
+        if isinstance(a, np.ndarray):
+            a, b = a[i], b[0]
         if a is not None:
             np.testing.assert_array_equal(a, b, err_msg=f"{what}: {f.name}")
 
@@ -104,8 +104,8 @@ def test_block_layout_invariance(env_name, kind, target):
     env = build_environment(env_name)
     policy = PolicyConfig(kind=kind, pi_min=0.05, gamma=2.0)
     R, T, seed = 5, 150, 41
-    reference = [_run_trajectory_core(env, policy, target, T, seed, (rep,)) for rep in range(R)]
-    for rep, (log, _) in enumerate(reference):
+    reference = [_run_block(env, policy, target, T, seed, [(rep,)]) for rep in range(R)]
+    for rep, ((log,), _) in enumerate(reference):
         alone = run_trajectory(env, policy, target, T, seed, stream_path=(rep,))
         for name in ("contexts", "arms", "propensities", "outcomes", "distributions"):
             np.testing.assert_array_equal(getattr(alone, name), getattr(log, name))
@@ -114,13 +114,13 @@ def test_block_layout_invariance(env_name, kind, target):
             reps = range(start, min(start + size, R))
             logs, state = _run_block(env, policy, target, T, seed, [(rep,) for rep in reps])
             for i, rep in enumerate(reps):
-                want_log, want_state = reference[rep]
+                (want_log,), want_state = reference[rep]
                 what = f"block of {size}, rep {rep}"
                 for name in ("contexts", "arms", "propensities", "outcomes", "distributions",
                              "latents"):
                     np.testing.assert_array_equal(getattr(logs[i], name),
                                                   getattr(want_log, name), err_msg=what)
-                _assert_states_equal(state.row(i), want_state, what)
+                _assert_states_equal(state, i, want_state, what)
 
 
 class TestReplicate:

@@ -2,20 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from banditlab.env import build_environment
 from banditlab.estimator import ScoreTarget, TargetPolicy, ipwz_solve
-from banditlab.harness import _run_trajectory_core
+from banditlab.harness import _run_block
 from banditlab.policy import (
     InfeasibleClipError,
     PolicyConfig,
     Transition,
     action_distribution,
-    action_distribution_batch,
     boltzmann_distribution,
     clip_simplex,
-    clip_simplex_rows,
     init_state,
     linucb_distribution,
     mab_distribution,
@@ -24,7 +24,7 @@ from banditlab.policy import (
 )
 from banditlab.rng import stream
 
-from helpers import qp_project, select_action
+from helpers import one_round, qp_project, select_action
 
 
 class TestClipSimplex:
@@ -66,12 +66,21 @@ class TestClipSimplex:
             lhs = np.linalg.norm(clip_simplex(p, pi_min) - clip_simplex(q, pi_min))
             assert lhs <= (K + 1) * np.linalg.norm(p - q) + 1e-12
 
-    def test_rows_matches_scalar(self):
-        rng = stream(5)
-        P = rng.dirichlet(np.ones(4), size=200)
-        got = clip_simplex_rows(P, 0.12)
-        want = np.stack([clip_simplex(row, 0.12) for row in P])
-        np.testing.assert_array_equal(got, want)
+    @given(st.data())
+    def test_rows_matches_scalar(self, data):
+        # Each row of a stacked call is the one-row call bit for bit, feasible,
+        # and the QP oracle's projection; K * pi_min = 1 included.
+        K = data.draw(st.integers(2, 6), label="K")
+        pi_min = data.draw(st.one_of(st.just(1.0 / K), st.floats(1e-6, 1.0 / K)), label="pi_min")
+        rows = data.draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=K, max_size=K),
+                                  min_size=1, max_size=8), label="rows")
+        P = np.array(rows)
+        got = clip_simplex(P, pi_min)
+        for row, out in zip(P, got):
+            np.testing.assert_array_equal(out, clip_simplex(row, pi_min))
+            assert abs(out.sum() - 1.0) < 1e-12
+            assert out.min() >= pi_min - 1e-12
+            assert np.abs(out - qp_project(row, pi_min)).max() < 1e-8
 
 
 class TestTsOptimalProb:
@@ -110,7 +119,7 @@ class TestTsOptimalProb:
 
 def _state_with(config, means, counts, d=1, target=None):
     state = init_state(config, len(means), d, target=target)
-    state.counts = np.asarray(counts, dtype=np.int64)
+    state.counts = np.asarray(counts, dtype=np.int64)[None]
     state.sums = np.asarray(means, dtype=float) * state.counts
     state.t = int(state.counts.sum())
     return state
@@ -120,33 +129,33 @@ class TestMabDistributions:
     def test_eps_greedy_example(self):
         config = PolicyConfig(kind="eps_greedy_mab", epsilon=0.2)
         state = _state_with(config, [1.0, 0.5], [5, 5])
-        np.testing.assert_allclose(mab_distribution("eps_greedy", state, config), [0.9, 0.1])
+        np.testing.assert_allclose(mab_distribution("eps_greedy", state, config)[0], [0.9, 0.1])
 
     def test_ucb_hand_index(self):
         config = PolicyConfig(kind="ucb_mab", pi_min=0.05,
                               ucb_radius_fn=lambda t: 2.0)
         state = _state_with(config, [1.0, 0.5], [100, 1])
-        dist = mab_distribution("ucb", state, config)
+        dist = mab_distribution("ucb", state, config)[0]
         # indices (1 + sqrt(0.02), 0.5 + sqrt(2)) -> arm 2 wins
         np.testing.assert_allclose(dist, [0.05, 0.95])
 
     def test_ucb_forced_initialization(self):
         config = PolicyConfig(kind="ucb_mab", pi_min=0.05)
         state = init_state(config, 3, 1)
-        np.testing.assert_array_equal(mab_distribution("ucb", state, config), [1, 0, 0])
+        np.testing.assert_array_equal(mab_distribution("ucb", state, config)[0], [1, 0, 0])
         state.t = 1
-        np.testing.assert_array_equal(mab_distribution("ucb", state, config), [0, 1, 0])
+        np.testing.assert_array_equal(mab_distribution("ucb", state, config)[0], [0, 1, 0])
 
     def test_ts_symmetric(self):
         config = PolicyConfig(kind="ts_mab", pi_min=0.05)
         state = init_state(config, 2, 1)
-        np.testing.assert_allclose(mab_distribution("ts", state, config), [0.5, 0.5], atol=1e-6)
+        np.testing.assert_allclose(mab_distribution("ts", state, config)[0], [0.5, 0.5], atol=1e-6)
 
     def test_eps_schedule_applied_per_round(self):
         config = PolicyConfig(kind="eps_greedy_mab", epsilon=lambda t: 1.0 / (1 + t))
         state = _state_with(config, [1.0, 0.0], [3, 3])  # t = 6, so round 7
         np.testing.assert_allclose(
-            mab_distribution("eps_greedy", state, config), [1 - 0.5 / 8, 0.5 / 8])
+            mab_distribution("eps_greedy", state, config)[0], [1 - 0.5 / 8, 0.5 / 8])
 
     def test_argmax_invariance_to_common_shift(self):
         config = PolicyConfig(kind="eps_greedy_mab", epsilon=0.3)
@@ -154,30 +163,30 @@ class TestMabDistributions:
         for shift in (0.0, 5.0, -11.0):
             state = _state_with(config, np.array([0.2, 0.9, 0.4]) + shift, [7, 7, 7])
             np.testing.assert_allclose(
-                mab_distribution("eps_greedy", state, config),
+                mab_distribution("eps_greedy", state, config)[0],
                 mab_distribution("eps_greedy", _state_with(config, [0.2, 0.9, 0.4], [7, 7, 7]),
-                                 config))
+                                 config)[0])
             np.testing.assert_allclose(
-                mab_distribution("ucb", state, ucb_config),
+                mab_distribution("ucb", state, ucb_config)[0],
                 mab_distribution("ucb", _state_with(config, [0.2, 0.9, 0.4], [7, 7, 7]),
-                                 ucb_config))
+                                 ucb_config)[0])
 
 
 class TestBoltzmann:
     def test_equal_coefficients_uniform(self):
-        beta = np.full((3, 2), 0.7)
-        dist = boltzmann_distribution(beta, np.array([1.0, -2.0]), 5.0, 0.05)
+        beta = np.full((1, 3, 2), 0.7)
+        dist = boltzmann_distribution(beta, np.array([[1.0, -2.0]]), 5.0, 0.05)[0]
         np.testing.assert_allclose(dist, [1 / 3] * 3, atol=1e-12)
 
     def test_softmax_hand_value(self):
         gamma = 2.5
-        beta = np.array([[0.0], [gamma * np.log(3.0)]])
-        dist = boltzmann_distribution(beta, np.array([1.0]), gamma, 0.2)
+        beta = np.array([[[0.0], [gamma * np.log(3.0)]]])
+        dist = boltzmann_distribution(beta, np.array([[1.0]]), gamma, 0.2)[0]
         np.testing.assert_allclose(dist, [0.25, 0.75], atol=1e-12)
 
     def test_high_temperature_limit(self):
-        beta = np.array([[3.0], [-2.0]])
-        dist = boltzmann_distribution(beta, np.array([1.0]), 1e9, 0.05)
+        beta = np.array([[[3.0], [-2.0]]])
+        dist = boltzmann_distribution(beta, np.array([[1.0]]), 1e9, 0.05)[0]
         np.testing.assert_allclose(dist, [0.5, 0.5], atol=1e-6)
 
 
@@ -185,22 +194,22 @@ class TestLinUCB:
     def test_tie_breaks_to_lowest_arm(self):
         config = PolicyConfig(kind="linucb", pi_min=0.05)
         state = init_state(config, 2, 1)
-        dist = linucb_distribution(state, np.array([1.0]), config.linucb_alpha, config.pi_min)
+        dist = linucb_distribution(state, np.array([[1.0]]), config.linucb_alpha, config.pi_min)[0]
         np.testing.assert_allclose(dist, [0.95, 0.05])
 
     def test_hand_ridge_index(self):
         config = PolicyConfig(kind="linucb", ridge_lambda=1.0)
         state = init_state(config, 2, 1)
-        update_state(config, state, Transition(np.array([2.0]), 0, 0.99, 3.0))
-        assert state.ridge_beta[0, 0] == pytest.approx(6.0 / 5.0)
-        index = state.ridge_beta[0] @ np.array([2.0])  # alpha = 0 contribution
+        update_state(config, state, one_round([2.0], 0, 0.99, 3.0))
+        assert state.ridge_beta[0, 0, 0] == pytest.approx(6.0 / 5.0)
+        index = state.ridge_beta[0, 0] @ np.array([2.0])  # alpha = 0 contribution
         assert index == pytest.approx(2.4)
 
     def test_pi_min_bound(self):
         config = PolicyConfig(kind="linucb", pi_min=0.01)
         state = init_state(config, 2, 1)
-        update_state(config, state, Transition(np.array([1.0]), 0, 0.99, 1.0))
-        dist = linucb_distribution(state, np.array([-4.0]), 1.0, 0.01)
+        update_state(config, state, one_round([1.0], 0, 0.99, 1.0))
+        dist = linucb_distribution(state, np.array([[-4.0]]), 1.0, 0.01)
         assert dist.min() == pytest.approx(0.01)
 
 
@@ -224,7 +233,7 @@ class TestSelectAction:
                 arm, prob, dist = select_action(config, state, x, rng)
                 assert prob >= 0.07 - 1e-12
                 assert abs(dist.sum() - 1.0) < 1e-12
-                update_state(config, state, Transition(x, arm, prob, float(rng.normal())))
+                update_state(config, state, one_round(x, arm, prob, float(rng.normal())))
 
     def test_same_stream_same_action(self):
         config = PolicyConfig(kind="random")
@@ -239,15 +248,15 @@ class TestUpdateState:
         target = ScoreTarget(family="misspec_linear")
         config = PolicyConfig(kind="boltzmann_sgd", sgd_rate_fn=lambda t: 0.1)
         state = init_state(config, 2, 1, target=target)
-        update_state(config, state, Transition(np.array([1.0]), 0, 0.5, 2.0))
-        assert state.sgd_beta[0, 0] == pytest.approx(0.2)
-        assert state.sgd_beta[1, 0] == 0.0  # unpulled arm untouched
+        update_state(config, state, one_round([1.0], 0, 0.5, 2.0))
+        assert state.sgd_beta[0, 0, 0] == pytest.approx(0.2)
+        assert state.sgd_beta[0, 1, 0] == 0.0  # unpulled arm untouched
 
     def test_ridge_recursive_equals_batch_first_step(self):
         config = PolicyConfig(kind="boltzmann_ridge", ridge_lambda=1.0)
         state = init_state(config, 2, 1)
-        update_state(config, state, Transition(np.array([2.0]), 0, 0.9, 3.0))
-        assert state.ridge_beta[0, 0] == pytest.approx(1.2)
+        update_state(config, state, one_round([2.0], 0, 0.9, 3.0))
+        assert state.ridge_beta[0, 0, 0] == pytest.approx(1.2)
 
     def test_ridge_recursive_equals_batch_trajectory(self):
         # Acceptance criterion: 1000 steps, every step within 1e-10 of the
@@ -263,12 +272,12 @@ class TestUpdateState:
             x = rng.normal(size=d)
             arm = int(rng.integers(K))
             y = float(rng.normal())
-            update_state(config, state, Transition(x, arm, 0.5, y))
+            update_state(config, state, one_round(x, arm, 0.5, y))
             grams[arm] = grams[arm] + np.outer(x, x)
             moments[arm] = moments[arm] + x * y
             for a in range(K):
                 batch = np.linalg.solve(grams[a], moments[a])
-                worst = max(worst, float(np.max(np.abs(batch - state.ridge_beta[a]))))
+                worst = max(worst, float(np.max(np.abs(batch - state.ridge_beta[0, a]))))
         assert worst < 1e-10
 
     def test_counts_sum_to_t(self):
@@ -278,35 +287,41 @@ class TestUpdateState:
         for t in range(50):
             x = rng.normal(size=1)
             arm, prob, _ = select_action(config, state, x, rng)
-            update_state(config, state, Transition(x, arm, prob, 0.0))
+            update_state(config, state, one_round(x, arm, prob, 0.0))
         assert state.counts.sum() == state.t == 50
 
     def test_arm_out_of_range(self):
         config = PolicyConfig(kind="random")
         state = init_state(config, 2, 1)
         with pytest.raises(ValueError):
-            update_state(config, state, Transition(np.array([0.0]), 5, 0.5, 0.0))
+            update_state(config, state, one_round([0.0], 5, 0.5, 0.0))
+        # A negative arm would otherwise count as the last arm.
+        block = init_state(config, 2, 1, block=2)
+        with pytest.raises(ValueError):
+            update_state(config, block, Transition(np.zeros((2, 1)), np.array([0, -1]),
+                                                   np.full(2, 0.5), np.zeros(2)))
+        assert block.counts.sum() == block.t == 0
 
     def test_ipwz_refresh_has_no_lag(self):
         target = ScoreTarget(family="misspec_linear")
         config = PolicyConfig(kind="ipwz_greedy", pi_min=0.1)
         state = init_state(config, 2, 1, target=target)
-        update_state(config, state, Transition(np.array([1.0]), 0, 0.5, 2.0))
-        update_state(config, state, Transition(np.array([1.0]), 1, 0.5, -1.0))
+        update_state(config, state, one_round([1.0], 0, 0.5, 2.0))
+        update_state(config, state, one_round([1.0], 1, 0.5, -1.0))
         # theta_a = (sum w x y) / (sum w x^2), exact from the incremental stats
-        assert state.ipw_theta[0, 0] == pytest.approx(2.0)
-        assert state.ipw_theta[1, 0] == pytest.approx(-1.0)
-        assert state.ipw_ready
+        assert state.ipw_theta[0, 0, 0] == pytest.approx(2.0)
+        assert state.ipw_theta[0, 1, 0] == pytest.approx(-1.0)
+        assert state.ipw_ready[0]
 
     def test_ipwz_uniform_fallback_before_ready(self):
         target = ScoreTarget(family="misspec_linear")
         config = PolicyConfig(kind="ipwz_greedy", pi_min=0.1)
         state = init_state(config, 2, 1, target=target)
         np.testing.assert_allclose(
-            action_distribution(config, state, np.array([1.0])), [0.5, 0.5])
-        update_state(config, state, Transition(np.array([1.0]), 0, 0.5, 2.0))
+            action_distribution(config, state, np.array([[1.0]]))[0], [0.5, 0.5])
+        update_state(config, state, one_round([1.0], 0, 0.5, 2.0))
         np.testing.assert_allclose(
-            action_distribution(config, state, np.array([1.0])), [0.5, 0.5])
+            action_distribution(config, state, np.array([[1.0]]))[0], [0.5, 0.5])
 
 
 @pytest.mark.parametrize("env_name, target", [
@@ -319,10 +334,10 @@ def test_ipwz_incremental_equals_batch(env_name, target):
     # root of the same trajectory's log.
     env = build_environment(env_name)
     config = PolicyConfig(kind="ipwz_greedy", pi_min=0.05)
-    log, state = _run_trajectory_core(env, config, target, 1500, seed=41)
+    (log,), state = _run_block(env, config, target, 1500, 41, [()])
     assert state.ipw_ok.all()
     for arm in range(env.num_arms):
-        np.testing.assert_allclose(state.ipw_theta[arm], ipwz_solve(log, target, arm),
+        np.testing.assert_allclose(state.ipw_theta[0, arm], ipwz_solve(log, target, arm),
                                    rtol=1e-10)
 
 
@@ -341,8 +356,8 @@ def test_batch_distribution_matches_single():
         for _ in range(30):
             x = rng.normal(size=2)
             arm, prob, _ = select_action(config, state, x, rng)
-            update_state(config, state, Transition(x, arm, prob, float(rng.normal())))
+            update_state(config, state, one_round(x, arm, prob, float(rng.normal())))
         X = rng.normal(size=(20, 2))
-        batch = action_distribution_batch(config, state, X)
-        single = np.stack([action_distribution(config, state, x) for x in X])
+        batch = action_distribution(config, state, X)  # a block of one over 20 contexts
+        single = np.stack([action_distribution(config, state, x[None])[0] for x in X])
         np.testing.assert_array_equal(batch, single, err_msg=kind)
