@@ -247,11 +247,11 @@ def cmd_coverage(config: dict, out_dir: Path, argv) -> int:
                ["level", "arm", "coord", "empirical_coverage", "mc_stderr"],
                [[r["level"], r["arm"], r["coord"], f"{r['coverage']:.6f}",
                  f"{r['mc_stderr']:.6f}"] for r in summary.coverage_table()])
-    if summary.ope_covered is not None:
+    if "ipwz" in summary.values:
         _write_csv(out_dir / "ope_coverage.csv",
                    ["level", "empirical_coverage", "mc_stderr"],
                    [[r["level"], f"{r['coverage']:.6f}", f"{r['mc_stderr']:.6f}"]
-                    for r in summary.ope_coverage_table()])
+                    for r in summary.value_coverage_table("ipwz")])
     K, dt = summary.theta_hat.shape[1], summary.theta_hat.shape[2]
     if summary.replications_used >= 2:  # a QQ construction needs >= 2 points
         for arm in range(K):
@@ -311,17 +311,10 @@ def cmd_compare_ope(config: dict, out_dir: Path, argv) -> int:
     if not isinstance(regressions, list):
         raise ConfigError(f"cadr_regressions must be a JSON list of names, got {regressions!r}")
     summary = replicate(exp, cadr_regressions=regressions)
-    rows = []
-    methods = [("ipwz", summary.ope_values, summary.ope_covered)]
-    for reg in regressions:
-        methods.append((f"cadr_{reg}", summary.cadr_values[reg], summary.cadr_covered[reg]))
-    for name, values, covered in methods:
-        for li, level in enumerate(exp.levels):
-            p = float(covered[li].mean())
-            rows.append([name, level, f"{p:.6f}",
-                         f"{float(values.mean()):.10g}",
-                         f"{float(values.var(ddof=1)):.10g}",
-                         f"{summary.v_star:.10g}"])
+    rows = [[name, r["level"], f"{r['coverage']:.6f}", f"{float(values.mean()):.10g}",
+             f"{float(values.var(ddof=1)):.10g}", f"{summary.v_star:.10g}"]
+            for name, values in summary.values.items()
+            for r in summary.value_coverage_table(name)]
     _write_csv(out_dir / "compare_ope.csv",
                ["method", "level", "coverage", "mean_value", "variance", "v_star"], rows)
     write_oracle(out_dir, exp, summary.thetas_star)

@@ -25,12 +25,18 @@ and maps them over the process pool; inference, CADR, diagnostics (read from
 the final block state) and failure isolation stay per replication. The
 ``random`` policy needs no step loop and keeps one replication per task.
 
+Each replication's estimates form one record, a dict of named arrays built by
+``_analyse``; ``replicate`` folds the successful records by one rule, dicts
+key by key and arrays on a new leading replication axis, into the
+``ReplicationSummary``. A new per-replication quantity is one more record
+entry.
+
 ``cadr_ope`` implements the contextual adaptive doubly-robust baseline with
 variance-stabilization weights, with the behavior policy replayed from the
 log so the stabilization weights use the exact round-t policy. It is one more
-per-replication estimator: ``replicate(config, cadr_regressions=...)`` runs it
-on each replication's log next to IPW-Z, on the same pool, fold and failure
-rule.
+per-replication value estimator: ``replicate(config, cadr_regressions=...)``
+runs it on each replication's log, and its values sit next to IPW-Z's in the
+record's ``values`` table as ``cadr_<regression>``.
 """
 
 from __future__ import annotations
@@ -90,6 +96,10 @@ class ExperimentConfig:
             raise ValueError("horizon must be >= 1")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if not self.levels or not all(0.0 < float(level) < 1.0 for level in self.levels):
+            raise ValueError(f"levels must be a non-empty list in (0, 1), got {list(self.levels)}")
+        if self.variance_mode not in ("full", "simplified"):
+            raise ValueError(f"unknown variance mode {self.variance_mode!r}")
         sup = support(self.env)
         if sup is not None:
             xs = np.array([x for _, _, x in sup])
@@ -212,16 +222,8 @@ def run_trajectory(env: EnvironmentSpec, policy: PolicyConfig,
 
 class _RepResult(NamedTuple):
     rep: int
-    theta: np.ndarray | None = None          # (K, d_theta)
-    sigma_diag: np.ndarray | None = None     # (K, d_theta)
-    covered: np.ndarray | None = None        # (L, K, d_theta) bool
-    std_err: np.ndarray | None = None        # (K, d_theta)
-    diag_probs: np.ndarray | None = None     # (n_ctx, K)
-    ope_value: float | None = None
-    ope_var: float | None = None
-    ope_covered: np.ndarray | None = None    # (L,) bool
-    cadr_values: np.ndarray | None = None    # (n_reg,)
-    cadr_covered: np.ndarray | None = None   # (n_reg, L) bool
+    diag_probs: np.ndarray | None   # (n_ctx, K); a failed replication has it too
+    record: dict | None             # ``_analyse``'s named arrays; None on failure
     error: str | None = None
 
 
@@ -231,37 +233,38 @@ def _covers(cis: dict, levels, value: float) -> np.ndarray:
                      for level in levels])
 
 
-def _analyse(config: ExperimentConfig, rep: int, log: BanditLog, diag: np.ndarray | None,
-             thetas_star: np.ndarray, v_star: float | None, cadr_regressions: tuple) -> _RepResult:
-    """Inference (and CADR) on one replication's log; estimator failures stay with it."""
+def _analyse(config: ExperimentConfig, log: BanditLog, thetas_star: np.ndarray,
+             v_star: float | None, cadr_regressions: tuple) -> dict:
+    """One replication's estimates as named arrays; estimator failures raise.
+
+    ``values`` and ``value_covered`` hold one entry per value estimator of an
+    ope-family target: ``ipwz``, then ``cadr_<regression>`` in request order.
+    """
     target = config.target
-    try:
-        reports = [estimate_report(log, target, arm, levels=config.levels,
-                                   mode=config.variance_mode) for arm in range(log.num_arms)]
-        theta = np.stack([r.theta for r in reports])                  # (K, d_theta)
-        sigma_diag = np.stack([np.diag(r.sigma) for r in reports])
-        lo, hi = (np.array([[r.cis[float(level)][:, side] for r in reports]
-                            for level in config.levels]) for side in (0, 1))
-        covered = (lo <= thetas_star) & (thetas_star <= hi)           # (L, K, d_theta)
-        err = theta - thetas_star
-        scale = np.sqrt(np.maximum(sigma_diag, 0.0))
-        degenerate = np.where(err > 0, np.inf, np.where(err < 0, -np.inf, 0.0))
-        std_err = np.where(
-            scale > 0, math.sqrt(log.horizon) * err / np.where(scale > 0, scale, 1.0), degenerate)
-        o_value = o_var = o_covered = c_values = c_covered = None
-        if target.family == "ope":
-            ope = ope_value(log, target, levels=config.levels, reports=reports)
-            o_value, o_var = ope.value, ope.variance
-            o_covered = _covers(ope.cis, config.levels, v_star)
-            cadr = [cadr_ope(log, target.target_policy, regression=reg, levels=config.levels,
-                             behavior_policy=config.policy, behavior_target=target)
-                    for reg in cadr_regressions]
-            c_values = np.array([res.value for res in cadr])
-            c_covered = np.array([_covers(res.cis, config.levels, v_star) for res in cadr])
-    except (NoDataForArm, SingularDesign) as exc:
-        return _RepResult(rep, diag_probs=diag, error=str(exc))
-    return _RepResult(rep, theta, sigma_diag, covered, std_err, diag,
-                      o_value, o_var, o_covered, c_values, c_covered)
+    reports = [estimate_report(log, target, arm, levels=config.levels,
+                               mode=config.variance_mode) for arm in range(log.num_arms)]
+    theta = np.stack([r.theta for r in reports])                  # (K, d_theta)
+    sigma_diag = np.stack([np.diag(r.sigma) for r in reports])
+    lo, hi = (np.array([[r.cis[float(level)][:, side] for r in reports]
+                        for level in config.levels]) for side in (0, 1))
+    err = theta - thetas_star
+    scale = np.sqrt(np.maximum(sigma_diag, 0.0))
+    degenerate = np.where(err > 0, np.inf, np.where(err < 0, -np.inf, 0.0))
+    std_err = np.where(
+        scale > 0, math.sqrt(log.horizon) * err / np.where(scale > 0, scale, 1.0), degenerate)
+    values, value_covered = {}, {}
+    if target.family == "ope":
+        estimates = {"ipwz": ope_value(log, target, levels=config.levels, reports=reports)}
+        for reg in cadr_regressions:
+            estimates[f"cadr_{reg}"] = cadr_ope(
+                log, target.target_policy, regression=reg, levels=config.levels,
+                behavior_policy=config.policy, behavior_target=target)
+        for name, est in estimates.items():
+            values[name] = est.value
+            value_covered[name] = _covers(est.cis, config.levels, v_star)
+    return {"theta_hat": theta, "sigma_diag": sigma_diag, "std_errors": std_err,
+            "covered": (lo <= thetas_star) & (thetas_star <= hi),  # (L, K, d_theta)
+            "values": values, "value_covered": value_covered}
 
 
 def _replicate_block(config: ExperimentConfig, reps: range, thetas_star: np.ndarray,
@@ -276,27 +279,48 @@ def _replicate_block(config: ExperimentConfig, reps: range, thetas_star: np.ndar
                                              np.tile(np.atleast_1d(np.asarray(c, dtype=float)),
                                                      (len(reps), 1)))
                          for c in config.diagnostic_contexts], axis=1)
-    return [_analyse(config, rep, log, diag[i], thetas_star, v_star, cadr_regressions)
-            for i, (rep, log) in enumerate(zip(reps, logs))]
+    results = []
+    for rep, log, probs in zip(reps, logs, diag):
+        try:
+            record = _analyse(config, log, thetas_star, v_star, cadr_regressions)
+        except (NoDataForArm, SingularDesign) as exc:
+            results.append(_RepResult(rep, probs, None, str(exc)))
+        else:
+            results.append(_RepResult(rep, probs, record))
+    return results
+
+
+def _stack(records: list):
+    """Fold per-replication records: dicts key by key, arrays on a new leading axis."""
+    if isinstance(records[0], dict):
+        return {key: _stack([r[key] for r in records]) for key in records[0]}
+    return np.stack(records)
+
+
+def _coverage(hits: np.ndarray) -> dict:
+    """Empirical coverage of (R,) interval hits and its Monte Carlo standard error."""
+    p = float(hits.mean())
+    return {"coverage": p, "mc_stderr": math.sqrt(max(p * (1 - p), 0.0) / len(hits))}
 
 
 @dataclass
 class ReplicationSummary:
-    """Across-replication arrays backing coverage tables and diagnostics."""
+    """Across-replication arrays backing coverage tables and diagnostics.
+
+    Every array puts the replication axis first. All but ``last_step_probs``
+    hold only the R_ok replications whose estimators succeeded.
+    """
 
     config: ExperimentConfig
     thetas_star: np.ndarray
     v_star: float | None
     theta_hat: np.ndarray          # (R_ok, K, d_theta)
-    sigma_diag: np.ndarray
-    covered: np.ndarray            # (L, R_ok, K, d_theta)
+    sigma_diag: np.ndarray         # (R_ok, K, d_theta)
     std_errors: np.ndarray         # (R_ok, K, d_theta)
+    covered: np.ndarray            # (R_ok, L, K, d_theta) bool
+    values: dict                   # method -> (R_ok,): "ipwz", then "cadr_<regression>"
+    value_covered: dict            # method -> (R_ok, L) bool
     last_step_probs: np.ndarray | None  # (R_all, n_ctx, K)
-    ope_values: np.ndarray | None
-    ope_vars: np.ndarray | None
-    ope_covered: np.ndarray | None
-    cadr_values: dict              # regression -> (R_ok,)
-    cadr_covered: dict             # regression -> (L, R_ok) bool
     failures: list
 
     @property
@@ -304,29 +328,16 @@ class ReplicationSummary:
         return self.theta_hat.shape[0]
 
     def coverage_table(self) -> list[dict]:
-        rows = []
-        R = self.replications_used
-        for li, level in enumerate(self.config.levels):
-            for arm in range(self.theta_hat.shape[1]):
-                for coord in range(self.theta_hat.shape[2]):
-                    p = float(self.covered[li, :, arm, coord].mean())
-                    rows.append({
-                        "level": float(level), "arm": arm, "coord": coord,
-                        "coverage": p,
-                        "mc_stderr": math.sqrt(max(p * (1 - p), 0.0) / R),
-                    })
-        return rows
+        _, _, K, d_theta = self.covered.shape
+        return [{"level": float(level), "arm": arm, "coord": coord,
+                 **_coverage(self.covered[:, li, arm, coord])}
+                for li, level in enumerate(self.config.levels)
+                for arm in range(K) for coord in range(d_theta)]
 
-    def ope_coverage_table(self) -> list[dict]:
-        if self.ope_covered is None:
-            return []
-        rows = []
-        R = self.ope_covered.shape[1]
-        for li, level in enumerate(self.config.levels):
-            p = float(self.ope_covered[li].mean())
-            rows.append({"level": float(level), "coverage": p,
-                         "mc_stderr": math.sqrt(max(p * (1 - p), 0.0) / R)})
-        return rows
+    def value_coverage_table(self, method: str) -> list[dict]:
+        """Coverage per level of one value estimator (a key of ``values``)."""
+        return [{"level": float(level), **_coverage(self.value_covered[method][:, li])}
+                for li, level in enumerate(self.config.levels)]
 
 
 def _resolve_workers(requested: int) -> int:
@@ -376,36 +387,14 @@ def replicate(config: ExperimentConfig, cadr_regressions=()) -> ReplicationSumma
     results.sort(key=lambda r: r.rep)  # deterministic fold regardless of pool order
 
     failures = [(r.rep, r.error) for r in results if r.error is not None]
-    if len(failures) > config.failure_tolerance * R:
+    if len(failures) == R or len(failures) > config.failure_tolerance * R:
         raise RuntimeError(
-            f"{len(failures)} of {R} replications failed "
-            f"(> {config.failure_tolerance:.0%}); first: rep {failures[0][0]}: {failures[0][1]}")
-    ok = [r for r in results if r.error is None]
-
-    theta_hat = np.stack([r.theta for r in ok])
-    sigma_diag = np.stack([r.sigma_diag for r in ok])
-    covered = np.stack([r.covered for r in ok], axis=1)
-    std_errors = np.stack([r.std_err for r in ok])
-    diag = None
-    if config.diagnostic_contexts:
-        diag = np.stack([r.diag_probs for r in results])
-    ope_vals = ope_vars = ope_cov = None
-    if config.target.family == "ope":
-        ope_vals = np.array([r.ope_value for r in ok])
-        ope_vars = np.array([r.ope_var for r in ok])
-        ope_cov = np.stack([r.ope_covered for r in ok], axis=1)
-    cadr_values = {reg: np.array([r.cadr_values[i] for r in ok])
-                   for i, reg in enumerate(cadr_regressions)}
-    cadr_covered = {reg: np.stack([r.cadr_covered[i] for r in ok], axis=1)
-                    for i, reg in enumerate(cadr_regressions)}
-    return ReplicationSummary(
-        config=config, thetas_star=thetas_star, v_star=v_star,
-        theta_hat=theta_hat, sigma_diag=sigma_diag, covered=covered,
-        std_errors=std_errors, last_step_probs=diag,
-        ope_values=ope_vals, ope_vars=ope_vars, ope_covered=ope_cov,
-        cadr_values=cadr_values, cadr_covered=cadr_covered,
-        failures=failures,
-    )
+            f"{len(failures)} of {R} replications failed (tolerance "
+            f"{config.failure_tolerance:.0%}); first: rep {failures[0][0]}: {failures[0][1]}")
+    diag = _stack([r.diag_probs for r in results]) if config.diagnostic_contexts else None
+    return ReplicationSummary(config=config, thetas_star=thetas_star, v_star=v_star,
+                              last_step_probs=diag, failures=failures,
+                              **_stack([r.record for r in results if r.error is None]))
 
 
 # --- diagnostics ----------------------------------------------------------------

@@ -15,20 +15,17 @@ the test suite. ``simplified`` mode swaps Gdot for its unweighted plug-in over
 all T rows (the context second moment less Sigma_e, or the constant 1 for the
 value target), which estimates the same limit.
 
-Confidence intervals use a self-contained normal quantile (rational
-approximation plus one Halley refinement), deterministic and accurate to
-better than 1e-9.
+Confidence intervals take their normal quantile from SciPy's ``ndtri``.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import ndtri
 
 from .estimator import (
     AuxiliaryData,
@@ -44,55 +41,13 @@ from .estimator import (
 # Incremented whenever a negative variance diagonal (floating error) is floored.
 counters = {"negative_variance_floored": 0}
 
-_ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-             1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-             6.680131188771972e+01, -1.328068155288572e+01)
-_ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-             -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-             3.754408661907416e+00)
-
 
 def norm_ppf(p):
-    """Standard normal quantile, accurate to well below 1e-9.
-
-    Acklam's rational approximation (|error| < 1.15e-9) refined with one
-    Halley step on Phi(x) - p, evaluated through erfc for tail stability.
-    """
+    """Standard normal quantile (SciPy's ``ndtri``) on the open interval (0, 1)."""
     p = np.asarray(p, dtype=float)
     if np.any((p <= 0.0) | (p >= 1.0)):
         raise ValueError("quantile argument must lie strictly in (0, 1)")
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    x = np.empty_like(p)
-    lo, hi = 0.02425, 1 - 0.02425
-
-    region = p < lo
-    if region.any():
-        q = np.sqrt(-2.0 * np.log(p[region]))
-        x[region] = ((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-                     / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    region = p > hi
-    if region.any():
-        q = np.sqrt(-2.0 * np.log(1.0 - p[region]))
-        x[region] = -((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-                      / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    region = (p >= lo) & (p <= hi)
-    if region.any():
-        q = p[region] - 0.5
-        r = q * q
-        x[region] = ((((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q
-                     / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0))
-
-    # One Halley refinement step, run on the smaller tail so that erfc keeps
-    # full relative precision (1 - p is exact for p >= 1/2 by Sterbenz).
-    upper = p > 0.5
-    q = np.where(upper, 1.0 - p, p)
-    y = np.where(upper, -x, x)
-    err = 0.5 * erfc(-y / math.sqrt(2.0)) - q
-    u = err * math.sqrt(2.0 * math.pi) * np.exp(y * y / 2.0)
-    y = y - u / (1.0 + y * u / 2.0)
-    x = np.where(upper, -y, y)
+    x = ndtri(p)
     return float(x) if x.ndim == 0 else x
 
 

@@ -120,7 +120,7 @@ class PolicyState:
     ridge_gram: np.ndarray = None       # (B, K, d, d) lambda*I + sum x x'
     ridge_moment: np.ndarray = None     # (B, K, d) sum x y
     ridge_beta: np.ndarray = None       # (B, K, d)
-    ridge_gram_inv: np.ndarray = None   # (B, K, d, d)
+    ridge_gram_inv: np.ndarray = None   # (B, K, d, d), LinUCB's confidence widths only
     # SGD coefficients.
     sgd_beta: np.ndarray = None         # (B, K, d_theta)
     sgd_clip_count: np.ndarray = None   # (B,) steps the coefficient cap bound
@@ -174,7 +174,8 @@ def init_state(config: PolicyConfig, num_arms: int, context_dim: int,
         state.ridge_gram = np.tile(lam * np.eye(d), (B, K, 1, 1))
         state.ridge_moment = np.zeros((B, K, d))
         state.ridge_beta = np.zeros((B, K, d))
-        state.ridge_gram_inv = np.tile(np.eye(d) / lam, (B, K, 1, 1))
+    if config.kind == "linucb":
+        state.ridge_gram_inv = np.tile(np.eye(d) / config.ridge_lambda, (B, K, 1, 1))
     if config.kind == "boltzmann_sgd":
         if target is None:
             raise ValueError("boltzmann_sgd requires a ScoreTarget for its update rule")
@@ -477,7 +478,8 @@ def update_state(config: PolicyConfig, state: PolicyState,
         moment = state.ridge_moment[rows, arms] + X * ys[:, None]
         state.ridge_gram[rows, arms] = gram
         state.ridge_moment[rows, arms] = moment
-        state.ridge_gram_inv[rows, arms] = _inv_small(gram)
+        if state.ridge_gram_inv is not None:
+            state.ridge_gram_inv[rows, arms] = _inv_small(gram)
         state.ridge_beta[rows, arms] = _solve_small(gram, moment)
 
     if config.kind == "boltzmann_sgd":

@@ -49,8 +49,8 @@ def test_criterion_01_coverage_converging_policy():
                               seed=303, levels=(0.5, 0.95), workers=WORKERS)
     summary = replicate(config)
     elapsed = time.time() - started
-    cov95 = summary.covered[1].mean(axis=0).ravel()
-    cov50 = summary.covered[0].mean(axis=0).ravel()
+    cov95 = summary.covered[:, 1].mean(axis=0).ravel()
+    cov50 = summary.covered[:, 0].mean(axis=0).ravel()
     ok = (np.all((cov95 >= 0.92) & (cov95 <= 0.975))
           and np.all((cov50 >= 0.44) & (cov50 <= 0.56))
           and elapsed <= 120.0)
@@ -66,7 +66,7 @@ def test_criterion_02_nonlinear_environment_band():
         target=MISSPEC, horizon=5000, replications=500, seed=304,
         levels=(0.95,), workers=WORKERS)
     summary = replicate(config)
-    cov95 = summary.covered[0].mean(axis=0).ravel()
+    cov95 = summary.covered[:, 0].mean(axis=0).ravel()
     ok = np.all((cov95 >= 0.87) & (cov95 <= 0.975))
     _report(2, "nonlinear-environment undercoverage band", ok,
             f"95% coverage {np.round(cov95, 3).tolist()} in [0.87, 0.975]")
@@ -168,10 +168,10 @@ def test_criterion_07_ope_head_to_head():
         target=OPE_UNIFORM, horizon=2500, replications=500, seed=307, levels=(0.95,),
         workers=WORKERS)
     summary = replicate(config, cadr_regressions=("zero",))
-    cov_ipwz = float(summary.ope_covered[0].mean())
-    cov_cadr = float(summary.cadr_covered["zero"][0].mean())
-    var_ipwz = float(summary.ope_values.var(ddof=1))
-    var_cadr = float(summary.cadr_values["zero"].var(ddof=1))
+    cov_ipwz = float(summary.value_covered["ipwz"][:, 0].mean())
+    cov_cadr = float(summary.value_covered["cadr_zero"][:, 0].mean())
+    var_ipwz = float(summary.values["ipwz"].var(ddof=1))
+    var_cadr = float(summary.values["cadr_zero"].var(ddof=1))
     ok = (abs(summary.v_star - 7.0 / 24.0) < 1e-12
           and cov_ipwz >= 0.92 and cov_cadr >= 0.92
           and var_ipwz <= 1.5 * var_cadr)
@@ -204,7 +204,7 @@ def test_criterion_08_temperature_and_pi_min_monotonicity():
             target=NC2, horizon=2500, replications=800, seed=306,
             levels=(0.95,), workers=WORKERS)
         summary = replicate(config)
-        coverage[pi_min] = float(summary.covered[0].mean())
+        coverage[pi_min] = float(summary.covered[:, 0].mean())
     gap = coverage[0.05] - coverage[0.005]
     pi_ok = gap >= 0.01
     ok = temp_ok and pi_ok

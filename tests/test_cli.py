@@ -221,3 +221,17 @@ def test_runtime_failure_exits_two(tmp_path, capsys):
     rc = main(["coverage", "--config", str(cfg), "--out", str(out)])
     assert rc == 2
     assert "runtime failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override, message", [
+    ("levels=[]", "levels"),
+    ("levels=[0.95,1.5]", "levels"),
+    ('variance_mode="simple"', "variance mode"),
+])
+def test_bad_levels_or_variance_mode_exits_one(tmp_path, capsys, override, message):
+    cfg = _tiny_config(tmp_path)
+    out = tmp_path / "out"
+    rc = main(["coverage", "--config", str(cfg), "--out", str(out), "--set", override])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not (out / "coverage.csv").exists()

@@ -164,11 +164,11 @@ class TestReplicate:
                     levels=(0.5, 0.95))
         serial = replicate(ExperimentConfig(**base, workers=1), cadr_regressions=("zero",))
         parallel = replicate(ExperimentConfig(**base, workers=2), cadr_regressions=("zero",))
-        np.testing.assert_array_equal(serial.ope_values, parallel.ope_values)
-        np.testing.assert_array_equal(serial.ope_covered, parallel.ope_covered)
-        np.testing.assert_array_equal(serial.cadr_values["zero"], parallel.cadr_values["zero"])
-        np.testing.assert_array_equal(serial.cadr_covered["zero"],
-                                      parallel.cadr_covered["zero"])
+        assert list(serial.values) == list(parallel.values) == ["ipwz", "cadr_zero"]
+        for method in serial.values:
+            np.testing.assert_array_equal(serial.values[method], parallel.values[method])
+            np.testing.assert_array_equal(serial.value_covered[method],
+                                          parallel.value_covered[method])
 
     def test_coverage_monotone_in_level(self):
         env = build_environment("nc_gaussian", seed=3)
@@ -317,9 +317,9 @@ def test_compare_ope_smoke():
                               seed=27, levels=(0.95,))
     summary = replicate(config, cadr_regressions=("zero",))
     assert summary.v_star == pytest.approx(7.0 / 24.0)
-    assert summary.ope_values.shape == (10,)
-    assert summary.cadr_values["zero"].shape == (10,)
-    assert 0.0 <= summary.ope_covered.mean() <= 1.0
+    assert summary.values["ipwz"].shape == (10,)
+    assert summary.values["cadr_zero"].shape == (10,)
+    assert 0.0 <= summary.value_covered["ipwz"].mean() <= 1.0
 
 
 def _reference_ope_loop(config: ExperimentConfig, regressions):
@@ -328,9 +328,9 @@ def _reference_ope_loop(config: ExperimentConfig, regressions):
                                  seed=config.seed).sum())
     R, L = config.replications, len(config.levels)
     ipwz_values = np.zeros(R)
-    ipwz_covered = np.zeros((L, R), dtype=bool)
+    ipwz_covered = np.zeros((R, L), dtype=bool)
     cadr_values = {reg: np.zeros(R) for reg in regressions}
-    cadr_covered = {reg: np.zeros((L, R), dtype=bool) for reg in regressions}
+    cadr_covered = {reg: np.zeros((R, L), dtype=bool) for reg in regressions}
     for rep in range(R):
         log = run_trajectory(config.env, config.policy, config.target,
                              config.horizon, config.seed, (rep,))
@@ -339,7 +339,7 @@ def _reference_ope_loop(config: ExperimentConfig, regressions):
         ipwz_values[rep] = report.value
         for li, level in enumerate(config.levels):
             lo, hi = report.cis[float(level)]
-            ipwz_covered[li, rep] = lo <= v_star <= hi
+            ipwz_covered[rep, li] = lo <= v_star <= hi
         for reg in regressions:
             res = cadr_ope(log, config.target.target_policy, regression=reg,
                            levels=config.levels, behavior_policy=config.policy,
@@ -347,7 +347,7 @@ def _reference_ope_loop(config: ExperimentConfig, regressions):
             cadr_values[reg][rep] = res.value
             for li, level in enumerate(config.levels):
                 lo, hi = res.cis[float(level)]
-                cadr_covered[reg][li, rep] = lo <= v_star <= hi
+                cadr_covered[reg][rep, li] = lo <= v_star <= hi
     return v_star, ipwz_values, ipwz_covered, cadr_values, cadr_covered
 
 
@@ -366,12 +366,13 @@ class TestCadrInReplicate:
         summary = replicate(config, cadr_regressions=self.REGRESSIONS)
         assert summary.failures == []
         assert summary.v_star == v_star
-        np.testing.assert_array_equal(summary.ope_values, ipwz_values)
-        np.testing.assert_array_equal(summary.ope_covered, ipwz_covered)
-        assert set(summary.cadr_values) == set(self.REGRESSIONS)
+        np.testing.assert_array_equal(summary.values["ipwz"], ipwz_values)
+        np.testing.assert_array_equal(summary.value_covered["ipwz"], ipwz_covered)
+        assert list(summary.values) == ["ipwz"] + [f"cadr_{reg}" for reg in self.REGRESSIONS]
         for reg in self.REGRESSIONS:
-            np.testing.assert_array_equal(summary.cadr_values[reg], cadr_values[reg])
-            np.testing.assert_array_equal(summary.cadr_covered[reg], cadr_covered[reg])
+            np.testing.assert_array_equal(summary.values[f"cadr_{reg}"], cadr_values[reg])
+            np.testing.assert_array_equal(summary.value_covered[f"cadr_{reg}"],
+                                          cadr_covered[reg])
 
     def test_failed_replications_drop_cadr_too(self):
         # Four arms over 12 rounds leave an arm unpulled in some replications;
@@ -383,9 +384,12 @@ class TestCadrInReplicate:
         summary = replicate(config, cadr_regressions=("zero",))
         used = summary.replications_used
         assert summary.failures and used + len(summary.failures) == 20
-        assert summary.ope_values.shape == (used,)
-        assert summary.cadr_values["zero"].shape == (used,)
-        assert summary.cadr_covered["zero"].shape == (1, used)
+        for name in ("theta_hat", "sigma_diag", "std_errors", "covered"):
+            assert getattr(summary, name).shape[0] == used, name
+        assert set(summary.values) == set(summary.value_covered) == {"ipwz", "cadr_zero"}
+        for method in summary.values:
+            assert summary.values[method].shape == (used,)
+            assert summary.value_covered[method].shape == (used, 1)
 
     def test_requires_ope_target(self):
         env = build_environment("nonconv_demo")
@@ -399,7 +403,7 @@ class TestCadrInReplicate:
         config = ExperimentConfig(env=env, policy=PolicyConfig(kind="random"),
                                   target=OPE_UNIFORM, horizon=50, replications=2, seed=31)
         summary = replicate(config)
-        assert summary.cadr_values == {} and summary.cadr_covered == {}
+        assert list(summary.values) == list(summary.value_covered) == ["ipwz"]
 
 
 def test_replicate_solves_each_arm_once(monkeypatch):
@@ -437,3 +441,29 @@ def test_unknown_cadr_regression_rejected_before_oracle(monkeypatch):
                               target=OPE_UNIFORM, horizon=50, replications=1, seed=33)
     with pytest.raises(ValueError, match="unknown regression 'z'"):
         replicate(config, cadr_regressions="zero")
+
+
+@pytest.mark.parametrize("bad", [{"levels": ()}, {"levels": (0.95, 1.5)},
+                                 {"variance_mode": "simple"}])
+def test_bad_levels_and_variance_mode_rejected_before_oracle(monkeypatch, bad):
+    import banditlab.harness as harness
+
+    def no_oracle(*args, **kw):
+        raise AssertionError("oracle computed before the config was checked")
+
+    monkeypatch.setattr(harness, "oracle_thetas", no_oracle)
+    env = build_environment("nonconv_demo")
+    with pytest.raises(ValueError, match="levels|variance mode"):
+        replicate(ExperimentConfig(env=env, policy=PolicyConfig(kind="random"),
+                                   target=MISSPEC, horizon=50, replications=1, seed=34, **bad))
+
+
+def test_all_replications_failed_names_first_failure():
+    # Three rounds over four arms leave an arm unpulled in every replication;
+    # even a 100% tolerance cannot fold zero records.
+    env = build_environment("nc_gaussian", {"num_arms": 4}, seed=1)
+    config = ExperimentConfig(env=env, policy=PolicyConfig(kind="random"),
+                              target=MISSPEC, horizon=3, replications=4, seed=35,
+                              failure_tolerance=1.0)
+    with pytest.raises(RuntimeError, match=r"4 of 4 replications failed .*first: rep 0: "):
+        replicate(config)

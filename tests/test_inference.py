@@ -13,7 +13,7 @@ from banditlab.estimator import (
     TargetPolicy,
     ipwz_solve,
 )
-from banditlab.harness import run_trajectory
+from banditlab.harness import _run_block, run_trajectory
 from banditlab.inference import (
     confidence_intervals,
     norm_ppf,
@@ -206,9 +206,10 @@ class TestOpeValue:
         target = ScoreTarget(family="ope", target_policy=TargetPolicy(kind="uniform"))
         inside = 0
         reps = 40
-        for rep in range(reps):
-            log = run_trajectory(env, PolicyConfig(kind="boltzmann_ridge", gamma=5.0),
-                                 target, 10_000, seed=77, stream_path=(rep,))
+        # One lockstep block; each log is the same bits as its lone run_trajectory.
+        logs, _ = _run_block(env, PolicyConfig(kind="boltzmann_ridge", gamma=5.0), target,
+                             10_000, 77, [(rep,) for rep in range(reps)])
+        for log in logs:
             theta = ipwz_solve(log, target, 0)
             _, gdot, _ = sandwich_variance(log, target, 0, theta)
             inside += 0.9 < gdot[0, 0] < 1.1
