@@ -39,6 +39,7 @@ from .env import (
 from .estimator import ScoreTarget, TargetPolicy, read_log_csv, write_log_csv
 from .harness import (
     ExperimentConfig,
+    check_levels_and_mode,
     config_fingerprint,
     convergence_diagnostic,
     qq_points,
@@ -223,14 +224,15 @@ def cmd_simulate(config: dict, out_dir: Path, argv) -> int:
 def cmd_infer(config: dict, out_dir: Path, argv, log_path: str) -> int:
     if not Path(log_path).exists():
         raise ConfigError(f"log file not found: {log_path}")
+    levels = tuple(config.get("levels", (0.5, 0.95)))
+    mode = config.get("variance_mode", "full")
+    check_levels_and_mode(levels, mode)
     log = read_log_csv(log_path)
     if "target" in config:
         _check_keys(config, "experiment config")
         target = parse_target(config["target"])
     else:
         target = parse_target(config, "infer config")
-    levels = tuple(config.get("levels", (0.5, 0.95)))
-    mode = config.get("variance_mode", "full")
     reports = [estimate_report(log, target, arm, levels=levels, mode=mode)
                for arm in range(log.num_arms)]
     ope = ope_value(log, target, levels=levels, reports=reports) if target.family == "ope" else None

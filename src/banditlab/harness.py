@@ -32,11 +32,16 @@ key by key and arrays on a new leading replication axis, into the
 entry.
 
 ``cadr_ope`` implements the contextual adaptive doubly-robust baseline with
-variance-stabilization weights, with the behavior policy replayed from the
-log so the stabilization weights use the exact round-t policy. It is one more
-per-replication value estimator: ``replicate(config, cadr_regressions=...)``
-runs it on each replication's log, and its values sit next to IPW-Z's in the
-record's ``values`` table as ``cadr_<regression>``.
+variance-stabilization weights, which use the exact round-t behavior policy.
+It is one more per-replication value estimator:
+``replicate(config, cadr_regressions=...)`` runs it on each replication's log,
+and its values sit next to IPW-Z's in the record's ``values`` table as
+``cadr_<regression>`` (its floored-variance counts in ``value_floored``). On a
+finite context support the block engine records every replication's policy at
+the support's distinct contexts each round, and CADR reads g_t from that
+table; on continuous contexts CADR replays the policy from the log. Either way
+its step variances come from prefix sums per (context, arm), not from a rescan
+of the past.
 """
 
 from __future__ import annotations
@@ -74,6 +79,14 @@ BLOCK_CAP = 64
 CADR_REGRESSIONS = ("zero", "online_linear")
 
 
+def check_levels_and_mode(levels, variance_mode: str) -> None:
+    """Reject empty or out-of-(0, 1) confidence levels and an unknown variance mode."""
+    if not levels or not all(0.0 < float(level) < 1.0 for level in levels):
+        raise ValueError(f"levels must be a non-empty list in (0, 1), got {list(levels)}")
+    if variance_mode not in ("full", "simplified"):
+        raise ValueError(f"unknown variance mode {variance_mode!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one coverage experiment needs, in picklable form."""
@@ -96,10 +109,7 @@ class ExperimentConfig:
             raise ValueError("horizon must be >= 1")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        if not self.levels or not all(0.0 < float(level) < 1.0 for level in self.levels):
-            raise ValueError(f"levels must be a non-empty list in (0, 1), got {list(self.levels)}")
-        if self.variance_mode not in ("full", "simplified"):
-            raise ValueError(f"unknown variance mode {self.variance_mode!r}")
+        check_levels_and_mode(self.levels, self.variance_mode)
         sup = support(self.env)
         if sup is not None:
             xs = np.array([x for _, _, x in sup])
@@ -159,18 +169,22 @@ def _empty_log(env: EnvironmentSpec) -> BanditLog:
 
 
 def _run_block(env: EnvironmentSpec, policy: PolicyConfig, target: ScoreTarget | None,
-               horizon: int, seed: int, paths: list[tuple]):
-    """Run one trajectory per stream path in lockstep; returns (logs, final block state).
+               horizon: int, seed: int, paths: list[tuple], probes: np.ndarray | None = None):
+    """Run one trajectory per stream path in lockstep.
 
-    Each trajectory pre-draws its rounds and uniforms from its own streams, so
-    its log does not depend on the block it runs in. The looped kinds then make
-    one block-wide distribution call and one block-wide update per round;
-    ``random`` draws every arm at once.
+    Returns (logs, final block state, probe table). Each trajectory pre-draws
+    its rounds and uniforms from its own streams, so its log does not depend
+    on the block it runs in. The looped kinds then make one block-wide
+    distribution call and one block-wide update per round; ``random`` draws
+    every arm at once. Given (C, d) ``probes``, the table (B, T, C, K) holds
+    each trajectory's round-t distribution at every probe context (one more
+    row-wise call per probe and round); otherwise it is None.
     """
     K, d, B = env.num_arms, env.context_dim, len(paths)
     state = init_state(policy, K, d, target=target, block=B)
+    table = None if probes is None else np.full((B, horizon, len(probes), K), 1.0 / K)
     if horizon == 0:
-        return [_empty_log(env) for _ in paths], state
+        return [_empty_log(env) for _ in paths], state, table
     draws = [(sample_rounds(env, stream(seed, *path, PURPOSE_ENV), horizon),
               stream(seed, *path, PURPOSE_POLICY).random(horizon)) for path in paths]
 
@@ -189,7 +203,10 @@ def _run_block(env: EnvironmentSpec, policy: PolicyConfig, target: ScoreTarget |
         rows = np.arange(B)
         arms = np.empty((B, horizon), dtype=np.int64)
         distributions = np.empty((B, horizon, K))
+        tiled = [] if probes is None else [np.tile(p, (B, 1)) for p in probes]
         for t in range(horizon):
+            for c, probe in enumerate(tiled):
+                table[:, t, c] = action_distribution(policy, state, probe)
             x = contexts[t]
             probs = action_distribution(policy, state, x)
             # The searchsorted(cumsum(probs), u, side="right") of each row.
@@ -206,14 +223,14 @@ def _run_block(env: EnvironmentSpec, policy: PolicyConfig, target: ScoreTarget |
                       outcomes=rounds.potentials[steps, arms[b]], num_arms=K,
                       latents=rounds.latents, distributions=distributions[b])
             for b, (rounds, _) in enumerate(draws)]
-    return logs, state
+    return logs, state, table
 
 
 def run_trajectory(env: EnvironmentSpec, policy: PolicyConfig,
                    target: ScoreTarget | None, horizon: int, seed: int,
                    stream_path: tuple = ()) -> BanditLog:
     """Collect one adaptive dataset; bit-identical for identical seeds."""
-    logs, _ = _run_block(env, policy, target, horizon, seed, [stream_path])
+    logs, _, _ = _run_block(env, policy, target, horizon, seed, [stream_path])
     return logs[0]
 
 
@@ -234,11 +251,13 @@ def _covers(cis: dict, levels, value: float) -> np.ndarray:
 
 
 def _analyse(config: ExperimentConfig, log: BanditLog, thetas_star: np.ndarray,
-             v_star: float | None, cadr_regressions: tuple) -> dict:
+             v_star: float | None, cadr_regressions: tuple,
+             behavior_table: BehaviorTable | None = None) -> dict:
     """One replication's estimates as named arrays; estimator failures raise.
 
     ``values`` and ``value_covered`` hold one entry per value estimator of an
-    ope-family target: ``ipwz``, then ``cadr_<regression>`` in request order.
+    ope-family target: ``ipwz``, then ``cadr_<regression>`` in request order;
+    ``value_floored`` holds each CADR entry's count of floored variances.
     """
     target = config.target
     reports = [estimate_report(log, target, arm, levels=config.levels,
@@ -252,26 +271,35 @@ def _analyse(config: ExperimentConfig, log: BanditLog, thetas_star: np.ndarray,
     degenerate = np.where(err > 0, np.inf, np.where(err < 0, -np.inf, 0.0))
     std_err = np.where(
         scale > 0, math.sqrt(log.horizon) * err / np.where(scale > 0, scale, 1.0), degenerate)
-    values, value_covered = {}, {}
+    values, value_covered, value_floored = {}, {}, {}
     if target.family == "ope":
         estimates = {"ipwz": ope_value(log, target, levels=config.levels, reports=reports)}
         for reg in cadr_regressions:
-            estimates[f"cadr_{reg}"] = cadr_ope(
+            estimates[f"cadr_{reg}"] = est = cadr_ope(
                 log, target.target_policy, regression=reg, levels=config.levels,
-                behavior_policy=config.policy, behavior_target=target)
+                behavior_policy=config.policy, behavior_target=target,
+                behavior_table=behavior_table)
+            value_floored[f"cadr_{reg}"] = est.floored
         for name, est in estimates.items():
             values[name] = est.value
             value_covered[name] = _covers(est.cis, config.levels, v_star)
     return {"theta_hat": theta, "sigma_diag": sigma_diag, "std_errors": std_err,
             "covered": (lo <= thetas_star) & (thetas_star <= hi),  # (L, K, d_theta)
-            "values": values, "value_covered": value_covered}
+            "values": values, "value_covered": value_covered, "value_floored": value_floored}
 
 
 def _replicate_block(config: ExperimentConfig, reps: range, thetas_star: np.ndarray,
                      v_star: float | None, cadr_regressions: tuple = ()) -> list[_RepResult]:
-    """Simulate the replications ``reps`` as one lockstep block, then analyse each alone."""
-    logs, state = _run_block(config.env, config.policy, config.target, config.horizon,
-                             config.seed, [(rep,) for rep in reps])
+    """Simulate the replications ``reps`` as one lockstep block, then analyse each alone.
+
+    When CADR is requested on a finite context support, the block also records
+    each replication's behavior policy at the support's distinct contexts, so
+    CADR needs no replay of the policy.
+    """
+    sup = support(config.env) if cadr_regressions else None
+    probes = None if sup is None else np.unique(np.array([x for _, _, x in sup]), axis=0)
+    logs, state, table = _run_block(config.env, config.policy, config.target, config.horizon,
+                                    config.seed, [(rep,) for rep in reps], probes=probes)
     diag = [None] * len(reps)
     if config.diagnostic_contexts:
         # Last-step distributions at each diagnostic context: (B, n_ctx, K).
@@ -280,9 +308,10 @@ def _replicate_block(config: ExperimentConfig, reps: range, thetas_star: np.ndar
                                                      (len(reps), 1)))
                          for c in config.diagnostic_contexts], axis=1)
     results = []
-    for rep, log, probs in zip(reps, logs, diag):
+    for i, (rep, log, probs) in enumerate(zip(reps, logs, diag)):
+        behavior = None if table is None else BehaviorTable(probes, table[i])
         try:
-            record = _analyse(config, log, thetas_star, v_star, cadr_regressions)
+            record = _analyse(config, log, thetas_star, v_star, cadr_regressions, behavior)
         except (NoDataForArm, SingularDesign) as exc:
             results.append(_RepResult(rep, probs, None, str(exc)))
         else:
@@ -320,6 +349,7 @@ class ReplicationSummary:
     covered: np.ndarray            # (R_ok, L, K, d_theta) bool
     values: dict                   # method -> (R_ok,): "ipwz", then "cadr_<regression>"
     value_covered: dict            # method -> (R_ok, L) bool
+    value_floored: dict            # "cadr_<regression>" -> (R_ok,) floored step variances
     last_step_probs: np.ndarray | None  # (R_all, n_ctx, K)
     failures: list
 
@@ -361,7 +391,7 @@ def replicate(config: ExperimentConfig, cadr_regressions=()) -> ReplicationSumma
     estimate of the target-policy value per replication, computed on the same
     log as the IPW-Z value; it requires an ope-family target.
     """
-    cadr_regressions = tuple(cadr_regressions)
+    cadr_regressions = tuple(dict.fromkeys(cadr_regressions))
     if cadr_regressions and config.target.family != "ope":
         raise ValueError("CADR requires an ope-family target")
     for reg in cadr_regressions:
@@ -438,12 +468,48 @@ def convergence_diagnostic(summary: ReplicationSummary, context, arm: int) -> Di
 
 # --- CADR off-policy-evaluation baseline ------------------------------------------
 
+# Most (row, cell, arm) entries one chunk of CADR's prefix sums holds. It bounds
+# the memory of a replay on continuous contexts, where each row is its own cell.
+_CADR_CHUNK = 1 << 16
+
+
+class BehaviorTable(NamedTuple):
+    """A trajectory's behavior policy at fixed contexts, recorded by ``_run_block``."""
+
+    contexts: np.ndarray          # (C, d) distinct contexts
+    probs: np.ndarray             # (T, C, K) round-t action distribution at each context
+
 
 class CadrResult(NamedTuple):
     value: float
     gamma: float                  # stabilization scale Gamma_T
     cis: dict                     # level -> (lo, hi)
     floored: int                  # steps whose variance estimate hit the floor
+
+
+def _cells(X: np.ndarray, contexts: np.ndarray) -> np.ndarray:
+    """Index into the distinct ``contexts`` (C, d) of each row of X."""
+    match = np.all(X[:, None, :] == contexts[None, :, :], axis=2)  # (T, C)
+    if not match.any(axis=1).all():
+        raise ValueError("the log has contexts outside the behavior table's contexts")
+    return match.argmax(axis=1)
+
+
+def _online_ridge(X: np.ndarray, A: np.ndarray, Y: np.ndarray, K: int,
+                  lam: float = 1.0) -> np.ndarray:
+    """(T, K, d): row t holds each arm's ridge fit on rows < t (zero before its first pull).
+
+    The Grams accumulate from lam * I in row order, as a recursive fit adds them.
+    """
+    T, d = X.shape
+    rows = np.arange(1, T + 1)
+    gram = np.zeros((T + 1, K, d, d))
+    gram[0] = lam * np.eye(d)
+    gram[rows, A] = X[:, :, None] * X[:, None, :]
+    moment = np.zeros((T + 1, K, d))
+    moment[rows, A] = X * Y[:, None]
+    return np.linalg.solve(np.cumsum(gram, axis=0)[:-1],
+                           np.cumsum(moment, axis=0)[:-1, :, :, None])[..., 0]
 
 
 def cadr_ope(
@@ -455,17 +521,25 @@ def cadr_ope(
     behavior_policy: PolicyConfig | None = None,
     behavior_target: ScoreTarget | None = None,
     burn_in: int = 10,
+    behavior_table: BehaviorTable | None = None,
 ) -> CadrResult:
     """Contextual adaptive doubly-robust estimate of the target-policy value.
 
     Per step t: fit the outcome regression on rows < t (``zero`` model or a
-    recursive per-arm ridge), form the uncentered doubly-robust scores
-    D'_{t,s} at past rows, estimate the step's conditional variance from them
-    with stabilization weights g_t(A_s|X_s)/g_s(A_s|X_s), floor it, and weight
-    the step's own score by 1/sigma_t. When ``behavior_policy`` is given, the
-    round-t policy g_t is replayed exactly from the log to evaluate the
-    stabilization weights; otherwise the ratio is taken as 1 (its limit under
-    policy convergence). The first ``burn_in`` steps use sigma_t = 1.
+    per-arm ridge), form the uncentered doubly-robust scores
+    D'_{t,s} = r_s Y_s - r_s q_t(X_s, A_s) + m_t(X_s) at past rows, with
+    r = g*/pi, q_t the fit and m_t its g*-mean, estimate the step's
+    conditional variance from them with stabilization weights
+    g_t(A_s|X_s)/g_s(A_s|X_s), floor it, and weight the step's own score by
+    1/sigma_t. The first ``burn_in`` steps use sigma_t = 1.
+
+    No step rescans the past: rows are grouped into cells of equal context,
+    and the weighted moments of D'_{t,s} over rows s < t expand into prefix
+    sums per (cell, arm), so m_k(t) = sum_{c,a} g_t(a|c) S_k(t; c, a) / t.
+    The round-t policy g_t comes from ``behavior_table`` (recorded during the
+    simulation) when given; else from replaying ``behavior_policy`` on the log
+    at its distinct contexts. Without either, the ratio is taken as 1 (its
+    limit under policy convergence).
     """
     if regression not in CADR_REGRESSIONS:
         raise ValueError(f"unknown regression {regression!r}; expected one of {CADR_REGRESSIONS}")
@@ -475,66 +549,68 @@ def cadr_ope(
     if T <= burn_in:
         raise ValueError(f"horizon {T} is below the CADR burn-in {burn_in}")
     X, A, Y, pi = log.contexts, log.arms, log.outcomes, log.propensities
-    gstar_vec = target_policy.vector(K)
-    gstar_realized = gstar_vec[A]
-    ratio_star = gstar_realized / pi  # g*(A_s|X_s) / g_s(A_s|X_s)
+    gstar = target_policy.vector(K)
+    r = gstar[A] / pi  # g*(A_s|X_s) / g_s(A_s|X_s)
+    beta = (_online_ridge(X, A, Y, K) if regression == "online_linear"
+            else np.zeros((T, K, d)))
+    q_own = np.einsum("tkd,td->tk", beta, X)                # (T, K) q_t at X_t
+    own = r * (Y - q_own[np.arange(T), A]) + q_own @ gstar  # D'_{t,t}
 
-    replay_state = None
-    if behavior_policy is not None:
-        replay_state = init_state(behavior_policy, K, d, target=behavior_target)
-        uniq_X, uniq_inv = np.unique(X, axis=0, return_inverse=True)
+    if behavior_table is not None:
+        contexts, cells = behavior_table.contexts, _cells(X, behavior_table.contexts)
+    else:
+        contexts, cells = np.unique(X, axis=0, return_inverse=True)
+    replay = (init_state(behavior_policy, K, d, target=behavior_target)
+              if behavior_table is None and behavior_policy is not None else None)
+    weighted = behavior_table is not None or replay is not None
+    w = 1.0 / pi if weighted else np.ones(T)
 
-    # Recursive ridge accumulators for the online_linear regression.
-    lam = 1.0
-    reg_gram = np.stack([lam * np.eye(d)] * K)
-    reg_moment = np.zeros((K, d))
-    reg_beta = np.zeros((K, d))
-
-    inv_sigma = np.zeros(T)
-    own_scores = np.zeros(T)
-    floored = 0
-
-    for t in range(T):
-        if regression == "zero":
-            q_realized = np.zeros(t + 1)
-            q_mean_star = np.zeros(t + 1)
-        else:
-            qmat = X[:t + 1] @ reg_beta.T           # (t+1, K) fitted on rows < t
-            q_realized = qmat[np.arange(t + 1), A[:t + 1]]
-            q_mean_star = qmat @ gstar_vec
-        dprime = ratio_star[:t + 1] * (Y[:t + 1] - q_realized) + q_mean_star
-
-        if t < burn_in:
-            sigma_t = 1.0
-        else:
-            if replay_state is not None:
-                g_t = action_distribution(behavior_policy, replay_state, uniq_X)
-                wts = g_t[uniq_inv[:t], A[:t]] / pi[:t]
-            else:
-                wts = np.ones(t)
-            m1 = float(wts @ dprime[:t]) / t
-            m2 = float(wts @ (dprime[:t] ** 2)) / t
-            var_t = m2 - m1 * m1
-            if var_t < variance_floor:
-                var_t = variance_floor
-                floored += 1
-            sigma_t = math.sqrt(var_t)
-        inv_sigma[t] = 1.0 / sigma_t
-        own_scores[t] = dprime[t] / sigma_t
-
-        if regression == "online_linear":
-            a = A[t]
-            reg_gram[a] += np.outer(X[t], X[t])
-            reg_moment[a] += X[t] * Y[t]
-            reg_beta[a] = np.linalg.solve(reg_gram[a], reg_moment[a])
-        if replay_state is not None:
-            update_state(behavior_policy, replay_state,
+    def policy_at(t0, t1):
+        """(t1 - t0, C, K): g_t at each cell for steps t0 <= t < t1 (ones if unweighted)."""
+        if behavior_table is not None:
+            return behavior_table.probs[t0:t1]
+        if replay is None:
+            return np.ones((1, 1, 1))
+        out = np.empty((t1 - t0, len(contexts), K))
+        for t in range(t0, t1):
+            out[t - t0] = action_distribution(behavior_policy, replay, contexts)
+            update_state(behavior_policy, replay,
                          Transition(X[t:t + 1], A[t:t + 1], pi[t:t + 1], Y[t:t + 1]))
+        return out
 
-    gamma = 1.0 / float(inv_sigma.mean())
-    psi = gamma * float(own_scores.mean())
+    # Per-row terms of w D' and w D'^2: w, w r, w r Y, w r^2, w r^2 Y, w r^2 Y^2.
+    wr = w * r
+    wr2 = wr * r
+    terms = np.stack([w, wr, wr * Y, wr2, wr2 * Y, wr2 * Y * Y])  # (6, T)
+    C = len(contexts)
+    chunk = max(1, _CADR_CHUNK // (C * K))
+    running = np.zeros((len(terms), C, K))  # sums over the rows before the chunk
+    first, second = np.zeros(T), np.zeros(T)
+    for t0 in range(0, T, chunk):
+        t1 = min(T, t0 + chunk)
+        steps = np.zeros((len(terms), C, K, t1 - t0 + 1))
+        steps[..., 0] = running
+        steps[:, cells[t0:t1], A[t0:t1], np.arange(1, t1 - t0 + 1)] = terms[:, t0:t1]
+        sums = np.cumsum(steps, axis=-1)
+        running = sums[..., -1]
+        S = sums[..., :-1]                                   # (6, C, K, n): rows s < t
+        q = np.einsum("cd,tkd->ckt", contexts, beta[t0:t1])  # (C, K, n)
+        m = np.einsum("k,ckt->ct", gstar, q)[:, None]        # (C, 1, n)
+        g = np.moveaxis(policy_at(t0, t1), 0, -1)            # (C, K, n)
+        first[t0:t1] = (g * (S[2] - q * S[1] + m * S[0])).sum(axis=(0, 1))
+        second[t0:t1] = (g * (S[5] + q * q * S[3] + m * m * S[0] - 2.0 * q * S[4]
+                              + 2.0 * m * S[2] - 2.0 * q * m * S[1])).sum(axis=(0, 1))
+
+    past = np.arange(burn_in, T)  # rows before each post-burn-in step
+    m1 = first[burn_in:] / past
+    var = second[burn_in:] / past - m1 * m1
+    floored = var < variance_floor
+    sigma = np.ones(T)
+    sigma[burn_in:] = np.sqrt(np.where(floored, variance_floor, var))
+    gamma = 1.0 / float((1.0 / sigma).mean())
+    psi = gamma * float((own / sigma).mean())
     cis = {}
     for level in levels:
         half = two_sided_z(float(level)) * gamma / math.sqrt(T)
         cis[float(level)] = (psi - half, psi + half)
-    return CadrResult(value=psi, gamma=gamma, cis=cis, floored=floored)
+    return CadrResult(value=psi, gamma=gamma, cis=cis, floored=int(floored.sum()))

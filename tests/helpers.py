@@ -3,7 +3,9 @@
 These deliberately avoid the code paths they check: the simplex projection
 is solved by exhaustive active-set enumeration (an exact brute-force QP for
 small K), scores are recomputed from their definitions, and the martingale
-check draws fresh rounds against a frozen policy state. The single-draw
+check draws fresh rounds against a frozen policy state. ``reference_cadr_loop``
+is CADR as its definition reads: a loop over steps that replays the behavior
+policy and rescans every past row. The single-draw
 helpers (``sample_round``, ``select_action``) exist only for tests; the
 package itself draws rounds and actions in batches.
 """
@@ -11,14 +13,23 @@ package itself draws rounds and actions in batches.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 from banditlab.env import EnvironmentSpec, sample_rounds
-from banditlab.estimator import BanditLog, ScoreTarget
-from banditlab.harness import _run_block
-from banditlab.policy import PolicyConfig, PolicyState, Transition, action_distribution
+from banditlab.estimator import BanditLog, ScoreTarget, TargetPolicy
+from banditlab.harness import CadrResult, _run_block
+from banditlab.inference import two_sided_z
+from banditlab.policy import (
+    PolicyConfig,
+    PolicyState,
+    Transition,
+    action_distribution,
+    init_state,
+    update_state,
+)
 from banditlab.rng import stream
 
 
@@ -104,7 +115,7 @@ def martingale_zscores(env: EnvironmentSpec, policy: PolicyConfig,
     (X, A ~ pi_t, Y(arm)) triples and evaluates w * g at the true parameter;
     under the martingale property each coordinate's mean is 0.
     """
-    _, state = _run_block(env, policy, target, warmup, seed, [()])
+    _, state, _ = _run_block(env, policy, target, warmup, seed, [()])
     batch = sample_rounds(env, stream(seed, 101), n_draws)
     dists = action_distribution(policy, state, batch.contexts)
     u = stream(seed, 102).random(n_draws)
@@ -127,3 +138,83 @@ def ipwz_residual(log: BanditLog, target: ScoreTarget, arm: int,
     w = 1.0 / log.propensities[mask]
     g = score_batch(target, arm, log.contexts[mask], log.outcomes[mask], theta, log.num_arms)
     return (w[:, None] * g).sum(axis=0) / log.horizon
+
+
+def reference_cadr_loop(log: BanditLog, target_policy: TargetPolicy, regression: str = "zero",
+                        variance_floor: float = 1e-6, levels=(0.95,),
+                        behavior_policy: PolicyConfig | None = None,
+                        behavior_target: ScoreTarget | None = None,
+                        burn_in: int = 10) -> CadrResult:
+    """CADR by a plain O(T^2) loop over steps, the oracle for ``harness.cadr_ope``.
+
+    Per step t it refits the outcome regression on rows < t, recomputes the
+    doubly-robust scores D'_{t,s} of every past row, evaluates the replayed
+    round-t policy at the log's distinct contexts for the stabilization
+    weights g_t(A_s|X_s)/g_s(A_s|X_s) (taken as 1 without ``behavior_policy``),
+    and takes the step's variance from two dot products over those rows.
+    """
+    T, K, d = log.horizon, log.num_arms, log.context_dim
+    X, A, Y, pi = log.contexts, log.arms, log.outcomes, log.propensities
+    gstar_vec = target_policy.vector(K)
+    gstar_realized = gstar_vec[A]
+    ratio_star = gstar_realized / pi  # g*(A_s|X_s) / g_s(A_s|X_s)
+
+    replay_state = None
+    if behavior_policy is not None:
+        replay_state = init_state(behavior_policy, K, d, target=behavior_target)
+        uniq_X, uniq_inv = np.unique(X, axis=0, return_inverse=True)
+
+    # Recursive ridge accumulators for the online_linear regression.
+    lam = 1.0
+    reg_gram = np.stack([lam * np.eye(d)] * K)
+    reg_moment = np.zeros((K, d))
+    reg_beta = np.zeros((K, d))
+
+    inv_sigma = np.zeros(T)
+    own_scores = np.zeros(T)
+    floored = 0
+
+    for t in range(T):
+        if regression == "zero":
+            q_realized = np.zeros(t + 1)
+            q_mean_star = np.zeros(t + 1)
+        else:
+            qmat = X[:t + 1] @ reg_beta.T           # (t+1, K) fitted on rows < t
+            q_realized = qmat[np.arange(t + 1), A[:t + 1]]
+            q_mean_star = qmat @ gstar_vec
+        dprime = ratio_star[:t + 1] * (Y[:t + 1] - q_realized) + q_mean_star
+
+        if t < burn_in:
+            sigma_t = 1.0
+        else:
+            if replay_state is not None:
+                g_t = action_distribution(behavior_policy, replay_state, uniq_X)
+                wts = g_t[uniq_inv[:t], A[:t]] / pi[:t]
+            else:
+                wts = np.ones(t)
+            m1 = float(wts @ dprime[:t]) / t
+            m2 = float(wts @ (dprime[:t] ** 2)) / t
+            var_t = m2 - m1 * m1
+            if var_t < variance_floor:
+                var_t = variance_floor
+                floored += 1
+            sigma_t = math.sqrt(var_t)
+        inv_sigma[t] = 1.0 / sigma_t
+        own_scores[t] = dprime[t] / sigma_t
+
+        if regression == "online_linear":
+            a = A[t]
+            reg_gram[a] += np.outer(X[t], X[t])
+            reg_moment[a] += X[t] * Y[t]
+            reg_beta[a] = np.linalg.solve(reg_gram[a], reg_moment[a])
+        if replay_state is not None:
+            update_state(behavior_policy, replay_state,
+                         Transition(X[t:t + 1], A[t:t + 1], pi[t:t + 1], Y[t:t + 1]))
+
+    gamma = 1.0 / float(inv_sigma.mean())
+    psi = gamma * float(own_scores.mean())
+    cis = {}
+    for level in levels:
+        half = two_sided_z(float(level)) * gamma / math.sqrt(T)
+        cis[float(level)] = (psi - half, psi + half)
+    return CadrResult(value=psi, gamma=gamma, cis=cis, floored=floored)

@@ -235,3 +235,20 @@ def test_bad_levels_or_variance_mode_exits_one(tmp_path, capsys, override, messa
     assert rc == 1
     assert message in capsys.readouterr().err
     assert not (out / "coverage.csv").exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    ("levels=[]", "levels"),
+    ("levels=[0.95,1.5]", "levels"),
+    ('variance_mode="simple"', "variance mode"),
+])
+def test_infer_bad_levels_or_variance_mode_exits_one(tmp_path, capsys, override, message):
+    cfg = _tiny_config(tmp_path)
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg), "--out", str(sim)]) == 0
+    out = tmp_path / "inf"
+    rc = main(["infer", "--config", str(cfg), "--out", str(out),
+               "--log", str(sim / "log.csv"), "--set", override])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not (out / "report.json").exists()

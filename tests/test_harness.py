@@ -1,13 +1,17 @@
 """Trajectory runner, replication engine, diagnostics, CADR baseline."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from helpers import one_round, reference_cadr_loop
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from banditlab.env import build_environment
+from banditlab.env import EnvironmentSpec, RewardModel, build_environment, support
 from banditlab.estimator import ScoreTarget, TargetPolicy, write_log_csv
 from banditlab.harness import (
+    BehaviorTable,
     ExperimentConfig,
     _run_block,
     cadr_ope,
@@ -18,7 +22,14 @@ from banditlab.harness import (
     run_trajectory,
 )
 from banditlab.inference import norm_ppf, ope_value
-from banditlab.policy import POLICY_KINDS, PolicyConfig, PolicyState
+from banditlab.policy import (
+    POLICY_KINDS,
+    PolicyConfig,
+    PolicyState,
+    action_distribution,
+    init_state,
+    update_state,
+)
 
 MISSPEC = ScoreTarget(family="misspec_linear")
 OPE_UNIFORM = ScoreTarget(family="ope", target_policy=TargetPolicy(kind="uniform"))
@@ -105,16 +116,16 @@ def test_block_layout_invariance(env_name, kind, target):
     policy = PolicyConfig(kind=kind, pi_min=0.05, gamma=2.0)
     R, T, seed = 5, 150, 41
     reference = [_run_block(env, policy, target, T, seed, [(rep,)]) for rep in range(R)]
-    for rep, ((log,), _) in enumerate(reference):
+    for rep, ((log,), _, _) in enumerate(reference):
         alone = run_trajectory(env, policy, target, T, seed, stream_path=(rep,))
         for name in ("contexts", "arms", "propensities", "outcomes", "distributions"):
             np.testing.assert_array_equal(getattr(alone, name), getattr(log, name))
     for size in (1, 3, R):
         for start in range(0, R, size):
             reps = range(start, min(start + size, R))
-            logs, state = _run_block(env, policy, target, T, seed, [(rep,) for rep in reps])
+            logs, state, _ = _run_block(env, policy, target, T, seed, [(rep,) for rep in reps])
             for i, rep in enumerate(reps):
-                (want_log,), want_state = reference[rep]
+                (want_log,), want_state, _ = reference[rep]
                 what = f"block of {size}, rep {rep}"
                 for name in ("contexts", "arms", "propensities", "outcomes", "distributions",
                              "latents"):
@@ -162,13 +173,18 @@ class TestReplicate:
         base = dict(env=env, policy=PolicyConfig(kind="boltzmann_ridge", gamma=20.0),
                     target=OPE_UNIFORM, horizon=200, replications=6, seed=18,
                     levels=(0.5, 0.95))
-        serial = replicate(ExperimentConfig(**base, workers=1), cadr_regressions=("zero",))
-        parallel = replicate(ExperimentConfig(**base, workers=2), cadr_regressions=("zero",))
-        assert list(serial.values) == list(parallel.values) == ["ipwz", "cadr_zero"]
+        regressions = ("zero", "online_linear")
+        serial = replicate(ExperimentConfig(**base, workers=1), cadr_regressions=regressions)
+        parallel = replicate(ExperimentConfig(**base, workers=2), cadr_regressions=regressions)
+        assert list(serial.values) == list(parallel.values) == \
+            ["ipwz", "cadr_zero", "cadr_online_linear"]
         for method in serial.values:
             np.testing.assert_array_equal(serial.values[method], parallel.values[method])
             np.testing.assert_array_equal(serial.value_covered[method],
                                           parallel.value_covered[method])
+        for method in serial.value_floored:
+            np.testing.assert_array_equal(serial.value_floored[method],
+                                          parallel.value_floored[method])
 
     def test_coverage_monotone_in_level(self):
         env = build_environment("nc_gaussian", seed=3)
@@ -323,7 +339,10 @@ def test_compare_ope_smoke():
 
 
 def _reference_ope_loop(config: ExperimentConfig, regressions):
-    """IPW-Z and CADR per replication in a plain serial loop over fresh trajectories."""
+    """IPW-Z and CADR per replication in a plain serial loop over fresh trajectories.
+
+    CADR comes from ``reference_cadr_loop``, which replays the behavior policy.
+    """
     v_star = float(oracle_thetas(config.env, config.target, n_oracle=config.n_oracle,
                                  seed=config.seed).sum())
     R, L = config.replications, len(config.levels)
@@ -331,6 +350,7 @@ def _reference_ope_loop(config: ExperimentConfig, regressions):
     ipwz_covered = np.zeros((R, L), dtype=bool)
     cadr_values = {reg: np.zeros(R) for reg in regressions}
     cadr_covered = {reg: np.zeros((R, L), dtype=bool) for reg in regressions}
+    cadr_floored = {reg: np.zeros(R, dtype=np.int64) for reg in regressions}
     for rep in range(R):
         log = run_trajectory(config.env, config.policy, config.target,
                              config.horizon, config.seed, (rep,))
@@ -341,27 +361,30 @@ def _reference_ope_loop(config: ExperimentConfig, regressions):
             lo, hi = report.cis[float(level)]
             ipwz_covered[rep, li] = lo <= v_star <= hi
         for reg in regressions:
-            res = cadr_ope(log, config.target.target_policy, regression=reg,
-                           levels=config.levels, behavior_policy=config.policy,
-                           behavior_target=config.target)
+            res = reference_cadr_loop(log, config.target.target_policy, regression=reg,
+                                      levels=config.levels, behavior_policy=config.policy,
+                                      behavior_target=config.target)
             cadr_values[reg][rep] = res.value
+            cadr_floored[reg][rep] = res.floored
             for li, level in enumerate(config.levels):
                 lo, hi = res.cis[float(level)]
                 cadr_covered[reg][rep, li] = lo <= v_star <= hi
-    return v_star, ipwz_values, ipwz_covered, cadr_values, cadr_covered
+    return v_star, ipwz_values, ipwz_covered, cadr_values, cadr_covered, cadr_floored
 
 
 class TestCadrInReplicate:
     REGRESSIONS = ("zero", "online_linear")
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_equals_reference_loop_bit_for_bit(self, workers):
+    def test_equals_reference_loop(self, workers):
+        # CADR sums its moments in another order than the loop, so its values
+        # agree to 1e-12 relative; IPW-Z and every coverage flag are exact.
         env = build_environment("nonconv_demo")
         config = ExperimentConfig(
             env=env, policy=PolicyConfig(kind="boltzmann_ridge", gamma=20.0, pi_min=0.05),
             target=OPE_UNIFORM, horizon=300, replications=6, seed=28,
             levels=(0.5, 0.95), workers=workers)
-        v_star, ipwz_values, ipwz_covered, cadr_values, cadr_covered = \
+        v_star, ipwz_values, ipwz_covered, cadr_values, cadr_covered, cadr_floored = \
             _reference_ope_loop(config, self.REGRESSIONS)
         summary = replicate(config, cadr_regressions=self.REGRESSIONS)
         assert summary.failures == []
@@ -369,10 +392,14 @@ class TestCadrInReplicate:
         np.testing.assert_array_equal(summary.values["ipwz"], ipwz_values)
         np.testing.assert_array_equal(summary.value_covered["ipwz"], ipwz_covered)
         assert list(summary.values) == ["ipwz"] + [f"cadr_{reg}" for reg in self.REGRESSIONS]
+        assert list(summary.value_floored) == [f"cadr_{reg}" for reg in self.REGRESSIONS]
         for reg in self.REGRESSIONS:
-            np.testing.assert_array_equal(summary.values[f"cadr_{reg}"], cadr_values[reg])
+            np.testing.assert_allclose(summary.values[f"cadr_{reg}"], cadr_values[reg],
+                                       rtol=1e-12, atol=0)
             np.testing.assert_array_equal(summary.value_covered[f"cadr_{reg}"],
                                           cadr_covered[reg])
+            np.testing.assert_array_equal(summary.value_floored[f"cadr_{reg}"],
+                                          cadr_floored[reg])
 
     def test_failed_replications_drop_cadr_too(self):
         # Four arms over 12 rounds leave an arm unpulled in some replications;
@@ -390,6 +417,7 @@ class TestCadrInReplicate:
         for method in summary.values:
             assert summary.values[method].shape == (used,)
             assert summary.value_covered[method].shape == (used, 1)
+        assert summary.value_floored["cadr_zero"].shape == (used,)
 
     def test_requires_ope_target(self):
         env = build_environment("nonconv_demo")
@@ -404,6 +432,130 @@ class TestCadrInReplicate:
                                   target=OPE_UNIFORM, horizon=50, replications=2, seed=31)
         summary = replicate(config)
         assert list(summary.values) == list(summary.value_covered) == ["ipwz"]
+        assert summary.value_floored == {}
+
+    def test_floors_reach_the_record(self):
+        # Constant outcomes have zero dispersion: every post-burn-in step of
+        # every replication hits the variance floor.
+        env = build_environment("nonconv_demo", {"sigma_eta": 0.0, "arm_means": (3.0, 3.0)})
+        config = ExperimentConfig(env=env, policy=PolicyConfig(kind="random"),
+                                  target=OPE_UNIFORM, horizon=60, replications=3, seed=36)
+        summary = replicate(config, cadr_regressions=("zero",))
+        np.testing.assert_array_equal(summary.value_floored["cadr_zero"], [50, 50, 50])
+
+    def test_duplicate_regressions_run_once(self, monkeypatch):
+        import banditlab.harness as harness
+
+        calls = []
+        cadr = harness.cadr_ope
+
+        def counting(*args, **kw):
+            calls.append(kw["regression"])
+            return cadr(*args, **kw)
+
+        monkeypatch.setattr(harness, "cadr_ope", counting)
+        env = build_environment("nonconv_demo")
+        config = ExperimentConfig(env=env, policy=PolicyConfig(kind="boltzmann_ridge", gamma=20.0),
+                                  target=OPE_UNIFORM, horizon=60, replications=4, seed=37)
+        summary = replicate(config, cadr_regressions=["zero", "zero"])
+        assert calls == ["zero"] * 4
+        assert list(summary.values) == ["ipwz", "cadr_zero"]
+
+    @pytest.mark.parametrize("env_name", ["nonconv_demo", "nc_hard1"])
+    def test_block_layout_and_pool_invariance(self, monkeypatch, env_name):
+        # CADR reads each replication's recorded policy table, which must not
+        # depend on the block the replication ran in or on the worker count.
+        import banditlab.harness as harness
+
+        config = ExperimentConfig(
+            env=build_environment(env_name),
+            policy=PolicyConfig(kind="boltzmann_ridge", gamma=5.0, pi_min=0.05),
+            target=OPE_UNIFORM, horizon=150, replications=7, seed=38, levels=(0.5, 0.95))
+        runs = []
+        for cap in (1, 3, harness.BLOCK_CAP):
+            monkeypatch.setattr(harness, "BLOCK_CAP", cap)
+            for workers in (1, 2):
+                runs.append(replicate(replace(config, workers=workers),
+                                      cadr_regressions=self.REGRESSIONS))
+        first = runs[0]
+        for run in runs[1:]:
+            for table in ("values", "value_covered", "value_floored"):
+                got, want = getattr(run, table), getattr(first, table)
+                assert list(got) == list(want)
+                for method in want:
+                    np.testing.assert_array_equal(got[method], want[method],
+                                                  err_msg=f"{table}[{method}]")
+
+
+@pytest.mark.parametrize("kind", POLICY_KINDS)
+def test_probe_table_is_the_replayed_policy(kind):
+    # Probing leaves logs and final states as they are, and each table entry
+    # is the bits of the policy replayed alone from the log at that context.
+    env = build_environment("nc_hard1")
+    policy = PolicyConfig(kind=kind, pi_min=0.05, gamma=2.0)
+    probes = np.unique(np.array([x for _, _, x in support(env)]), axis=0)
+    paths = [(rep,) for rep in range(3)]
+    logs, state, table = _run_block(env, policy, OPE_UNIFORM, 80, 39, paths, probes=probes)
+    plain_logs, plain_state, none = _run_block(env, policy, OPE_UNIFORM, 80, 39, paths)
+    assert none is None and table.shape == (3, 80, len(probes), env.num_arms)
+    assert state.t == plain_state.t
+    for f in fields(PolicyState):
+        if isinstance(getattr(state, f.name), np.ndarray):
+            np.testing.assert_array_equal(getattr(state, f.name), getattr(plain_state, f.name),
+                                          err_msg=f.name)
+    for i, (log, plain) in enumerate(zip(logs, plain_logs)):
+        for name in ("contexts", "arms", "propensities", "outcomes", "distributions"):
+            np.testing.assert_array_equal(getattr(log, name), getattr(plain, name))
+        replay = init_state(policy, env.num_arms, env.context_dim, target=OPE_UNIFORM)
+        for t in range(log.horizon):
+            np.testing.assert_array_equal(table[i, t],
+                                          action_distribution(policy, replay, probes),
+                                          err_msg=f"{kind} rep {i} round {t}")
+            update_state(policy, replay, one_round(log.contexts[t], log.arms[t],
+                                                   log.propensities[t], log.outcomes[t]))
+
+
+def _cadr_env(name: str, K: int, points: list) -> EnvironmentSpec:
+    """A finite-support environment with K arms and outcome means away from zero."""
+    if name == "nonconv_demo":
+        env = build_environment(name, {"context_points": points,
+                                       "context_weights": [1.0 / len(points)] * len(points)})
+        return replace(env, num_arms=K,
+                       reward=RewardModel("constant_per_arm", 2.0 + np.arange(K) / K))
+    env = build_environment(name)
+    theta = 1.0 + np.arange(K, dtype=float)[:, None]
+    return replace(env, num_arms=K, reward=RewardModel("linear_latent", theta),
+                   true_params=theta)
+
+
+@pytest.mark.parametrize("kind", POLICY_KINDS)
+@settings(max_examples=10)
+@given(K=st.integers(2, 4), env_name=st.sampled_from(["nonconv_demo", "nc_hard1", "nc_hard2"]),
+       points=st.lists(st.integers(-8, 8).map(lambda v: v / 2.0), min_size=1, max_size=4,
+                       unique=True),
+       T=st.integers(11, 300), regression=st.sampled_from(["zero", "online_linear"]),
+       replay=st.booleans(), seed=st.integers(0, 2**16))
+def test_closed_form_cadr_matches_reference_loop(kind, K, env_name, points, T, regression,
+                                                 replay, seed):
+    env = _cadr_env(env_name, K, points)
+    policy = PolicyConfig(kind=kind, pi_min=0.05, gamma=2.0)
+    probes = np.unique(np.array([x for _, _, x in support(env)]), axis=0)
+    logs, _, table = _run_block(env, policy, OPE_UNIFORM, T, seed, [(0,), (1,)], probes=probes)
+    uniform = OPE_UNIFORM.target_policy
+    for log, recorded in zip(logs, table):
+        if replay:
+            kw = dict(behavior_policy=policy, behavior_target=OPE_UNIFORM)
+            want = reference_cadr_loop(log, uniform, regression=regression, **kw)
+            runs = [cadr_ope(log, uniform, regression=regression, **kw),
+                    cadr_ope(log, uniform, regression=regression,
+                             behavior_table=BehaviorTable(probes, recorded))]
+        else:
+            want = reference_cadr_loop(log, uniform, regression=regression)
+            runs = [cadr_ope(log, uniform, regression=regression)]
+        for got in runs:
+            assert got.value == pytest.approx(want.value, rel=1e-12, abs=0)
+            assert got.gamma == pytest.approx(want.gamma, rel=1e-12, abs=0)
+            assert got.floored == want.floored
 
 
 def test_replicate_solves_each_arm_once(monkeypatch):
@@ -467,3 +619,20 @@ def test_all_replications_failed_names_first_failure():
                               failure_tolerance=1.0)
     with pytest.raises(RuntimeError, match=r"4 of 4 replications failed .*first: rep 0: "):
         replicate(config)
+
+
+@pytest.mark.parametrize("replay", [False, True], ids=["no_replay", "replay"])
+@pytest.mark.parametrize("regression", ["zero", "online_linear"])
+def test_continuous_contexts_match_reference_loop(regression, replay):
+    # Every row of an nc_gaussian log is its own cell, so the prefix sums run
+    # in several chunks that carry their running sums.
+    env = build_environment("nc_gaussian", {"num_arms": 3}, seed=2)
+    policy = PolicyConfig(kind="boltzmann_ridge", gamma=2.0, pi_min=0.05)
+    log = run_trajectory(env, policy, OPE_UNIFORM, 400, seed=40)
+    kw = dict(behavior_policy=policy, behavior_target=OPE_UNIFORM) if replay else {}
+    uniform = OPE_UNIFORM.target_policy
+    want = reference_cadr_loop(log, uniform, regression=regression, **kw)
+    got = cadr_ope(log, uniform, regression=regression, **kw)
+    assert got.value == pytest.approx(want.value, rel=1e-12, abs=0)
+    assert got.gamma == pytest.approx(want.gamma, rel=1e-12, abs=0)
+    assert got.floored == want.floored

@@ -207,7 +207,7 @@ class TestOpeValue:
         inside = 0
         reps = 40
         # One lockstep block; each log is the same bits as its lone run_trajectory.
-        logs, _ = _run_block(env, PolicyConfig(kind="boltzmann_ridge", gamma=5.0), target,
+        logs, _, _ = _run_block(env, PolicyConfig(kind="boltzmann_ridge", gamma=5.0), target,
                              10_000, 77, [(rep,) for rep in range(reps)])
         for log in logs:
             theta = ipwz_solve(log, target, 0)

@@ -334,7 +334,7 @@ def test_ipwz_incremental_equals_batch(env_name, target):
     # root of the same trajectory's log.
     env = build_environment(env_name)
     config = PolicyConfig(kind="ipwz_greedy", pi_min=0.05)
-    (log,), state = _run_block(env, config, target, 1500, 41, [()])
+    (log,), state, _ = _run_block(env, config, target, 1500, 41, [()])
     assert state.ipw_ok.all()
     for arm in range(env.num_arms):
         np.testing.assert_allclose(state.ipw_theta[0, arm], ipwz_solve(log, target, arm),
