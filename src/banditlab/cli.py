@@ -36,7 +36,7 @@ from .env import (
     UnknownEnvironmentError,
     build_environment,
 )
-from .estimator import ScoreTarget, TargetPolicy, read_log_csv, write_log_csv
+from .estimator import NoDataForArm, ScoreTarget, TargetPolicy, read_log_csv, write_log_csv
 from .harness import (
     ExperimentConfig,
     check_levels_and_mode,
@@ -227,12 +227,15 @@ def cmd_infer(config: dict, out_dir: Path, argv, log_path: str) -> int:
     levels = tuple(config.get("levels", (0.5, 0.95)))
     mode = config.get("variance_mode", "full")
     check_levels_and_mode(levels, mode)
-    log = read_log_csv(log_path)
+    num_arms = None
     if "target" in config:
         _check_keys(config, "experiment config")
         target = parse_target(config["target"])
+        if "env" in config:
+            num_arms = parse_env(config["env"]).num_arms
     else:
         target = parse_target(config, "infer config")
+    log = read_log_csv(log_path, num_arms=num_arms)
     reports = [estimate_report(log, target, arm, levels=levels, mode=mode)
                for arm in range(log.num_arms)]
     ope = ope_value(log, target, levels=levels, reports=reports) if target.family == "ope" else None
@@ -370,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
         if command == "diagnose":
             return cmd_diagnose(config, out_dir, argv)
         return cmd_compare_ope(config, out_dir, argv)
-    except (ConfigError, UnknownEnvironmentError, InvalidParameterError) as exc:
+    except (ConfigError, UnknownEnvironmentError, InvalidParameterError, NoDataForArm) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -354,7 +354,14 @@ def write_log_csv(log: BanditLog, path) -> None:
             writer.writerow(row)
 
 
-def read_log_csv(path) -> BanditLog:
+def read_log_csv(path, num_arms: int | None = None) -> BanditLog:
+    """Read a log written by ``write_log_csv``.
+
+    ``num_arms`` is the experiment's K: an arm outside 0..K-1 is rejected, and
+    an arm that was never pulled stays in the log (``infer`` then reports it).
+    Without it K is taken as the largest arm seen plus one, so an unpulled
+    last arm cannot be told from a smaller experiment.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -374,7 +381,11 @@ def read_log_csv(path) -> BanditLog:
         arms[i] = int(row[1 + 2 * d]) - 1
         pis[i] = float(row[2 + 2 * d])
         ys[i] = float(row[3 + 2 * d])
-    num_arms = int(arms.max()) + 1 if T else 1
+    if num_arms is None:
+        num_arms = int(arms.max()) + 1 if T else 1
+    elif T and (arms.min() < 0 or arms.max() >= num_arms):
+        bad = int(arms[(arms < 0) | (arms >= num_arms)][0]) + 1
+        raise ValueError(f"log {path} has arm {bad} (1-based) outside 1..{num_arms}")
     return BanditLog(
         contexts=contexts, arms=arms, propensities=pis, outcomes=ys,
         num_arms=num_arms, latents=latents if have_latent else None,

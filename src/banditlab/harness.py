@@ -38,10 +38,10 @@ It is one more per-replication value estimator:
 and its values sit next to IPW-Z's in the record's ``values`` table as
 ``cadr_<regression>`` (its floored-variance counts in ``value_floored``). On a
 finite context support the block engine records every replication's policy at
-the support's distinct contexts each round, and CADR reads g_t from that
-table; on continuous contexts CADR replays the policy from the log. Either way
-its step variances come from prefix sums per (context, arm), not from a rescan
-of the past.
+the support's distinct contexts each round (the round's own distribution is
+its context's row), and CADR reads g_t from that table; on continuous
+contexts CADR replays the policy from the log. Either way its step variances
+come from prefix sums per (context, arm), not from a rescan of the past.
 """
 
 from __future__ import annotations
@@ -177,8 +177,10 @@ def _run_block(env: EnvironmentSpec, policy: PolicyConfig, target: ScoreTarget |
     on the block it runs in. The looped kinds then make one block-wide
     distribution call and one block-wide update per round; ``random`` draws
     every arm at once. Given (C, d) ``probes``, the table (B, T, C, K) holds
-    each trajectory's round-t distribution at every probe context (one more
-    row-wise call per probe and round); otherwise it is None.
+    each trajectory's round-t distribution at every probe context (one
+    row-wise call per probe and round); otherwise it is None. The probes must
+    cover every context the environment draws: each round's own distribution
+    is then its context's row of the table, with no further call.
     """
     K, d, B = env.num_arms, env.context_dim, len(paths)
     state = init_state(policy, K, d, target=target, block=B)
@@ -204,11 +206,15 @@ def _run_block(env: EnvironmentSpec, policy: PolicyConfig, target: ScoreTarget |
         arms = np.empty((B, horizon), dtype=np.int64)
         distributions = np.empty((B, horizon, K))
         tiled = [] if probes is None else [np.tile(p, (B, 1)) for p in probes]
+        # Every drawn context is a probe: its round's distribution is a row of the table.
+        cells = (None if probes is None
+                 else _cells(contexts.reshape(-1, d), probes).reshape(horizon, B))
         for t in range(horizon):
             for c, probe in enumerate(tiled):
                 table[:, t, c] = action_distribution(policy, state, probe)
             x = contexts[t]
-            probs = action_distribution(policy, state, x)
+            probs = (action_distribution(policy, state, x) if cells is None
+                     else table[rows, t, cells[t]])
             # The searchsorted(cumsum(probs), u, side="right") of each row.
             arm = np.minimum((np.cumsum(probs, axis=1) <= uniforms[t][:, None]).sum(axis=1),
                              K - 1)

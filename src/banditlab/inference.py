@@ -15,7 +15,8 @@ the test suite. ``simplified`` mode swaps Gdot for its unweighted plug-in over
 all T rows (the context second moment less Sigma_e, or the constant 1 for the
 value target), which estimates the same limit.
 
-Confidence intervals take their normal quantile from SciPy's ``ndtri``.
+Confidence intervals take their normal quantile from the standard library's
+``statistics.NormalDist``, so importing this module loads no part of SciPy.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .estimator import (
     AuxiliaryData,
@@ -42,13 +43,20 @@ from .estimator import (
 counters = {"negative_variance_floored": 0}
 
 
+_STANDARD_NORMAL = NormalDist()
+
+
 def norm_ppf(p):
-    """Standard normal quantile (SciPy's ``ndtri``) on the open interval (0, 1)."""
+    """Standard normal quantile (stdlib ``NormalDist.inv_cdf``) on the open interval (0, 1).
+
+    A scalar gives a float, an array an array of its shape.
+    """
     p = np.asarray(p, dtype=float)
     if np.any((p <= 0.0) | (p >= 1.0)):
         raise ValueError("quantile argument must lie strictly in (0, 1)")
-    x = ndtri(p)
-    return float(x) if x.ndim == 0 else x
+    if p.ndim == 0:
+        return _STANDARD_NORMAL.inv_cdf(float(p))
+    return np.array([_STANDARD_NORMAL.inv_cdf(v) for v in p.ravel().tolist()]).reshape(p.shape)
 
 
 def sandwich_variance(

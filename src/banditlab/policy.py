@@ -28,8 +28,6 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import ndtr
 
 from .estimator import ScoreTarget, score_g
 
@@ -45,6 +43,11 @@ SGD_COEF_RADIUS = 1e3
 
 class InfeasibleClipError(ValueError):
     """K * pi_min > 1: the floored simplex is empty."""
+
+
+# Smallest ratio of another arm's posterior sd to arm a's at which the
+# Gauss-Hermite ladder stays within 1e-7 of the exact two-arm probability.
+_GH_SD_RATIO = 0.3
 
 
 @lru_cache(maxsize=None)
@@ -238,6 +241,8 @@ def clip_simplex(P: np.ndarray, pi_min: float) -> np.ndarray:
 def _ts_entries_gh(means: np.ndarray, sds: np.ndarray, rows: np.ndarray, arms: np.ndarray,
                    n: int) -> np.ndarray:
     """Gauss-Hermite P(arm is best) for each (row, arm) entry, with ``n`` nodes."""
+    from scipy.special import ndtr  # K >= 3 only: no two-arm path loads SciPy
+
     nodes, weights = _hermgauss(n)
     u = means[rows, arms][:, None] + (math.sqrt(2.0) * sds[rows, arms])[:, None] * nodes
     prod = np.ones_like(u)
@@ -248,6 +253,9 @@ def _ts_entries_gh(means: np.ndarray, sds: np.ndarray, rows: np.ndarray, arms: n
 
 
 def _ts_entry_quad(a: int, means: np.ndarray, sds: np.ndarray) -> float:
+    from scipy.integrate import quad  # K >= 3 only, like _ts_entries_gh
+    from scipy.special import ndtr
+
     others = [i for i in range(means.shape[0]) if i != a]
 
     def integrand(u):
@@ -257,29 +265,27 @@ def _ts_entry_quad(a: int, means: np.ndarray, sds: np.ndarray) -> float:
         return dens
 
     lo, hi = means[a] - 12 * sds[a], means[a] + 12 * sds[a]
-    breaks = sorted({m for m in means[others] if lo < m < hi})
+    # Each other arm's CDF climbs within +-8 sd of its mean: give the climb its own pieces.
+    edges = [m + k * sd for m, sd in zip(means[others], sds[others]) for k in (-8, 0, 8)]
+    breaks = sorted({e for e in edges if lo < e < hi})
     val, _ = quad(integrand, lo, hi, points=breaks or None, limit=200, epsabs=1e-9)
     return val
 
 
-def ts_optimal_prob(post_means: np.ndarray, post_vars: np.ndarray) -> np.ndarray:
-    """P(arm a is best) under independent Gaussian posteriors, row-wise over (B, K).
+def _ts_ladder(means: np.ndarray, sds: np.ndarray) -> np.ndarray:
+    """(B, K) P(arm is best) by quadrature: the Gauss-Hermite ladder, then ``quad``.
 
-    Deterministic quadrature of P(all other arms below u) against each arm's
-    posterior density: a nested Gauss-Hermite ladder (40, 80, 160 nodes, until
-    two rungs agree to 5e-7), falling back to adaptive quadrature with
-    breakpoints when posteriors are near-degenerate. Absolute accuracy <= 1e-6
-    per entry. One (K,) pair of arrays gives one (K,) row.
+    The ladder integrates against arm a's density, so it resolves another
+    arm's normal CDF only when that arm's sd is at least ``_GH_SD_RATIO`` of
+    a's; below that two rungs can agree while both are off by up to 0.07,
+    and the entry goes straight to ``quad``.
     """
-    means = np.asarray(post_means, dtype=float)
-    variances = np.asarray(post_vars, dtype=float)
-    if means.ndim == 1:
-        return ts_optimal_prob(means[None], variances[None])[0]
-    if np.any(variances <= 0):
-        raise ValueError("posterior variances must be positive")
-    sds = np.sqrt(variances)
     out = np.empty(means.shape)
     rows, arms = (idx.ravel() for idx in np.indices(means.shape))
+    other_sds = np.where(np.arange(means.shape[1]) == arms[:, None], np.inf, sds[rows])
+    smooth = other_sds.min(axis=1) >= _GH_SD_RATIO * sds[rows, arms]
+    sharp = (rows[~smooth], arms[~smooth])
+    rows, arms = rows[smooth], arms[smooth]
     prev = _ts_entries_gh(means, sds, rows, arms, 40)
     for n in (80, 160):
         if not rows.size:
@@ -288,9 +294,38 @@ def ts_optimal_prob(post_means: np.ndarray, post_vars: np.ndarray) -> np.ndarray
         done = np.abs(value - prev) < 5e-7
         out[rows[done], arms[done]] = value[done]
         rows, arms, prev = rows[~done], arms[~done], value[~done]
+    rows, arms = np.concatenate([sharp[0], rows]), np.concatenate([sharp[1], arms])
     for b, a in zip(rows.tolist(), arms.tolist()):
         out[b, a] = _ts_entry_quad(a, means[b], sds[b])
     return out
+
+
+def ts_optimal_prob(post_means: np.ndarray, post_vars: np.ndarray) -> np.ndarray:
+    """P(arm a is best) under independent Gaussian posteriors, row-wise over (B, K).
+
+    Two arms have the closed form P(0 is best) = Phi((m_0 - m_1) / sqrt(v_0 + v_1)),
+    each entry taken from its own tail with ``math.erfc`` (never as one minus
+    the other), so a row sums to 1 within rounding. Three or more arms take
+    deterministic quadrature of P(all other arms below u) against each arm's
+    posterior density: a nested Gauss-Hermite ladder (40, 80, 160 nodes, until
+    two rungs agree to 5e-7), or adaptive quadrature with breakpoints when
+    the rungs disagree or another arm's posterior is much sharper than the
+    arm's own, with absolute accuracy <= 1e-6 per entry. Only that K >= 3
+    path imports SciPy (``ndtr``, ``quad``), inside ``_ts_entries_gh`` and
+    ``_ts_entry_quad``. One (K,) pair of arrays gives one (K,) row.
+    """
+    means = np.asarray(post_means, dtype=float)
+    variances = np.asarray(post_vars, dtype=float)
+    if means.ndim == 1:
+        return ts_optimal_prob(means[None], variances[None])[0]
+    if np.any(variances <= 0):
+        raise ValueError("posterior variances must be positive")
+    if means.shape[1] != 2:
+        return _ts_ladder(means, np.sqrt(variances))
+    # x = z / sqrt(2) with z = (m_0 - m_1) / sqrt(v_0 + v_1); Phi(z) = erfc(-x) / 2.
+    xs = [(m0 - m1) / math.sqrt(2.0 * (v0 + v1))
+          for (m0, m1), (v0, v1) in zip(means.tolist(), variances.tolist())]
+    return np.array([[0.5 * math.erfc(-x), 0.5 * math.erfc(x)] for x in xs])
 
 
 # --- distribution constructors --------------------------------------------------

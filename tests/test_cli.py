@@ -1,6 +1,9 @@
 """CLI contracts: subcommands, exit codes, manifests, overrides."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -252,3 +255,75 @@ def test_infer_bad_levels_or_variance_mode_exits_one(tmp_path, capsys, override,
     assert rc == 1
     assert message in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+def _three_arm_log(tmp_path, arms):
+    """A log CSV of ms_polynomial rows (d = 1, no latents) with the given 1-based arms."""
+    path = tmp_path / "log3.csv"
+    rows = ["t,x_1,s_1,a,pi,y"] + [f"{t},{0.1 * t - 1.0},,{arm},0.3333333333333333,{0.5 * arm}"
+                                   for t, arm in enumerate(arms, start=1)]
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+def test_infer_reports_unpulled_arm(tmp_path, capsys):
+    # Arm 3 of a 3-arm experiment was never pulled: the log keeps K = 3 and
+    # infer fails on that arm instead of analysing a 2-arm log.
+    log = _three_arm_log(tmp_path, [1, 2] * 10)
+    assert read_log_csv(log).num_arms == 2
+    assert read_log_csv(log, num_arms=3).num_arms == 3
+    cfg = _tiny_config(tmp_path, env={"name": "ms_polynomial", "params": {"num_arms": 3}})
+    out = tmp_path / "inf"
+    rc = main(["infer", "--config", str(cfg), "--out", str(out), "--log", str(log)])
+    assert rc == 1
+    assert "arm 2 has no observations in the log" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_infer_rejects_arm_beyond_k(tmp_path, capsys):
+    log = _three_arm_log(tmp_path, [1, 2, 3] * 10)
+    with pytest.raises(ValueError, match="arm 3 .* outside 1..2"):
+        read_log_csv(log, num_arms=2)
+    cfg = _tiny_config(tmp_path)  # nonconv_demo: two arms
+    out = tmp_path / "inf"
+    rc = main(["infer", "--config", str(cfg), "--out", str(out), "--log", str(log)])
+    assert rc == 1
+    assert "outside 1..2" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+_STARTUP_SCRIPT = """
+import json, sys
+from pathlib import Path
+from banditlab import cli
+
+tmp = Path(sys.argv[1])
+ts, ope = tmp / "ts.json", tmp / "ope.json"
+assert cli.main(["simulate", "--config", str(ts), "--out", str(tmp / "sim")]) == 0
+assert cli.main(["infer", "--config", str(ts), "--out", str(tmp / "inf"),
+                 "--log", str(tmp / "sim" / "log.csv")]) == 0
+assert cli.main(["coverage", "--config", str(ts), "--out", str(tmp / "cov"),
+                 "--workers", "1"]) == 0
+assert cli.main(["compare-ope", "--config", str(ope), "--out", str(tmp / "cmp")]) == 0
+prefixes = ("scipy.special", "scipy.integrate", "scipy.stats")
+print(json.dumps(sorted(m for m in sys.modules if m.startswith(prefixes))))
+"""
+
+
+def test_cli_runs_without_scipy_special_integrate_or_stats(tmp_path):
+    # A fresh process that imports the CLI and runs a two-arm Thompson
+    # simulation, inference, coverage and a CADR comparison loads none of
+    # SciPy's special, integrate or stats modules: their import would triple
+    # the start-up time of every CLI process.
+    base = {"env": {"name": "nonconv_demo", "seed": 0}, "target": {"family": "misspec_linear"},
+            "horizon": 100, "replications": 2, "seed": 5, "levels": [0.95]}
+    (tmp_path / "ts.json").write_text(json.dumps({**base, "policy": {"kind": "ts_mab"}}))
+    (tmp_path / "ope.json").write_text(json.dumps({
+        **base, "policy": {"kind": "boltzmann_ridge", "gamma": 20.0},
+        "target": {"family": "ope", "target_policy": {"kind": "uniform"}}}))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.strip().splitlines()[-1]) == []

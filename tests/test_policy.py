@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from banditlab.env import build_environment
@@ -13,6 +14,7 @@ from banditlab.policy import (
     InfeasibleClipError,
     PolicyConfig,
     Transition,
+    _ts_ladder,
     action_distribution,
     boltzmann_distribution,
     clip_simplex,
@@ -86,8 +88,21 @@ class TestClipSimplex:
 class TestTsOptimalProb:
     def test_two_arm_gaussian_cdf(self):
         probs = ts_optimal_prob(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
-        assert probs[1] == pytest.approx(norm.cdf(1 / np.sqrt(2)), abs=1e-6)
-        assert probs[0] == pytest.approx(1 - norm.cdf(1 / np.sqrt(2)), abs=1e-6)
+        assert probs[1] == pytest.approx(norm.cdf(1 / np.sqrt(2)), abs=1e-15)
+        assert probs[0] == pytest.approx(1 - norm.cdf(1 / np.sqrt(2)), abs=1e-15)
+
+    @given(st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
+                              st.floats(-12.0, 1.0), st.floats(-12.0, 1.0)),
+                    min_size=1, max_size=6))
+    def test_two_arm_closed_form(self, rows):
+        # Means in [-5, 5], variances log-uniform in [1e-12, 10].
+        drawn = np.array(rows)
+        means, variances = drawn[:, :2], 10.0 ** drawn[:, 2:]
+        probs = ts_optimal_prob(means, variances)
+        z = (means[:, 0] - means[:, 1]) / np.sqrt(variances.sum(axis=1))
+        assert np.abs(probs - np.column_stack([ndtr(z), ndtr(-z)])).max() <= 1e-15
+        assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-15
+        assert np.abs(probs - _ts_ladder(means, np.sqrt(variances))).max() <= 1e-6
 
     def test_symmetric_arms(self):
         probs = ts_optimal_prob(np.zeros(3), np.ones(3))
@@ -101,6 +116,16 @@ class TestTsOptimalProb:
         # One sharp posterior below a diffuse one: step-like integrand.
         probs = ts_optimal_prob(np.array([0.0, 0.5]), np.array([1.0, 1e-10]))
         assert probs[0] == pytest.approx(1 - norm.cdf(0.5), abs=1e-6)
+
+    def test_sharp_posterior_against_a_diffuse_one(self):
+        # Gauss-Hermite rungs on the diffuse arm's density can agree while both
+        # miss the sharp arm's CDF step (by 0.069 on this pair without the
+        # sd-ratio screen). A third arm far below changes no probability.
+        means = np.array([3.7321435358471273, 4.158817106358033])
+        variances = np.array([1.016101190198141e-07, 6.00941335792174])
+        z = (means[0] - means[1]) / np.sqrt(variances.sum())
+        three = ts_optimal_prob(np.append(means, -50.0), np.append(variances, 1.0))
+        np.testing.assert_allclose(three, [ndtr(z), ndtr(-z), 0.0], rtol=0, atol=1e-6)
 
     def test_nonpositive_variance_rejected(self):
         with pytest.raises(ValueError):
