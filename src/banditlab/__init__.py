@@ -17,6 +17,7 @@ from .env import (
 from .estimator import (
     AuxiliaryData,
     BanditLog,
+    LogFormatError,
     NoDataForArm,
     ScoreTarget,
     SingularDesign,

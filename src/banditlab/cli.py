@@ -36,7 +36,14 @@ from .env import (
     UnknownEnvironmentError,
     build_environment,
 )
-from .estimator import NoDataForArm, ScoreTarget, TargetPolicy, read_log_csv, write_log_csv
+from .estimator import (
+    LogFormatError,
+    NoDataForArm,
+    ScoreTarget,
+    TargetPolicy,
+    read_log_csv,
+    write_log_csv,
+)
 from .harness import (
     ExperimentConfig,
     check_levels_and_mode,
@@ -373,7 +380,8 @@ def main(argv: list[str] | None = None) -> int:
         if command == "diagnose":
             return cmd_diagnose(config, out_dir, argv)
         return cmd_compare_ope(config, out_dir, argv)
-    except (ConfigError, UnknownEnvironmentError, InvalidParameterError, NoDataForArm) as exc:
+    except (ConfigError, UnknownEnvironmentError, InvalidParameterError, NoDataForArm,
+            LogFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

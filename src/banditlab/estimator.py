@@ -26,7 +26,6 @@ oracles and the ``ipwz_greedy`` policy are all written on this one form.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -329,64 +328,105 @@ def ipwz_solve_estimated_sigma(
 
 # --- CSV serialization -------------------------------------------------------
 #
-# Schema: t, x_1..x_d, s_1..s_d, a, pi, y. Latent cells are blank when the
-# environment has no latent state; arms are written 1-based; propensities are
-# written with 17 significant digits since inverse weights are sensitive.
+# Schema: t, x_1..x_d, s_1..s_d, a, pi, y, one row per round, each line ending
+# in "\r\n" (the ``csv`` module's terminator). Latent cells are blank when the
+# environment has no latent state; arms are written 1-based; every float is
+# written with 17 significant digits (``%.17g``), which reads back as the same
+# double, since inverse weights are sensitive to the last bit.
+
+# Rows formatted per ``write`` call: bounds the writer's memory at a few MB.
+_WRITE_CHUNK_ROWS = 4096
+
+
+def _log_header(d: int) -> list[str]:
+    return (["t"] + [f"x_{j}" for j in range(1, d + 1)]
+            + [f"s_{j}" for j in range(1, d + 1)] + ["a", "pi", "y"])
+
+
+class LogFormatError(ValueError):
+    """A log CSV that does not follow the schema; the message names the file."""
 
 
 def write_log_csv(log: BanditLog, path) -> None:
+    r"""Write ``log`` to ``path`` as CSV in the schema above.
+
+    The rows are formatted ``_WRITE_CHUNK_ROWS`` at a time from one ``%``
+    template and written with one ``write`` per chunk. The bytes are those of
+    a ``csv.writer`` loop writing ``f"{v:.17g}"`` cells: ``"\r\n"`` line
+    endings and no quoting, since no cell holds a comma or a quote.
+    """
     d = log.context_dim
-    header = (["t"] + [f"x_{j}" for j in range(1, d + 1)]
-              + [f"s_{j}" for j in range(1, d + 1)] + ["a", "pi", "y"])
+    floats = ",%.17g" * d
+    template = "%d" + floats + (floats if log.latents is not None else "," * d) \
+        + ",%d,%.17g,%.17g\r\n"
+    columns = [np.arange(1, log.horizon + 1), *log.contexts.T]
+    if log.latents is not None:
+        columns += list(np.asarray(log.latents).T)
+    columns += [log.arms + 1, log.propensities, log.outcomes]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(log.horizon):
-            row = [str(i + 1)]
-            row += [f"{v:.17g}" for v in log.contexts[i]]
-            if log.latents is not None:
-                row += [f"{v:.17g}" for v in log.latents[i]]
-            else:
-                row += [""] * d
-            row += [str(int(log.arms[i]) + 1),
-                    f"{log.propensities[i]:.17g}",
-                    f"{log.outcomes[i]:.17g}"]
-            writer.writerow(row)
+        fh.write(",".join(_log_header(d)) + "\r\n")
+        for start in range(0, log.horizon, _WRITE_CHUNK_ROWS):
+            chunk = [col[start:start + _WRITE_CHUNK_ROWS].tolist() for col in columns]
+            fh.write("".join([template % row for row in zip(*chunk)]))
 
 
 def read_log_csv(path, num_arms: int | None = None) -> BanditLog:
-    """Read a log written by ``write_log_csv``.
+    r"""Read a log written by ``write_log_csv``.
 
     ``num_arms`` is the experiment's K: an arm outside 0..K-1 is rejected, and
     an arm that was never pulled stays in the log (``infer`` then reports it).
     Without it K is taken as the largest arm seen plus one, so an unpulled
     last arm cannot be told from a smaller experiment.
+
+    The header and the first data row fix d and whether latents are present;
+    one ``np.loadtxt`` call then parses the rest, straight from the file.
+    Hand-written logs with ``"\n"`` line endings, blank lines and short float
+    spellings ("0.5", "-0", "2.0" for an arm) read too. A header-only log
+    (T = 0) cannot say whether latents exist and reads with ``latents=None``.
+    A log that breaks the schema (wrong header, a short row, a cell that is
+    not a number, an arm that is not a whole number, a propensity outside
+    (0, 1]) raises ``LogFormatError`` naming ``path``.
     """
+    try:
+        return _read_log(path, num_arms)
+    except ValueError as exc:
+        raise LogFormatError(f"log {path}: {exc}") from exc
+
+
+def _read_log(path, num_arms: int | None) -> BanditLog:
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        d = sum(1 for name in header if name.startswith("x_"))
-        rows = list(reader)
-    T = len(rows)
-    contexts = np.zeros((T, d))
-    latents = np.zeros((T, d))
-    arms = np.zeros(T, dtype=np.int64)
-    pis = np.zeros(T)
-    ys = np.zeros(T)
-    have_latent = T > 0 and rows[0][1 + d] != ""
-    for i, row in enumerate(rows):
-        contexts[i] = [float(v) for v in row[1:1 + d]]
-        if have_latent:
-            latents[i] = [float(v) for v in row[1 + d:1 + 2 * d]]
-        arms[i] = int(row[1 + 2 * d]) - 1
-        pis[i] = float(row[2 + 2 * d])
-        ys[i] = float(row[3 + 2 * d])
+        names = fh.readline().rstrip("\r\n").split(",")
+        first = next((line for line in fh if line.strip()), "")
+    d = sum(1 for name in names if name.startswith("x_"))
+    if names != _log_header(d):
+        raise ValueError(f"header {','.join(names)!r} is not t,x_1..x_d,s_1..s_d,a,pi,y")
+    if not first:
+        return BanditLog(contexts=np.zeros((0, d)), arms=np.zeros(0, dtype=np.int64),
+                         propensities=np.zeros(0), outcomes=np.zeros(0),
+                         num_arms=1 if num_arms is None else num_arms)
+    cells = first.rstrip("\r\n").split(",")
+    have_latent = len(cells) > 1 + d and cells[1 + d] != ""
+    usecols = [*range(1, 1 + d), *(range(1 + d, 1 + 2 * d) if have_latent else ()),
+               1 + 2 * d, 2 + 2 * d, 3 + 2 * d]
+    data = np.loadtxt(path, delimiter=",", skiprows=1, usecols=usecols, ndmin=2)
+    width = 2 * d if have_latent else d
+    arm_cells = data[:, width]
+    whole = np.isfinite(arm_cells) & (np.floor(arm_cells) == arm_cells) \
+        & (np.abs(arm_cells) < 2.0 ** 53)
+    if not whole.all():
+        row = int(np.argmin(whole))
+        raise ValueError(f"arm {float(arm_cells[row])!r} in data row {row + 1} "
+                         "is not a whole number")
+    arms = arm_cells.astype(np.int64) - 1
     if num_arms is None:
-        num_arms = int(arms.max()) + 1 if T else 1
-    elif T and (arms.min() < 0 or arms.max() >= num_arms):
+        num_arms = int(arms.max()) + 1
+    elif arms.min() < 0 or arms.max() >= num_arms:
         bad = int(arms[(arms < 0) | (arms >= num_arms)][0]) + 1
-        raise ValueError(f"log {path} has arm {bad} (1-based) outside 1..{num_arms}")
+        raise ValueError(f"arm {bad} (1-based) is outside 1..{num_arms}")
+    # Contiguous copies: strided views of ``data`` could change the summation
+    # order of later reductions, and so the last bits of the estimates.
     return BanditLog(
-        contexts=contexts, arms=arms, propensities=pis, outcomes=ys,
-        num_arms=num_arms, latents=latents if have_latent else None,
+        contexts=data[:, :d].copy(), arms=arms, propensities=data[:, width + 1].copy(),
+        outcomes=data[:, width + 2].copy(), num_arms=num_arms,
+        latents=data[:, d:width].copy() if have_latent else None,
     )

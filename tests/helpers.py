@@ -5,13 +5,16 @@ is solved by exhaustive active-set enumeration (an exact brute-force QP for
 small K), scores are recomputed from their definitions, and the martingale
 check draws fresh rounds against a frozen policy state. ``reference_cadr_loop``
 is CADR as its definition reads: a loop over steps that replays the behavior
-policy and rescans every past row. The single-draw
+policy and rescans every past row. ``reference_write_log_csv`` is the log
+writer as a ``csv.writer`` loop, one row at a time: the byte oracle for the
+chunked writer. The single-draw
 helpers (``sample_round``, ``select_action``) exist only for tests; the
 package itself draws rounds and actions in batches.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 from typing import NamedTuple
@@ -218,3 +221,24 @@ def reference_cadr_loop(log: BanditLog, target_policy: TargetPolicy, regression:
         half = two_sided_z(float(level)) * gamma / math.sqrt(T)
         cis[float(level)] = (psi - half, psi + half)
     return CadrResult(value=psi, gamma=gamma, cis=cis, floored=floored)
+
+
+def reference_write_log_csv(log: BanditLog, path) -> None:
+    """The log CSV written row by row through ``csv.writer``."""
+    d = log.context_dim
+    header = (["t"] + [f"x_{j}" for j in range(1, d + 1)]
+              + [f"s_{j}" for j in range(1, d + 1)] + ["a", "pi", "y"])
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(log.horizon):
+            row = [str(i + 1)]
+            row += [f"{v:.17g}" for v in log.contexts[i]]
+            if log.latents is not None:
+                row += [f"{v:.17g}" for v in log.latents[i]]
+            else:
+                row += [""] * d
+            row += [str(int(log.arms[i]) + 1),
+                    f"{log.propensities[i]:.17g}",
+                    f"{log.outcomes[i]:.17g}"]
+            writer.writerow(row)

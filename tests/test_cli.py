@@ -292,6 +292,27 @@ def test_infer_rejects_arm_beyond_k(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("bad_row, message", [
+    ("21,0.5,,1,0.3333333333333333\n", "column"),        # short row
+    ("21,0.5,,1,0.3333333333333333,n/a\n", "n/a"),      # non-numeric cell
+    ("21,0.5,,1.5,0.3333333333333333,1\n", "arm 1.5"),  # non-integer arm
+])
+def test_infer_malformed_log_exits_one(tmp_path, capsys, bad_row, message):
+    # The well-formed part ("\n" endings, shortest-repr floats) reads; one bad
+    # row makes infer exit 1 with an error line that names the log.
+    log = _three_arm_log(tmp_path, [1, 2] * 10)
+    assert read_log_csv(log).horizon == 20
+    with open(log, "a") as fh:
+        fh.write(bad_row)
+    cfg = _tiny_config(tmp_path)
+    out = tmp_path / "inf"
+    rc = main(["infer", "--config", str(cfg), "--out", str(out), "--log", str(log)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: log {log}:") and message in err
+    assert not (out / "report.json").exists()
+
+
 _STARTUP_SCRIPT = """
 import json, sys
 from pathlib import Path

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from banditlab.env import build_environment, oracle_target
 from banditlab.estimator import (
+    _WRITE_CHUNK_ROWS,
     AuxiliaryData,
     BanditLog,
+    LogFormatError,
     NoDataForArm,
     ScoreTarget,
     TargetPolicy,
@@ -17,10 +21,10 @@ from banditlab.estimator import (
     write_log_csv,
 )
 from banditlab.harness import run_trajectory
-from banditlab.policy import PolicyConfig
+from banditlab.policy import POLICY_KINDS, PolicyConfig
 from banditlab.rng import stream
 
-from helpers import ipwz_residual, martingale_zscores
+from helpers import ipwz_residual, martingale_zscores, reference_write_log_csv
 
 
 def _log(contexts, arms, pis, ys, K=2, **kw):
@@ -228,6 +232,102 @@ class TestCsvRoundTrip:
         assert first[2] == ""          # no latent state -> blank cell
         assert first[3] in ("1", "2")  # arms are 1-based on disk
         assert len(lines) == 4
+
+    # Cells every writer must spell with all 17 digits, or at the ends of the
+    # double range; -0.0 keeps its sign only if written as "-0".
+    SPECIAL = (-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+               0.1 + 0.2, np.nextafter(1.0, 2.0), 2.2250738585072014e-308)
+    SPECIAL_PI = (5e-324, 1.0, np.nextafter(1.0, 0.0), 0.1 + 0.2, 2.2250738585072014e-308)
+
+    @staticmethod
+    def _bits(a):
+        return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+    @given(seed=st.integers(0, 2**32 - 1), K=st.integers(2, 6), d=st.sampled_from([1, 2, 3]),
+           latent=st.booleans(), T=st.sampled_from([0, 1, 7, _WRITE_CHUNK_ROWS + 3]),
+           cell=st.floats(allow_nan=False, allow_infinity=False), data=st.data())
+    def test_round_trip_property(self, tmp_path_factory, seed, K, d, latent, T, cell, data):
+        # Any log, unpulled arms included, reads back bit for bit (the sign of
+        # -0.0 too), and the chunked writer's bytes are the csv.writer loop's.
+        pulled = sorted(data.draw(st.sets(st.integers(0, K - 1), min_size=1), label="pulled"))
+        rng = np.random.default_rng(seed)
+
+        def floats(*shape):
+            # Uniform over bit patterns, so most cells need all 17 digits.
+            v = rng.integers(0, 2**64, size=shape, dtype=np.uint64).view(np.float64)
+            v[~np.isfinite(v)] = 0.5
+            flat = v.reshape(-1)
+            if flat.size:
+                flat[rng.integers(0, flat.size, size=len(self.SPECIAL) + 1)] = \
+                    [*self.SPECIAL, cell]
+            return v
+
+        pis = 1.0 - rng.random(T)
+        if T:
+            pis[rng.integers(0, T, size=len(self.SPECIAL_PI))] = self.SPECIAL_PI
+        log = BanditLog(contexts=floats(T, d), arms=rng.choice(pulled, size=T),
+                        propensities=pis, outcomes=floats(T), num_arms=K,
+                        latents=floats(T, d) if latent else None)
+        out = tmp_path_factory.mktemp("log")
+        write_log_csv(log, out / "new.csv")
+        reference_write_log_csv(log, out / "ref.csv")
+        assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+        back = read_log_csv(out / "new.csv", num_arms=K)
+        assert back.num_arms == K and back.horizon == T and back.context_dim == d
+        np.testing.assert_array_equal(back.arms, log.arms)
+        for name in ("contexts", "propensities", "outcomes"):
+            np.testing.assert_array_equal(self._bits(getattr(back, name)),
+                                          self._bits(getattr(log, name)), err_msg=name)
+        if latent and T:
+            np.testing.assert_array_equal(self._bits(back.latents), self._bits(log.latents))
+        else:
+            # A header-only log cannot say whether latents exist: None either way.
+            assert back.latents is None
+
+    @pytest.mark.parametrize("env_name", ["nonconv_demo", "nc_gaussian"])
+    @pytest.mark.parametrize("kind", [k for k in POLICY_KINDS if k != "random"])
+    def test_writer_bytes_equal_csv_writer_loop(self, tmp_path, env_name, kind):
+        env = build_environment(env_name)
+        log = run_trajectory(env, PolicyConfig(kind=kind), ScoreTarget(family="misspec_linear"),
+                             300, seed=11)
+        write_log_csv(log, tmp_path / "new.csv")
+        reference_write_log_csv(log, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_reads_hand_written_log(self, tmp_path):
+        # "\n" line endings, shortest-repr floats, a whole-number arm as "2.0".
+        path = tmp_path / "log.csv"
+        path.write_text("t,x_1,x_2,s_1,s_2,a,pi,y\n1,0.1,-0,1e-3,2,1,0.5,3\n\n"
+                        "2,1,2,3,4,2.0,1,-1.5\n")
+        log = read_log_csv(path)
+        assert log.num_arms == 2 and log.horizon == 2
+        np.testing.assert_array_equal(log.arms, [0, 1])
+        np.testing.assert_array_equal(log.contexts, [[0.1, -0.0], [1.0, 2.0]])
+        assert np.signbit(log.contexts[0, 1])
+        np.testing.assert_array_equal(log.latents, [[1e-3, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(log.propensities, [0.5, 1.0])
+        np.testing.assert_array_equal(log.outcomes, [3.0, -1.5])
+
+    @pytest.mark.parametrize("body, message", [
+        ("2,0.5,,1,0.5\n", "column"),                     # short row
+        ("2,0.5,,1,0.5,oops\n", "oops"),                  # non-numeric cell
+        ("2,0.5,,1.5,0.5,1\n", "arm 1.5"),                # non-integer arm
+        ("2,0.5,,0,0.5,1\n", "arm indices out of range"),  # arm 0 on disk
+        ("2,0.5,,1,0,1\n", "propensities"),               # zero propensity
+    ])
+    def test_malformed_log_names_file(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,x_1,s_1,a,pi,y\n1,0.25,,2,0.5,1\n" + body)
+        with pytest.raises(LogFormatError, match=message) as info:
+            read_log_csv(path)
+        assert str(path) in str(info.value)
+
+    def test_bad_header_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,x_1,a,pi,y\n1,0.5,1,0.5,1\n")
+        with pytest.raises(LogFormatError, match="header"):
+            read_log_csv(path)
 
     def test_invalid_log_rejected(self):
         with pytest.raises(ValueError):
