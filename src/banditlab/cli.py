@@ -68,7 +68,7 @@ class ConfigError(ValueError):
 
 def load_config(path: str) -> dict:
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
         doc = json.loads(p.read_text())
@@ -229,7 +229,7 @@ def cmd_simulate(config: dict, out_dir: Path, argv) -> int:
 
 
 def cmd_infer(config: dict, out_dir: Path, argv, log_path: str) -> int:
-    if not Path(log_path).exists():
+    if not Path(log_path).is_file():
         raise ConfigError(f"log file not found: {log_path}")
     levels = tuple(config.get("levels", (0.5, 0.95)))
     mode = config.get("variance_mode", "full")
@@ -243,8 +243,12 @@ def cmd_infer(config: dict, out_dir: Path, argv, log_path: str) -> int:
     else:
         target = parse_target(config, "infer config")
     log = read_log_csv(log_path, num_arms=num_arms)
-    reports = [estimate_report(log, target, arm, levels=levels, mode=mode)
-               for arm in range(log.num_arms)]
+    try:
+        reports = [estimate_report(log, target, arm, levels=levels, mode=mode)
+                   for arm in range(log.num_arms)]
+    except NoDataForArm as exc:
+        raise ConfigError(
+            f"log {log_path}: arm {exc.arm + 1} (1-based) has no observations") from exc
     ope = ope_value(log, target, levels=levels, reports=reports) if target.family == "ope" else None
     write_reports_json(reports, out_dir / "report.json", ope_report=ope)
     write_manifest(out_dir, "infer", config, argv)
@@ -380,8 +384,7 @@ def main(argv: list[str] | None = None) -> int:
         if command == "diagnose":
             return cmd_diagnose(config, out_dir, argv)
         return cmd_compare_ope(config, out_dir, argv)
-    except (ConfigError, UnknownEnvironmentError, InvalidParameterError, NoDataForArm,
-            LogFormatError) as exc:
+    except (ConfigError, UnknownEnvironmentError, InvalidParameterError, LogFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

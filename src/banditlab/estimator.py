@@ -168,9 +168,10 @@ class BanditLog:
     """The adaptively collected dataset: one row per round.
 
     Arrays are aligned over rounds t = 1..T. ``latents`` is present only for
-    environments with a latent state, ``distributions`` (the full action
-    distribution at each round) only when the collector recorded it. Arms are
-    0-based in memory and 1-based in the CSV serialization.
+    environments with a latent state. The fields are exactly the columns of
+    the CSV serialization, so ``read_log_csv(path, num_arms=K)`` gives back the
+    log ``write_log_csv`` wrote, bit for bit (a header-only log reads without
+    latents). Arms are 0-based in memory and 1-based in the CSV.
     """
 
     contexts: np.ndarray          # (T, d)
@@ -178,8 +179,7 @@ class BanditLog:
     propensities: np.ndarray      # (T,) realized selection probabilities
     outcomes: np.ndarray          # (T,)
     num_arms: int
-    latents: np.ndarray | None = None        # (T, d) or None
-    distributions: np.ndarray | None = None  # (T, K) or None
+    latents: np.ndarray | None = None  # (T, d) or None
 
     def __post_init__(self):
         contexts = np.asarray(self.contexts, dtype=float)

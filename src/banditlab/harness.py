@@ -15,10 +15,12 @@ summaries.
 The block engine (``_run_block``) simulates B trajectories in lockstep. Each
 pre-draws its rounds and action uniforms from its own streams; then every
 round makes one row-wise ``action_distribution`` call on the (B, ...) block
-state, draws B arms by inverse CDF, and makes one row-wise ``update_state``.
-The policy computes each row exactly as for a lone trajectory, so a log does
-not depend on the block it ran in; ``run_trajectory`` is a block of one, as
-is every policy state outside the engine.
+state, draws B arms by inverse CDF, records each drawn arm's probability as
+its realized propensity, and makes one row-wise ``update_state``. A log holds
+exactly the columns of its CSV. The policy computes each row exactly as for a
+lone trajectory, so a log does not depend on the block it ran in;
+``run_trajectory`` is a block of one, as is every policy state outside the
+engine, and a zero horizon gives an empty log by the same path.
 ``replicate`` splits the R replications of a looped policy into contiguous
 blocks of at most ``BLOCK_CAP``, as many as a multiple of the worker count,
 and maps them over the process pool; inference, CADR, diagnostics (read from
@@ -40,8 +42,9 @@ and its values sit next to IPW-Z's in the record's ``values`` table as
 finite context support the block engine records every replication's policy at
 the support's distinct contexts each round (the round's own distribution is
 its context's row), and CADR reads g_t from that table; on continuous
-contexts CADR replays the policy from the log. Either way its step variances
-come from prefix sums per (context, arm), not from a rescan of the past.
+contexts, or on a log read back from disk, CADR replays the policy from the
+log. Either way its step variances come from prefix sums per (context, arm),
+not from a rescan of the past.
 """
 
 from __future__ import annotations
@@ -78,6 +81,9 @@ BLOCK_CAP = 64
 
 CADR_REGRESSIONS = ("zero", "online_linear")
 
+# Largest share of failed replications a run tolerates; beyond it ``replicate`` raises.
+FAILURE_TOLERANCE = 0.05
+
 
 def check_levels_and_mode(levels, variance_mode: str) -> None:
     """Reject empty or out-of-(0, 1) confidence levels and an unknown variance mode."""
@@ -102,7 +108,6 @@ class ExperimentConfig:
     variance_mode: str = "full"
     workers: int = 1
     n_oracle: int = 1_000_000
-    failure_tolerance: float = 0.05
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -158,16 +163,6 @@ def oracle_thetas(env: EnvironmentSpec, target: ScoreTarget,
 # --- trajectories ---------------------------------------------------------------
 
 
-def _empty_log(env: EnvironmentSpec) -> BanditLog:
-    d, K = env.context_dim, env.num_arms
-    return BanditLog(
-        contexts=np.zeros((0, d)), arms=np.zeros(0, dtype=np.int64),
-        propensities=np.zeros(0), outcomes=np.zeros(0), num_arms=K,
-        latents=np.zeros((0, d)) if env.has_latent else None,
-        distributions=np.zeros((0, K)),
-    )
-
-
 def _run_block(env: EnvironmentSpec, policy: PolicyConfig, target: ScoreTarget | None,
                horizon: int, seed: int, paths: list[tuple], probes: np.ndarray | None = None):
     """Run one trajectory per stream path in lockstep.
@@ -176,23 +171,23 @@ def _run_block(env: EnvironmentSpec, policy: PolicyConfig, target: ScoreTarget |
     its rounds and uniforms from its own streams, so its log does not depend
     on the block it runs in. The looped kinds then make one block-wide
     distribution call and one block-wide update per round; ``random`` draws
-    every arm at once. Given (C, d) ``probes``, the table (B, T, C, K) holds
-    each trajectory's round-t distribution at every probe context (one
-    row-wise call per probe and round); otherwise it is None. The probes must
-    cover every context the environment draws: each round's own distribution
-    is then its context's row of the table, with no further call.
+    every arm at once. The drawn arms' probabilities fill a (B, T) array, and
+    log b takes its row b as its propensities. Given (C, d) ``probes``, the
+    table (B, T, C, K) holds each trajectory's round-t distribution at every
+    probe context (one row-wise call per probe and round); otherwise it is
+    None. The probes must cover every context the environment draws: each
+    round's own distribution is then its context's row of the table, with no
+    further call.
     """
     K, d, B = env.num_arms, env.context_dim, len(paths)
     state = init_state(policy, K, d, target=target, block=B)
     table = None if probes is None else np.full((B, horizon, len(probes), K), 1.0 / K)
-    if horizon == 0:
-        return [_empty_log(env) for _ in paths], state, table
     draws = [(sample_rounds(env, stream(seed, *path, PURPOSE_ENV), horizon),
               stream(seed, *path, PURPOSE_POLICY).random(horizon)) for path in paths]
 
     if policy.kind == "random":
         arms = np.minimum((np.stack([u for _, u in draws]) * K).astype(np.int64), K - 1)
-        distributions = np.full((B, horizon, K), 1.0 / K)
+        propensities = np.full((B, horizon), 1.0 / K)
         state.t = horizon
         for b, (rounds, _) in enumerate(draws):
             np.add.at(state.counts[b], arms[b], 1)
@@ -204,7 +199,7 @@ def _run_block(env: EnvironmentSpec, policy: PolicyConfig, target: ScoreTarget |
         uniforms = np.stack([u for _, u in draws], axis=1)               # (T, B)
         rows = np.arange(B)
         arms = np.empty((B, horizon), dtype=np.int64)
-        distributions = np.empty((B, horizon, K))
+        propensities = np.empty((B, horizon))
         tiled = [] if probes is None else [np.tile(p, (B, 1)) for p in probes]
         # Every drawn context is a probe: its round's distribution is a row of the table.
         cells = (None if probes is None
@@ -219,15 +214,13 @@ def _run_block(env: EnvironmentSpec, policy: PolicyConfig, target: ScoreTarget |
             arm = np.minimum((np.cumsum(probs, axis=1) <= uniforms[t][:, None]).sum(axis=1),
                              K - 1)
             arms[:, t] = arm
-            distributions[:, t] = probs
-            update_state(policy, state, Transition(x, arm, probs[rows, arm],
-                                                   potentials[t, rows, arm]))
+            propensities[:, t] = prob = probs[rows, arm]
+            update_state(policy, state, Transition(x, arm, prob, potentials[t, rows, arm]))
 
     steps = np.arange(horizon)
-    logs = [BanditLog(contexts=rounds.contexts, arms=arms[b],
-                      propensities=distributions[b, steps, arms[b]],
+    logs = [BanditLog(contexts=rounds.contexts, arms=arms[b], propensities=propensities[b],
                       outcomes=rounds.potentials[steps, arms[b]], num_arms=K,
-                      latents=rounds.latents, distributions=distributions[b])
+                      latents=rounds.latents)
             for b, (rounds, _) in enumerate(draws)]
     return logs, state, table
 
@@ -423,10 +416,10 @@ def replicate(config: ExperimentConfig, cadr_regressions=()) -> ReplicationSumma
     results.sort(key=lambda r: r.rep)  # deterministic fold regardless of pool order
 
     failures = [(r.rep, r.error) for r in results if r.error is not None]
-    if len(failures) == R or len(failures) > config.failure_tolerance * R:
+    if len(failures) > FAILURE_TOLERANCE * R:
         raise RuntimeError(
             f"{len(failures)} of {R} replications failed (tolerance "
-            f"{config.failure_tolerance:.0%}); first: rep {failures[0][0]}: {failures[0][1]}")
+            f"{FAILURE_TOLERANCE:.0%}); first: rep {failures[0][0]}: {failures[0][1]}")
     diag = _stack([r.diag_probs for r in results]) if config.diagnostic_contexts else None
     return ReplicationSummary(config=config, thetas_star=thetas_star, v_star=v_star,
                               last_step_probs=diag, failures=failures,
@@ -549,8 +542,6 @@ def cadr_ope(
     """
     if regression not in CADR_REGRESSIONS:
         raise ValueError(f"unknown regression {regression!r}; expected one of {CADR_REGRESSIONS}")
-    if log.distributions is None:
-        raise ValueError("cadr_ope requires a log that stores full action distributions")
     T, K, d = log.horizon, log.num_arms, log.context_dim
     if T <= burn_in:
         raise ValueError(f"horizon {T} is below the CADR burn-in {burn_in}")

@@ -7,7 +7,8 @@ check draws fresh rounds against a frozen policy state. ``reference_cadr_loop``
 is CADR as its definition reads: a loop over steps that replays the behavior
 policy and rescans every past row. ``reference_write_log_csv`` is the log
 writer as a ``csv.writer`` loop, one row at a time: the byte oracle for the
-chunked writer. The single-draw
+chunked writer. ``assert_logs_equal`` compares every field of two logs, so no
+field can be left out of a comparison. The single-draw
 helpers (``sample_round``, ``select_action``) exist only for tests; the
 package itself draws rounds and actions in batches.
 """
@@ -15,6 +16,7 @@ package itself draws rounds and actions in batches.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import itertools
 import math
 from typing import NamedTuple
@@ -221,6 +223,19 @@ def reference_cadr_loop(log: BanditLog, target_policy: TargetPolicy, regression:
         half = two_sided_z(float(level)) * gamma / math.sqrt(T)
         cis[float(level)] = (psi - half, psi + half)
     return CadrResult(value=psi, gamma=gamma, cis=cis, floored=floored)
+
+
+def assert_logs_equal(a: BanditLog, b: BanditLog, what: str = "") -> None:
+    """Every field of ``BanditLog`` is equal in ``a`` and ``b``: arrays bit for bit, with dtype."""
+    for f in dataclasses.fields(BanditLog):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        where = f"{what}: {f.name}" if what else f.name
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            assert isinstance(x, np.ndarray) and isinstance(y, np.ndarray), where
+            np.testing.assert_array_equal(x, y, err_msg=where)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), where
+        else:
+            assert x == y, where
 
 
 def reference_write_log_csv(log: BanditLog, path) -> None:

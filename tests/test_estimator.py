@@ -1,5 +1,7 @@
 """Score functions, IPW-Z solving, log serialization, martingale property."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -24,7 +26,12 @@ from banditlab.harness import run_trajectory
 from banditlab.policy import POLICY_KINDS, PolicyConfig
 from banditlab.rng import stream
 
-from helpers import ipwz_residual, martingale_zscores, reference_write_log_csv
+from helpers import (
+    assert_logs_equal,
+    ipwz_residual,
+    martingale_zscores,
+    reference_write_log_csv,
+)
 
 
 def _log(contexts, arms, pis, ys, K=2, **kw):
@@ -213,12 +220,7 @@ class TestCsvRoundTrip:
                              ScoreTarget(family="misspec_linear"), 200, seed=19)
         path = tmp_path / "log.csv"
         write_log_csv(log, path)
-        back = read_log_csv(path)
-        np.testing.assert_array_equal(back.arms, log.arms)
-        np.testing.assert_array_equal(back.propensities, log.propensities)
-        np.testing.assert_array_equal(back.contexts, log.contexts)
-        np.testing.assert_array_equal(back.latents, log.latents)
-        np.testing.assert_array_equal(back.outcomes, log.outcomes)
+        assert_logs_equal(read_log_csv(path, env.num_arms), log)
 
     def test_csv_schema(self, tmp_path):
         env = build_environment("nonconv_demo")
@@ -238,10 +240,6 @@ class TestCsvRoundTrip:
     SPECIAL = (-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
                0.1 + 0.2, np.nextafter(1.0, 2.0), 2.2250738585072014e-308)
     SPECIAL_PI = (5e-324, 1.0, np.nextafter(1.0, 0.0), 0.1 + 0.2, 2.2250738585072014e-308)
-
-    @staticmethod
-    def _bits(a):
-        return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
     @given(seed=st.integers(0, 2**32 - 1), K=st.integers(2, 6), d=st.sampled_from([1, 2, 3]),
            latent=st.booleans(), T=st.sampled_from([0, 1, 7, _WRITE_CHUNK_ROWS + 3]),
@@ -273,17 +271,10 @@ class TestCsvRoundTrip:
         reference_write_log_csv(log, out / "ref.csv")
         assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
 
-        back = read_log_csv(out / "new.csv", num_arms=K)
-        assert back.num_arms == K and back.horizon == T and back.context_dim == d
-        np.testing.assert_array_equal(back.arms, log.arms)
-        for name in ("contexts", "propensities", "outcomes"):
-            np.testing.assert_array_equal(self._bits(getattr(back, name)),
-                                          self._bits(getattr(log, name)), err_msg=name)
-        if latent and T:
-            np.testing.assert_array_equal(self._bits(back.latents), self._bits(log.latents))
-        else:
-            # A header-only log cannot say whether latents exist: None either way.
-            assert back.latents is None
+        # Every field bit for bit, except that a header-only log cannot say
+        # whether latents exist: it reads with None either way.
+        assert_logs_equal(read_log_csv(out / "new.csv", num_arms=K),
+                          log if T else replace(log, latents=None))
 
     @pytest.mark.parametrize("env_name", ["nonconv_demo", "nc_gaussian"])
     @pytest.mark.parametrize("kind", [k for k in POLICY_KINDS if k != "random"])
