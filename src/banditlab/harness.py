@@ -15,7 +15,8 @@ summaries.
 The block engine (``_run_block``) simulates B trajectories in lockstep. Each
 pre-draws its rounds and action uniforms from its own streams; then every
 round makes one row-wise ``action_distribution`` call on the (B, ...) block
-state, draws B arms by inverse CDF, records each drawn arm's probability as
+state (at the B drawn contexts, or at all C probe contexts as one (B, C, d)
+call), draws B arms by inverse CDF, records each drawn arm's probability as
 its realized propensity, and makes one row-wise ``update_state``. A log holds
 exactly the columns of its CSV. The policy computes each row exactly as for a
 lone trajectory, so a log does not depend on the block it ran in;
@@ -67,6 +68,7 @@ from .policy import (
     Transition,
     action_distribution,
     init_state,
+    row_offsets,
     update_state,
 )
 from .rng import PURPOSE_ENV, PURPOSE_POLICY, stream
@@ -174,10 +176,11 @@ def _run_block(env: EnvironmentSpec, policy: PolicyConfig, target: ScoreTarget |
     every arm at once. The drawn arms' probabilities fill a (B, T) array, and
     log b takes its row b as its propensities. Given (C, d) ``probes``, the
     table (B, T, C, K) holds each trajectory's round-t distribution at every
-    probe context (one row-wise call per probe and round); otherwise it is
-    None. The probes must cover every context the environment draws: each
-    round's own distribution is then its context's row of the table, with no
-    further call.
+    probe context, filled by the round's one call on the (B, C, d) grid of
+    probes; otherwise it is None. The probes must cover every context the
+    environment draws: each round's own distribution is then its context's
+    row of the table, with no further call. The round's gathers (the drawn
+    arm's probability and outcome) take flat indices b * K + arm.
     """
     K, d, B = env.num_arms, env.context_dim, len(paths)
     state = init_state(policy, K, d, target=target, block=B)
@@ -196,26 +199,30 @@ def _run_block(env: EnvironmentSpec, policy: PolicyConfig, target: ScoreTarget |
         # Round-major copies, so that each round's B rows are contiguous.
         contexts = np.stack([r.contexts for r, _ in draws], axis=1)      # (T, B, d)
         potentials = np.stack([r.potentials for r, _ in draws], axis=1)  # (T, B, K)
-        uniforms = np.stack([u for _, u in draws], axis=1)               # (T, B)
-        rows = np.arange(B)
+        uniforms = np.stack([u for _, u in draws], axis=1)[..., None]    # (T, B, 1)
+        offsets = row_offsets(B, K)
         arms = np.empty((B, horizon), dtype=np.int64)
         propensities = np.empty((B, horizon))
-        tiled = [] if probes is None else [np.tile(p, (B, 1)) for p in probes]
-        # Every drawn context is a probe: its round's distribution is a row of the table.
-        cells = (None if probes is None
-                 else _cells(contexts.reshape(-1, d), probes).reshape(horizon, B))
+        if probes is not None:
+            grid = np.tile(probes, (B, 1, 1))                            # (B, C, d)
+            # Every drawn context is a probe: its round's distribution is a row
+            # of the table, row b * C + cell of the round's (B * C, K) block.
+            cells = (_cells(contexts.reshape(-1, d), probes).reshape(horizon, B)
+                     + row_offsets(B, len(probes)))
         for t in range(horizon):
-            for c, probe in enumerate(tiled):
-                table[:, t, c] = action_distribution(policy, state, probe)
             x = contexts[t]
-            probs = (action_distribution(policy, state, x) if cells is None
-                     else table[rows, t, cells[t]])
-            # The searchsorted(cumsum(probs), u, side="right") of each row.
-            arm = np.minimum((np.cumsum(probs, axis=1) <= uniforms[t][:, None]).sum(axis=1),
-                             K - 1)
+            if probes is None:
+                probs = action_distribution(policy, state, x)
+            else:
+                table[:, t] = dist = action_distribution(policy, state, grid)
+                probs = dist.reshape(-1, K).take(cells[t], axis=0)
+            # The searchsorted(cumsum(probs), u, side="right") of each row: partial
+            # sums never decrease, so counting the first K - 1 caps the arm at K - 1.
+            arm = np.add.reduce(probs[:, :-1].cumsum(1) <= uniforms[t], axis=1, dtype=np.intp)
+            flat = offsets + arm
             arms[:, t] = arm
-            propensities[:, t] = prob = probs[rows, arm]
-            update_state(policy, state, Transition(x, arm, prob, potentials[t, rows, arm]))
+            propensities[:, t] = prob = probs.take(flat)
+            update_state(policy, state, Transition(x, arm, prob, potentials[t].take(flat)))
 
     steps = np.arange(horizon)
     logs = [BanditLog(contexts=rounds.contexts, arms=arms[b], propensities=propensities[b],
@@ -302,10 +309,9 @@ def _replicate_block(config: ExperimentConfig, reps: range, thetas_star: np.ndar
     diag = [None] * len(reps)
     if config.diagnostic_contexts:
         # Last-step distributions at each diagnostic context: (B, n_ctx, K).
-        diag = np.stack([action_distribution(config.policy, state,
-                                             np.tile(np.atleast_1d(np.asarray(c, dtype=float)),
-                                                     (len(reps), 1)))
-                         for c in config.diagnostic_contexts], axis=1)
+        points = np.stack([np.atleast_1d(np.asarray(c, dtype=float))
+                           for c in config.diagnostic_contexts])
+        diag = action_distribution(config.policy, state, np.tile(points, (len(reps), 1, 1)))
     results = []
     for i, (rep, log, probs) in enumerate(zip(reps, logs, diag)):
         behavior = None if table is None else BehaviorTable(probes, table[i])

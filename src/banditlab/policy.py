@@ -8,12 +8,13 @@ in a mutable ``PolicyState`` owned by a block of B trajectories that advance
 in lockstep. A lone trajectory is a block of one.
 
 Each policy kind has one implementation, written row-wise: its distribution
-maps a block state and B contexts to B distributions, and its update folds B
-transitions into the block state. A block of one broadcasts over any number
-of contexts. Every per-row reduction is computed exactly as it would be for
-that row alone (elementwise arithmetic, or one BLAS call per row through a
-stacked ``np.matmul``), so a row's result does not depend on the block it
-runs in.
+maps a block state and B contexts (B, d), or C contexts per row (B, C, d), to
+one distribution per context, and its update folds B transitions into the
+block state through flat indices b * K + arm. A block of one broadcasts over
+any number of contexts. Every per-row reduction is computed exactly as it
+would be for that row alone (elementwise arithmetic, or one BLAS call per
+context through a stacked ``np.matmul``), so a row's result does not depend
+on the block it runs in, nor on the other contexts evaluated with it.
 
 Clipped policies floor every action probability at ``pi_min`` via the exact
 L2 projection onto the constrained simplex (``clip_simplex``), keeping
@@ -197,42 +198,79 @@ def init_state(config: PolicyConfig, num_arms: int, context_dim: int,
     return state
 
 
+# --- flat indices -------------------------------------------------------------
+# Entry (b, a) of a (B, K, ...) array is row b * K + a of its (B * K, ...) view:
+# one index array gathers or scatters one entry per row.
+
+
+@lru_cache(maxsize=64)
+def row_offsets(rows: int, width: int) -> np.ndarray:
+    """b * width for each row b of a (rows, width) array. Read-only, shared."""
+    offsets = np.arange(rows) * width
+    offsets.flags.writeable = False
+    return offsets
+
+
+def _by_row(a: np.ndarray) -> np.ndarray:
+    """The (B * K, ...) view of a (B, K, ...) state array.
+
+    Raises on a non-contiguous array, whose reshape would be a copy that a
+    scatter silently misses.
+    """
+    if not a.flags.c_contiguous:
+        raise ValueError("state arrays must be C-contiguous to scatter through a flat view")
+    return a.reshape((-1,) + a.shape[2:])
+
+
 # --- clipping -----------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _clip_ladder(num_arms: int, pi_min: float) -> tuple[np.ndarray, np.ndarray]:
+    """The sizes m = 1..K of a candidate unclipped set, and the floor mass (K - m) * pi_min.
+
+    Read-only, shared.
+    """
+    ms = np.arange(1, num_arms + 1)
+    floor_mass = (num_arms - ms) * pi_min
+    ms.flags.writeable = floor_mass.flags.writeable = False
+    return ms, floor_mass
+
+
 def clip_simplex(P: np.ndarray, pi_min: float) -> np.ndarray:
-    """Row-wise L2 projection onto {p : sum p = 1, p >= pi_min}.
+    """Row-wise L2 projection onto {p : sum p = 1, p >= pi_min}, over the last axis.
 
     Each row's projection is max(p - nu, pi_min) where nu is the unique root of
     q(nu) = sum_a max(p_a - nu, pi_min) = 1; q is piecewise linear in nu, so
-    the root is found exactly by sorting, with no iteration. One (K,) row
-    gives one (K,) row.
+    the root is found exactly by sorting, with no iteration. Rows that are
+    already feasible come back unchanged, and the result has P's shape.
     """
     P = np.asarray(P, dtype=float)
-    if P.ndim == 1:
-        return clip_simplex(P[None], pi_min)[0]
-    n, K = P.shape
+    shape, K = P.shape, P.shape[-1]
     if K * pi_min > 1.0 + 1e-12:
         raise InfeasibleClipError(f"K * pi_min = {K * pi_min:.4f} > 1 is infeasible")
-    ok = (np.abs(P.sum(axis=1) - 1.0) <= 1e-12) & (P.min(axis=1) >= pi_min)
-    if ok.all():
+    # Every clipped round runs this test: ufunc reductions give ndarray.sum / min /
+    # max bit for bit without their Python wrappers.
+    off = np.abs(np.add.reduce(P, axis=-1) - 1.0).reshape(-1)
+    if (np.minimum.reduce(P, axis=None, initial=math.inf) >= pi_min
+            and np.maximum.reduce(off, initial=0.0) <= 1e-12):
         return P.copy()
+    P = P.reshape(-1, K)
     desc = np.sort(P, axis=1)[:, ::-1]
-    prefix = np.cumsum(desc, axis=1)
-    ms = np.arange(1, K + 1)
-    nus = (prefix + (K - ms) * pi_min - 1.0) / ms              # (n, K) candidate roots
-    lower_ok = desc - nus >= pi_min - 1e-15                    # m-th largest stays unclipped
-    upper_ok = np.ones_like(lower_ok)
-    upper_ok[:, :-1] = desc[:, 1:] - nus[:, :-1] <= pi_min + 1e-15
-    valid = lower_ok & upper_ok
+    ms, floor_mass = _clip_ladder(K, pi_min)
+    nus = (desc.cumsum(axis=1) + floor_mass - 1.0) / ms       # (n, K) candidate roots
+    valid = desc - nus >= pi_min - 1e-15                       # m-th largest stays unclipped
+    valid[:, :-1] &= desc[:, 1:] - nus[:, :-1] <= pi_min + 1e-15
     # Largest valid m per row; rows with none (K*pi_min == 1) get all-pi_min.
-    any_valid = valid.any(axis=1)
-    m_idx = np.where(any_valid, K - 1 - np.argmax(valid[:, ::-1], axis=1), 0)
-    nu = nus[np.arange(n), m_idx]
-    out = np.maximum(P - nu[:, None], pi_min)
-    out[~any_valid] = pi_min
-    out[ok] = P[ok]
-    return out
+    any_valid = np.logical_or.reduce(valid, axis=1)
+    m_idx = np.where(any_valid, K - 1 - valid[:, ::-1].argmax(axis=1), 0)
+    out = np.maximum(P - nus.take(row_offsets(P.shape[0], K) + m_idx)[:, None], pi_min)
+    if not any_valid.all():
+        out[~any_valid] = pi_min
+    ok = (off <= 1e-12) & (np.minimum.reduce(P, axis=1) >= pi_min)
+    if ok.any():
+        out[ok] = P[ok]
+    return out.reshape(shape)
 
 
 # --- Thompson sampling optimal-arm probabilities -------------------------------
@@ -331,18 +369,28 @@ def ts_optimal_prob(post_means: np.ndarray, post_vars: np.ndarray) -> np.ndarray
 # --- distribution constructors --------------------------------------------------
 
 
-def _apply(coefs: np.ndarray, contexts: np.ndarray) -> np.ndarray:
-    """(B, K): row b's (K, p) coefficients times its (p,) context.
+def _per_row(a: np.ndarray, contexts: np.ndarray) -> np.ndarray:
+    """The (B, ...) array ``a`` with a length-one axis for each context axis of ``contexts``.
 
-    A stacked matmul makes one BLAS call per row, so each row equals the
-    one-trajectory product ``coefs[b] @ contexts[b]`` bit for bit.
+    So row b of ``a`` broadcasts against row b's contexts, (B, d) or (B, C, d).
     """
-    return np.matmul(coefs, contexts[..., None])[..., 0]
+    return a.reshape(a.shape[:1] + (1,) * (contexts.ndim - 2) + a.shape[1:])
+
+
+def _apply(coefs: np.ndarray, contexts: np.ndarray) -> np.ndarray:
+    """(B, ..., K): row b's (K, p) coefficients times each of its (p,) contexts.
+
+    A stacked matmul makes one BLAS call per context, so each entry equals
+    the one-trajectory product ``coefs[b] @ contexts[b, ...]`` bit for bit.
+    """
+    return np.matmul(_per_row(coefs, contexts), contexts[..., None])[..., 0]
 
 
 def _greedy_rows(best: np.ndarray, num_arms: int, explore_each: float) -> np.ndarray:
-    out = np.full((best.shape[0], num_arms), explore_each)
-    out[np.arange(best.shape[0]), best] = 1.0 - (num_arms - 1) * explore_each
+    """One distribution per entry of ``best``: ``explore_each`` on every other arm."""
+    out = np.full(best.shape + (num_arms,), explore_each)
+    out.reshape(-1)[row_offsets(best.size, num_arms) + best.reshape(-1)] = \
+        1.0 - (num_arms - 1) * explore_each
     return out
 
 
@@ -373,13 +421,13 @@ def boltzmann_distribution(beta: np.ndarray, contexts: np.ndarray,
                            gamma: float, pi_min: float) -> np.ndarray:
     """Clipped softmax of the working-model action values <beta_a, x> / gamma.
 
-    Row-wise over ``beta`` (B, K, d) and ``contexts`` (B, d); a block of one
-    coefficient set broadcasts over any number of contexts.
+    Row-wise over ``beta`` (B, K, d) and ``contexts`` (B, d) or (B, C, d),
+    by ``action_distribution``'s shape rule.
     """
     scores = _apply(beta, contexts) / gamma
-    scores -= scores.max(axis=1, keepdims=True)
+    scores -= scores.max(axis=-1, keepdims=True)
     expd = np.exp(scores)
-    return clip_simplex(expd / expd.sum(axis=1, keepdims=True), pi_min)
+    return clip_simplex(expd / expd.sum(axis=-1, keepdims=True), pi_min)
 
 
 def linucb_distribution(state: PolicyState, contexts: np.ndarray,
@@ -388,39 +436,44 @@ def linucb_distribution(state: PolicyState, contexts: np.ndarray,
 
     Row-wise like ``boltzmann_distribution``.
     """
-    widths = np.sqrt(np.einsum("bi,baij,bj->ba", contexts, state.ridge_gram_inv, contexts))
+    widths = np.sqrt(np.einsum("b...i,baij,b...j->b...a",
+                               contexts, state.ridge_gram_inv, contexts))
     index = _apply(state.ridge_beta, contexts) + alpha * widths
-    return _greedy_rows(np.argmax(index, axis=1), state.num_arms, pi_min)
+    return _greedy_rows(np.argmax(index, axis=-1), state.num_arms, pi_min)
 
 
 def _ipwz_distribution(config: PolicyConfig, state: PolicyState,
                        contexts: np.ndarray) -> np.ndarray:
     """Uniform until every arm's estimate is ready, then clipped eps-greedy on them."""
     K = state.num_arms
-    out = np.full((contexts.shape[0], K), 1.0 / K)
+    out = np.full(contexts.shape[:-1] + (K,), 1.0 / K)
     if not state.ipw_ready.any():
         return out
     eps = config.epsilon_for(K, state.t + 1)
-    best = np.argmax(_apply(state.ipw_theta, state.target.regressors(contexts)), axis=1)
+    best = np.argmax(_apply(state.ipw_theta, state.target.regressors(contexts)), axis=-1)
     greedy = clip_simplex(_greedy_rows(best, K, eps / K), config.pi_min)
-    return np.where(state.ipw_ready[:, None], greedy, out)
+    return np.where(_per_row(state.ipw_ready, contexts)[..., None], greedy, out)
 
 
 def action_distribution(config: PolicyConfig, state: PolicyState,
                         context: np.ndarray) -> np.ndarray:
     """The policy's action distribution at ``context`` given the current state.
 
-    ``context`` holds one row per trajectory (B, d) and the result is (B, K).
-    A block of one gives one row per context for any number of contexts (a
-    read-only broadcast of its one row for the context-free MAB kinds).
+    Shape rule: axis 0 of ``context`` is the block axis and its last axis is
+    the context dimension d. ``context`` (B, d) gives (B, K), one context per
+    trajectory; (B, C, d) gives (B, C, K), C contexts evaluated under each
+    trajectory's state. Entry (b, c) equals the (B, d) call at the contexts
+    ``context[:, c]`` bit for bit. A block of one broadcasts over axis 0, so
+    it evaluates any number of contexts. The context-free MAB kinds return a
+    read-only broadcast of their (B, K) rows.
     """
     kind = config.kind
-    n, K = context.shape[0], state.num_arms
+    shape = context.shape[:-1] + (state.num_arms,)
     if kind == "random":
-        return np.full((n, K), 1.0 / K)
+        return np.full(shape, 1.0 / state.num_arms)
     if kind.endswith("_mab"):
         probs = mab_distribution(kind.removesuffix("_mab"), state, config)
-        return probs if probs.shape[0] == n else np.broadcast_to(probs, (n, K))
+        return probs if probs.shape == shape else np.broadcast_to(_per_row(probs, context), shape)
     if kind == "boltzmann_ridge":
         return boltzmann_distribution(state.ridge_beta, context, config.gamma, config.pi_min)
     if kind == "boltzmann_sgd":
@@ -482,44 +535,51 @@ def _well_conditioned(G: np.ndarray, threshold: float = 1e12) -> np.ndarray:
     return ok & np.array([_cond_below(g, threshold) for g in G], dtype=bool)
 
 
-def _refresh_ipwz(state: PolicyState, rows: np.ndarray, arms: np.ndarray) -> None:
-    """Re-solve each row's pulled-arm IPW-Z estimate; flag readiness."""
+def _refresh_ipwz(state: PolicyState, flat: np.ndarray) -> None:
+    """Re-solve each row's pulled-arm IPW-Z estimate (``flat``: b * K + arm); flag readiness."""
     target = state.target
-    gram = state.ipw_gram[rows, arms] - state.ipw_weight[rows, arms][:, None, None] * target.shift
+    gram = (_by_row(state.ipw_gram).take(flat, axis=0)
+            - state.ipw_weight.take(flat)[:, None, None] * target.shift)
     ok = _well_conditioned(gram)
-    state.ipw_ok[rows, arms] = ok
+    state.ipw_ok.put(flat, ok)
     if ok.any():
-        state.ipw_theta[rows[ok], arms[ok]] = _solve_small(gram[ok],
-                                                           state.ipw_moment[rows[ok], arms[ok]])
+        solved = flat[ok]
+        _by_row(state.ipw_theta)[solved] = _solve_small(
+            gram[ok], _by_row(state.ipw_moment).take(solved, axis=0))
     need = target.theta_dim(state.context_dim)
     state.ipw_ready[:] = np.all(state.counts >= need, axis=1) & state.ipw_ok.all(axis=1)
 
 
 def update_state(config: PolicyConfig, state: PolicyState,
                  transition: Transition) -> PolicyState:
-    """Fold one transition per trajectory into the block's summary statistics (in place)."""
+    """Fold one transition per trajectory into the block's summary statistics (in place).
+
+    Row b's pulled arm is entry b * K + arm of each (B, K, ...) statistic, so
+    every gather is one ``take`` and every scatter one flat assignment.
+    """
     X, arms, probs, ys = transition
     arm_list = arms.tolist()  # Python's min/max beat two numpy reductions on small blocks
     if min(arm_list) < 0 or max(arm_list) >= state.num_arms:
         raise ValueError(f"arms {arm_list} out of range for K={state.num_arms}")
-    rows = np.arange(state.block)
-    pulled = (rows, arms)
+    flat = row_offsets(state.block, state.num_arms) + arms
     state.t += 1
-    np.add.at(state.counts, pulled, 1)
-    np.add.at(state.sums, pulled, ys)
+    state.counts.put(flat, state.counts.take(flat) + 1)
+    state.sums.put(flat, state.sums.take(flat) + ys)
 
     if state.ridge_gram is not None:
-        gram = state.ridge_gram[rows, arms] + X[:, :, None] * X[:, None, :]
-        moment = state.ridge_moment[rows, arms] + X * ys[:, None]
-        state.ridge_gram[rows, arms] = gram
-        state.ridge_moment[rows, arms] = moment
+        grams, moments = _by_row(state.ridge_gram), _by_row(state.ridge_moment)
+        gram = grams.take(flat, axis=0) + X[:, :, None] * X[:, None, :]
+        moment = moments.take(flat, axis=0) + X * ys[:, None]
+        grams[flat] = gram
+        moments[flat] = moment
         if state.ridge_gram_inv is not None:
-            state.ridge_gram_inv[rows, arms] = _inv_small(gram)
-        state.ridge_beta[rows, arms] = _solve_small(gram, moment)
+            _by_row(state.ridge_gram_inv)[flat] = _inv_small(gram)
+        _by_row(state.ridge_beta)[flat] = _solve_small(gram, moment)
 
     if config.kind == "boltzmann_sgd":
         rate = config.sgd_rate_fn(state.t)
-        beta = state.sgd_beta[rows, arms]
+        betas = _by_row(state.sgd_beta)
+        beta = betas.take(flat, axis=0)
         beta = beta + rate * score_g(state.target, arms, X, ys, beta, num_arms=state.num_arms)
         # One dot per row, as np.linalg.norm computes it for one vector.
         norm = np.sqrt(np.matmul(beta[:, None, :], beta[:, :, None])[:, 0, 0])
@@ -527,16 +587,17 @@ def update_state(config: PolicyConfig, state: PolicyState,
         if clipped.any():
             beta[clipped] *= (SGD_COEF_RADIUS / norm[clipped])[:, None]
             state.sgd_clip_count[clipped] += 1
-        state.sgd_beta[rows, arms] = beta
+        betas[flat] = beta
 
     if config.kind == "ipwz_greedy":
         w = 1.0 / probs
         target = state.target
         Z = target.regressors(X)
         c = target.outcome_scale(arms, state.num_arms)
-        np.add.at(state.ipw_weight, pulled, w)
-        np.add.at(state.ipw_gram, pulled, w[:, None, None] * (Z[:, :, None] * Z[:, None, :]))
-        np.add.at(state.ipw_moment, pulled, w[:, None] * Z * (c * ys)[:, None])
-        _refresh_ipwz(state, rows, arms)
+        state.ipw_weight.put(flat, state.ipw_weight.take(flat) + w)
+        grams, moments = _by_row(state.ipw_gram), _by_row(state.ipw_moment)
+        grams[flat] = grams.take(flat, axis=0) + w[:, None, None] * (Z[:, :, None] * Z[:, None, :])
+        moments[flat] = moments.take(flat, axis=0) + w[:, None] * Z * (c * ys)[:, None]
+        _refresh_ipwz(state, flat)
 
     return state

@@ -7,10 +7,12 @@ check draws fresh rounds against a frozen policy state. ``reference_cadr_loop``
 is CADR as its definition reads: a loop over steps that replays the behavior
 policy and rescans every past row. ``reference_write_log_csv`` is the log
 writer as a ``csv.writer`` loop, one row at a time: the byte oracle for the
-chunked writer. ``assert_logs_equal`` compares every field of two logs, so no
-field can be left out of a comparison. The single-draw
-helpers (``sample_round``, ``select_action``) exist only for tests; the
-package itself draws rounds and actions in batches.
+chunked writer. ``reference_clip_simplex`` is the simplex projection as first
+written, with a row-wise feasibility mask: the bit oracle for the faster one.
+``assert_logs_equal`` compares every field of two logs, so no field can be
+left out of a comparison. The single-draw helpers (``sample_round``,
+``select_action``) exist only for tests; the package itself draws rounds and
+actions in batches.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from banditlab.estimator import BanditLog, ScoreTarget, TargetPolicy
 from banditlab.harness import CadrResult, _run_block
 from banditlab.inference import two_sided_z
 from banditlab.policy import (
+    InfeasibleClipError,
     PolicyConfig,
     PolicyState,
     Transition,
@@ -257,3 +260,38 @@ def reference_write_log_csv(log: BanditLog, path) -> None:
                     f"{log.propensities[i]:.17g}",
                     f"{log.outcomes[i]:.17g}"]
             writer.writerow(row)
+
+
+def reference_clip_simplex(P: np.ndarray, pi_min: float) -> np.ndarray:
+    """Row-wise L2 projection onto {p : sum p = 1, p >= pi_min}.
+
+    Each row's projection is max(p - nu, pi_min) where nu is the unique root of
+    q(nu) = sum_a max(p_a - nu, pi_min) = 1; q is piecewise linear in nu, so
+    the root is found exactly by sorting, with no iteration. One (K,) row
+    gives one (K,) row.
+    """
+    P = np.asarray(P, dtype=float)
+    if P.ndim == 1:
+        return reference_clip_simplex(P[None], pi_min)[0]
+    n, K = P.shape
+    if K * pi_min > 1.0 + 1e-12:
+        raise InfeasibleClipError(f"K * pi_min = {K * pi_min:.4f} > 1 is infeasible")
+    ok = (np.abs(P.sum(axis=1) - 1.0) <= 1e-12) & (P.min(axis=1) >= pi_min)
+    if ok.all():
+        return P.copy()
+    desc = np.sort(P, axis=1)[:, ::-1]
+    prefix = np.cumsum(desc, axis=1)
+    ms = np.arange(1, K + 1)
+    nus = (prefix + (K - ms) * pi_min - 1.0) / ms              # (n, K) candidate roots
+    lower_ok = desc - nus >= pi_min - 1e-15                    # m-th largest stays unclipped
+    upper_ok = np.ones_like(lower_ok)
+    upper_ok[:, :-1] = desc[:, 1:] - nus[:, :-1] <= pi_min + 1e-15
+    valid = lower_ok & upper_ok
+    # Largest valid m per row; rows with none (K*pi_min == 1) get all-pi_min.
+    any_valid = valid.any(axis=1)
+    m_idx = np.where(any_valid, K - 1 - np.argmax(valid[:, ::-1], axis=1), 0)
+    nu = nus[np.arange(n), m_idx]
+    out = np.maximum(P - nu[:, None], pi_min)
+    out[~any_valid] = pi_min
+    out[ok] = P[ok]
+    return out

@@ -552,6 +552,27 @@ def test_probe_table_is_the_replayed_policy(kind):
                                                    log.propensities[t], log.outcomes[t]))
 
 
+@pytest.mark.parametrize("kind", ["boltzmann_ridge", "ts_mab"])
+def test_probed_block_makes_one_policy_call_per_round(monkeypatch, kind):
+    # One (B, C, d) call fills a round's whole table row, and the round's own
+    # distribution is read from it: T calls for T rounds, whatever C is.
+    import banditlab.harness as harness
+
+    env = build_environment("nc_hard1")
+    probes = np.unique(np.array([x for _, _, x in support(env)]), axis=0)
+    assert len(probes) > 1
+    shapes = []
+
+    def counting(config, state, context):
+        shapes.append(context.shape)
+        return action_distribution(config, state, context)
+
+    monkeypatch.setattr(harness, "action_distribution", counting)
+    policy = PolicyConfig(kind=kind, pi_min=0.05, gamma=2.0)
+    _run_block(env, policy, OPE_UNIFORM, 60, 9, [(0,), (1,), (2,)], probes=probes)
+    assert shapes == [(3, len(probes), env.context_dim)] * 60
+
+
 def _cadr_env(name: str, K: int, points: list) -> EnvironmentSpec:
     """A finite-support environment with K arms and outcome means away from zero."""
     if name == "nonconv_demo":

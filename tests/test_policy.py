@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 from scipy.stats import norm
@@ -11,6 +11,7 @@ from banditlab.env import build_environment
 from banditlab.estimator import ScoreTarget, TargetPolicy, ipwz_solve
 from banditlab.harness import _run_block
 from banditlab.policy import (
+    POLICY_KINDS,
     InfeasibleClipError,
     PolicyConfig,
     Transition,
@@ -26,7 +27,7 @@ from banditlab.policy import (
 )
 from banditlab.rng import stream
 
-from helpers import one_round, qp_project, select_action
+from helpers import one_round, qp_project, reference_clip_simplex, select_action
 
 
 class TestClipSimplex:
@@ -83,6 +84,20 @@ class TestClipSimplex:
             assert abs(out.sum() - 1.0) < 1e-12
             assert out.min() >= pi_min - 1e-12
             assert np.abs(out - qp_project(row, pi_min)).max() < 1e-8
+
+    def test_equals_reference_bit_for_bit(self):
+        # The one-pass feasibility test and the cached sort-path constants
+        # change no bit: feasible, normalized and raw rows, mixed in a block.
+        rng = stream(2031)
+        for _ in range(20_000):
+            K = int(rng.integers(2, 6))
+            pi_min = (0.005, 0.05, 0.2, 1.0 / K)[int(rng.integers(4))]
+            n = int(rng.integers(1, 9))
+            shape = rng.dirichlet(np.ones(K) * rng.uniform(0.2, 3.0), size=n)
+            rows = (shape, pi_min + (1.0 - K * pi_min) * shape, rng.uniform(0.0, 1.0, (n, K)))
+            P = np.choose(rng.integers(3, size=(n, 1)), rows)
+            got, want = clip_simplex(P, pi_min), reference_clip_simplex(P, pi_min)
+            assert got.tobytes() == want.tobytes(), (P.tolist(), pi_min)
 
 
 class TestTsOptimalProb:
@@ -327,6 +342,16 @@ class TestUpdateState:
                                                    np.full(2, 0.5), np.zeros(2)))
         assert block.counts.sum() == block.t == 0
 
+    def test_refuses_a_non_contiguous_state(self):
+        # The flat view of a non-contiguous array would be a copy, and a
+        # scatter into it would be lost.
+        config = PolicyConfig(kind="boltzmann_ridge")
+        state = init_state(config, 2, 2, block=3)
+        state.ridge_moment = np.asfortranarray(state.ridge_moment)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            update_state(config, state, Transition(np.ones((3, 2)), np.array([0, 1, 0]),
+                                                   np.full(3, 0.5), np.ones(3)))
+
     def test_ipwz_refresh_has_no_lag(self):
         target = ScoreTarget(family="misspec_linear")
         config = PolicyConfig(kind="ipwz_greedy", pi_min=0.1)
@@ -386,3 +411,47 @@ def test_batch_distribution_matches_single():
         batch = action_distribution(config, state, X)  # a block of one over 20 contexts
         single = np.stack([action_distribution(config, state, x[None])[0] for x in X])
         np.testing.assert_array_equal(batch, single, err_msg=kind)
+
+
+@pytest.mark.parametrize("kind", POLICY_KINDS)
+@settings(max_examples=15)
+@given(family=st.sampled_from(["misspec_linear", "ope"]), d=st.integers(1, 3),
+       block=st.sampled_from([1, 4]), C=st.sampled_from([1, 3]), rows=st.sampled_from([1, 4]),
+       rounds=st.integers(0, 120), seed=st.integers(0, 2**16))
+def test_probe_axis_equals_per_context_calls(kind, family, d, block, C, rows, rounds, seed):
+    # A (B, C, d) call is the stack of the C per-context (B, d) calls, bit for
+    # bit, on a state advanced some rounds; a block of one broadcasts over axis 0.
+    env = build_environment("nc_gaussian", {"d": d})
+    target = ScoreTarget(family=family, target_policy=TargetPolicy(kind="uniform"))
+    config = PolicyConfig(kind=kind, pi_min=0.05, gamma=2.0)
+    _, state, _ = _run_block(env, config, target, rounds, seed, [(b,) for b in range(block)])
+    n = rows if block == 1 else block
+    contexts = stream(seed, 1).normal(size=(n, C, d))
+    got = action_distribution(config, state, contexts)
+    want = np.stack([action_distribution(config, state, np.ascontiguousarray(contexts[:, c]))
+                     for c in range(C)], axis=1)
+    assert got.shape == (n, C, env.num_arms)
+    np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=40)
+@given(kind=st.sampled_from(["boltzmann_ridge", "linucb"]), block=st.integers(1, 6),
+       K=st.integers(2, 4), d=st.integers(1, 3), lam=st.floats(0.5, 2.0),
+       horizon=st.integers(1, 300), seed=st.integers(0, 2**16))
+def test_recursive_ridge_equals_batch_on_blocks(kind, block, K, d, lam, horizon, seed):
+    # Every row of a lockstep block holds, for each arm, the batch ridge fit
+    # (lambda I + X_a'X_a)^{-1} X_a'Y_a of its own log (and LinUCB the inverse).
+    env = build_environment("nc_gaussian", {"d": d, "num_arms": K})
+    config = PolicyConfig(kind=kind, pi_min=0.05, gamma=2.0, ridge_lambda=lam)
+    logs, state, _ = _run_block(env, config, None, horizon, seed, [(b,) for b in range(block)])
+    for b, log in enumerate(logs):
+        for a in range(K):
+            X, Y = log.contexts[log.arms == a], log.outcomes[log.arms == a]
+            gram = lam * np.eye(d) + X.T @ X
+            beta = np.linalg.solve(gram, X.T @ Y)
+            assert np.abs(state.ridge_beta[b, a] - beta).max() <= 1e-10 * max(
+                1.0, np.abs(beta).max()), f"row {b} arm {a}"
+            if kind == "linucb":
+                inv = np.linalg.inv(gram)
+                assert np.abs(state.ridge_gram_inv[b, a] - inv).max() <= 1e-10 * max(
+                    1.0, np.abs(inv).max()), f"row {b} arm {a}"
