@@ -23,7 +23,6 @@ from .estimator import (
     SingularDesign,
     TargetPolicy,
     ipwz_solve,
-    ipwz_solve_estimated_sigma,
     read_log_csv,
     score_g,
     write_log_csv,

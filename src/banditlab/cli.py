@@ -131,9 +131,6 @@ def parse_target(doc: dict, where: str = "target") -> ScoreTarget:
     if "family" not in doc:
         raise ConfigError("target config requires a 'family'")
     family = doc["family"]
-    sigma_e = doc.get("sigma_e")
-    if isinstance(sigma_e, (int, float)):
-        sigma_e = [[float(sigma_e)]]
     tp_doc = doc.get("target_policy")
     target_policy = None
     if tp_doc is not None:
@@ -143,7 +140,7 @@ def parse_target(doc: dict, where: str = "target") -> ScoreTarget:
             probs=None if tp_doc.get("probs") is None else np.asarray(tp_doc["probs"], dtype=float),
             arm=tp_doc.get("arm"),
         )
-    return ScoreTarget(family=family, sigma_e=sigma_e, target_policy=target_policy)
+    return ScoreTarget(family=family, sigma_e=doc.get("sigma_e"), target_policy=target_policy)
 
 
 def parse_policy(doc: dict) -> PolicyConfig:

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimator import ScoreTarget, _solve_checked, normal_equations, scores
+from .estimator import ScoreTarget, _solve_checked, check_covariance, normal_equations, scores
 from .rng import PURPOSE_ORACLE, PURPOSE_PARAMS, stream
 
 ENVIRONMENT_NAMES = (
@@ -127,14 +127,10 @@ class OracleResult(NamedTuple):
 
 
 def _check_cov(mat, key: str, dim: int) -> np.ndarray:
-    cov = np.atleast_2d(np.asarray(mat, dtype=float))
-    if cov.shape != (dim, dim):
-        raise InvalidParameterError(key, f"expected a {dim}x{dim} matrix, got shape {cov.shape}")
-    if not np.allclose(cov, cov.T, atol=1e-10):
-        raise InvalidParameterError(key, "covariance must be symmetric")
-    if np.min(np.linalg.eigvalsh((cov + cov.T) / 2)) < -1e-10:
-        raise InvalidParameterError(key, "covariance must be positive semi-definite")
-    return cov
+    try:
+        return check_covariance(mat, key, dim)
+    except ValueError as exc:
+        raise InvalidParameterError(key, str(exc)) from exc
 
 
 def _check_table(given, values, probs, d: int) -> NoiseLaw:
@@ -190,13 +186,18 @@ def _build_nonconv_demo(params: dict, rng: np.random.Generator) -> EnvironmentSp
                        "context_weights": (0.5, 0.5), "arm_means": (0.5, 1.0 / 12.0)})
     points = np.asarray(p["context_points"], dtype=float).reshape(-1, 1)
     weights = np.asarray(p["context_weights"], dtype=float)
+    if weights.shape != (len(points),):
+        raise InvalidParameterError("context_weights", "expected one weight per context point")
     if abs(weights.sum() - 1.0) > 1e-9 or np.any(weights < 0):
         raise InvalidParameterError("context_weights", "must be a probability vector")
+    means = np.asarray(p["arm_means"], dtype=float)
+    if means.shape != (2,):
+        raise InvalidParameterError("arm_means", f"expected 2 means, got {means.tolist()}")
     return EnvironmentSpec(
         name="nonconv_demo", num_arms=2, context_dim=1,
         context_law=ContextLaw(kind="finite", points=points, weights=weights),
         noise_law=None,
-        reward=RewardModel(kind="constant_per_arm", params=np.asarray(p["arm_means"], dtype=float)),
+        reward=RewardModel(kind="constant_per_arm", params=means),
         reward_noise_sd=float(p["sigma_eta"]),
     )
 
@@ -224,11 +225,16 @@ def _build_nc_hard(theta: tuple, name: str):
             noise = parse_noise_table(p["noise_table"], d=1)
         else:
             noise = _check_table(d=1, **_NC_HARD_TABLE)
+        points = np.array([[0.0], [-1.0]])
+        given = np.unique(noise.given, axis=0)
+        if not np.array_equal(given, np.unique(points, axis=0)):
+            raise InvalidParameterError("noise_table", f"given states {given.ravel().tolist()} "
+                                        "are not the latent states [0.0, -1.0]")
         return EnvironmentSpec(
             name=name, num_arms=2, context_dim=1,
             context_law=ContextLaw(
                 kind="finite",
-                points=np.array([[0.0], [-1.0]]),
+                points=points,
                 weights=np.array([0.5, 0.5]),
             ),
             noise_law=noise,
@@ -481,7 +487,7 @@ def oracle_target(env: EnvironmentSpec, target: ScoreTarget, arm: int,
             theta = _enumerate_oracle(env, target, arm)
             return OracleResult(theta=theta, stderr=np.zeros_like(theta), exact=True)
         if (target.family == "noisy_context" and env.reward.kind == "linear_latent"
-                and env.true_params is not None and target.sigma_e_known):
+                and env.true_params is not None):
             implied = implied_sigma_e(env)
             if implied is not None and np.allclose(implied, target.sigma_e, atol=1e-12):
                 theta = env.true_params[arm].astype(float).copy()

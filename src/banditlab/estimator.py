@@ -32,10 +32,6 @@ import numpy as np
 
 FAMILIES = ("misspec_linear", "noisy_context", "ope")
 
-# Marker for ScoreTarget.sigma_e when the contextual error variance is to be
-# estimated from auxiliary data rather than supplied.
-ESTIMATE_FROM_AUX = "estimate-from-aux"
-
 MAX_CONDITION = 1e12
 
 
@@ -57,6 +53,24 @@ class SingularDesign(np.linalg.LinAlgError):
             f"weighted design for arm {arm} is singular "
             f"(condition estimate {cond:.3e} exceeds {MAX_CONDITION:.0e})"
         )
+
+
+def check_covariance(matrix, name: str, dim: int | None = None) -> np.ndarray:
+    """``matrix`` (a number is 1x1) as a float array if it is a square (``dim`` x ``dim``
+    when given), symmetric, positive semi-definite matrix; else a ValueError naming ``name``."""
+    try:
+        cov = np.atleast_2d(np.asarray(matrix, dtype=float))
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number or a matrix of numbers, got {matrix!r}") from None
+    n = cov.shape[0] if dim is None else dim
+    if cov.shape != (n, n):
+        size = "square" if dim is None else f"{n}x{n}"
+        raise ValueError(f"{name} must be a {size} matrix, got shape {cov.shape}")
+    if not np.allclose(cov, cov.T, atol=1e-10):
+        raise ValueError(f"{name} must be symmetric")
+    if np.min(np.linalg.eigvalsh((cov + cov.T) / 2)) < -1e-10:
+        raise ValueError(f"{name} must be positive semi-definite")
+    return cov
 
 
 @dataclass(frozen=True)
@@ -107,7 +121,7 @@ class ScoreTarget:
     """Which estimand family is in play plus its fixed inputs."""
 
     family: str
-    sigma_e: np.ndarray | str | None = None
+    sigma_e: np.ndarray | None = None
     target_policy: TargetPolicy | None = None
 
     def __post_init__(self):
@@ -116,23 +130,9 @@ class ScoreTarget:
         if self.family == "noisy_context":
             if self.sigma_e is None:
                 raise ValueError("noisy_context target requires sigma_e")
-            if not isinstance(self.sigma_e, str):
-                se = np.atleast_2d(np.asarray(self.sigma_e, dtype=float))
-                if se.shape[0] != se.shape[1]:
-                    raise ValueError("sigma_e must be square")
-                if not np.allclose(se, se.T, atol=1e-10):
-                    raise ValueError("sigma_e must be symmetric")
-                if np.min(np.linalg.eigvalsh((se + se.T) / 2)) < -1e-10:
-                    raise ValueError("sigma_e must be positive semi-definite")
-                object.__setattr__(self, "sigma_e", se)
-            elif self.sigma_e != ESTIMATE_FROM_AUX:
-                raise ValueError(f"unknown sigma_e marker {self.sigma_e!r}")
+            object.__setattr__(self, "sigma_e", check_covariance(self.sigma_e, "sigma_e"))
         if self.family == "ope" and self.target_policy is None:
             raise ValueError("ope target requires a target_policy")
-
-    @property
-    def sigma_e_known(self) -> bool:
-        return self.family == "noisy_context" and not isinstance(self.sigma_e, str)
 
     def theta_dim(self, context_dim: int) -> int:
         return 1 if self.family == "ope" else context_dim
@@ -154,13 +154,7 @@ class ScoreTarget:
     @property
     def shift(self):
         """S: Sigma_e for noisy_context, else 0."""
-        if self.family != "noisy_context":
-            return 0.0
-        if isinstance(self.sigma_e, str):
-            raise ValueError(
-                "sigma_e is marked estimate-from-aux; use ipwz_solve_estimated_sigma "
-                "with an AuxiliaryData sample")
-        return self.sigma_e
+        return self.sigma_e if self.family == "noisy_context" else 0.0
 
 
 @dataclass
@@ -252,6 +246,8 @@ def _design(target: ScoreTarget, Z: np.ndarray, w: np.ndarray | None, scale: flo
     design = (Z.T @ Z if w is None else (Z * w[:, None]).T @ Z) / scale
     S = target.shift
     if isinstance(S, np.ndarray):  # the scalar zero shift adds nothing
+        if S.shape != design.shape:
+            raise ValueError(f"sigma_e has shape {S.shape}, but Z has {Z.shape[1]} columns")
         design = design - ((Z.shape[0] if w is None else w.sum()) / scale) * S
     return design
 
@@ -315,15 +311,6 @@ def ipwz_solve(log: BanditLog, target: ScoreTarget, arm: int, rows=None) -> np.n
     X, Y, w = _arm_rows(log, arm) if rows is None else rows
     design, moment = normal_equations(target, arm, X, Y, w, log.num_arms, log.horizon)
     return _solve_checked(design, moment, arm)
-
-
-def ipwz_solve_estimated_sigma(
-    log: BanditLog, aux: AuxiliaryData, arm: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Noisy-context estimator with Sigma_e replaced by its auxiliary-data estimate."""
-    sigma_e_hat = aux.sigma_e_hat()
-    target = ScoreTarget(family="noisy_context", sigma_e=sigma_e_hat)
-    return ipwz_solve(log, target, arm), sigma_e_hat
 
 
 # --- CSV serialization -------------------------------------------------------

@@ -61,7 +61,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .env import EnvironmentSpec, oracle_target, sample_rounds, support
-from .estimator import BanditLog, NoDataForArm, ScoreTarget, SingularDesign, TargetPolicy
+from .estimator import (BanditLog, NoDataForArm, ScoreTarget, SingularDesign, TargetPolicy,
+                        check_covariance)
 from .inference import estimate_report, norm_ppf, ope_value, two_sided_z
 from .policy import (
     PolicyConfig,
@@ -117,14 +118,19 @@ class ExperimentConfig:
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         check_levels_and_mode(self.levels, self.variance_mode)
+        d = self.env.context_dim
+        if self.target.family == "noisy_context":
+            check_covariance(self.target.sigma_e, "target.sigma_e", dim=d)
         sup = support(self.env)
-        if sup is not None:
-            xs = np.array([x for _, _, x in sup])
-            for ctx in self.diagnostic_contexts:
-                ctx = np.atleast_1d(np.asarray(ctx, dtype=float))
-                if not np.any(np.all(np.isclose(xs, ctx), axis=1)):
-                    raise ValueError(
-                        f"diagnostic context {ctx.tolist()} is outside the environment support")
+        xs = None if sup is None else np.array([x for _, _, x in sup])
+        for ctx in self.diagnostic_contexts:
+            ctx = np.atleast_1d(np.asarray(ctx, dtype=float))
+            if ctx.shape != (d,):
+                raise ValueError(f"diagnostic context {ctx.tolist()} has shape {ctx.shape}, "
+                                 f"but the environment's context dimension is {d}")
+            if xs is not None and not np.any(np.all(np.isclose(xs, ctx), axis=1)):
+                raise ValueError(
+                    f"diagnostic context {ctx.tolist()} is outside the environment support")
 
 
 def config_fingerprint(obj) -> str:

@@ -204,7 +204,6 @@ def variance_estimated_sigma(
     aux: AuxiliaryData,
     arm: int,
     theta_tilde: np.ndarray,
-    sigma_e_hat: np.ndarray,
     regime: str = "auto",
 ) -> tuple[np.ndarray, str]:
     """Asymptotic variance when Sigma_e itself is estimated from auxiliary data.
@@ -213,7 +212,8 @@ def variance_estimated_sigma(
     horizon T: with much more auxiliary data the known-Sigma_e sandwich
     applies (sqrt(T) scaling); with comparable sizes an extra term H/kappa
     from the Sigma_e estimate enters; with much less auxiliary data that term
-    dominates and the rate drops to sqrt(n).
+    dominates and the rate drops to sqrt(n). ``theta_tilde`` solves the
+    noisy_context target whose ``sigma_e`` is ``aux.sigma_e_hat()``.
     """
     valid = ("auto", "n_dominant", "proportional", "t_dominant")
     if regime not in valid:
@@ -224,14 +224,15 @@ def variance_estimated_sigma(
         regime = "n_dominant" if ratio > 10 else ("t_dominant" if ratio < 0.1 else "proportional")
 
     theta = np.asarray(theta_tilde, dtype=float).ravel()
-    target = ScoreTarget(family="noisy_context", sigma_e=np.asarray(sigma_e_hat, dtype=float))
+    sigma_e_hat = aux.sigma_e_hat()
+    target = ScoreTarget(family="noisy_context", sigma_e=sigma_e_hat)
     # sandwich_variance has already rejected an ill-conditioned gdot.
     _, gdot, imat = sandwich_variance(log, target, arm, theta, mode="full")
 
     # H = mean over aux rows of (V_i - Sigma_e) theta theta' (V_i - Sigma_e),
     # with V_i the outer product of the i-th measurement error.
     err = aux.observed - aux.latent
-    vt = err * (err @ theta)[:, None] - np.asarray(sigma_e_hat) @ theta
+    vt = err * (err @ theta)[:, None] - sigma_e_hat @ theta
     h_bar = vt.T @ vt / n
 
     ginv = np.linalg.inv(gdot)

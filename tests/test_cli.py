@@ -231,6 +231,34 @@ def test_compare_ope_regressions_must_be_a_list(tmp_path, capsys):
     assert "cadr_regressions must be a JSON list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, override, message", [
+    ({}, "env.params.arm_means=[0.5,0.3,0.1]", "invalid parameter 'arm_means'"),
+    ({"env": {"name": "nc_hard1"}},
+     'env.params.noise_table=[{"given": [0.0], "value": [0.0], "prob": 1.0}]',
+     "invalid parameter 'noise_table'"),
+    ({"env": {"name": "nc_hard1"}, "target": {"family": "noisy_context", "sigma_e": 2.0}},
+     'target.sigma_e="estimate-from-aux"', "sigma_e must be a number or a matrix"),
+    ({"env": {"name": "nc_gaussian"}}, 'target={"family": "noisy_context", "sigma_e": 1.0}',
+     "target.sigma_e must be a 2x2 matrix"),
+    ({}, "diagnostics.contexts=[[1.0,1.0]]", "diagnostic context [1.0, 1.0] has shape"),
+], ids=["arm_means", "noise_table", "sigma_e_marker", "sigma_e_size", "diagnostic_context"])
+def test_bad_shape_exits_one_before_oracle(tmp_path, capsys, monkeypatch, extra, override,
+                                           message):
+    import banditlab.harness as harness
+
+    def no_oracle(*args, **kw):
+        raise AssertionError("oracle computed before the config was checked")
+
+    monkeypatch.setattr(harness, "oracle_thetas", no_oracle)
+    cfg = _tiny_config(tmp_path, **extra)
+    out = tmp_path / "out"
+    rc = main(["coverage", "--config", str(cfg), "--out", str(out), "--set", override])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (out / "coverage.csv").exists()
+
+
 def test_runtime_failure_exits_two(tmp_path, capsys):
     # A one-round horizon leaves an arm unpulled in every replication, so the
     # failure tolerance aborts the experiment at runtime.

@@ -140,6 +140,34 @@ def test_reward_table_invalid_override_rejected():
         build_environment("nc_hard1", bad)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("arm_means", [0.5, 0.3, 0.1]),
+    ("arm_means", [0.5]),
+    ("context_weights", [0.5, 0.25, 0.25]),
+    ("context_weights", [1.0]),
+])
+def test_nonconv_demo_shape_overrides_rejected(key, value):
+    with pytest.raises(InvalidParameterError, match=f"'{key}': expected"):
+        build_environment("nonconv_demo", {key: value})
+
+
+_LATENT_ZERO_ROWS = [
+    {"given": [0.0], "value": [1.0], "prob": 2 / 3},
+    {"given": [0.0], "value": [-2.0], "prob": 1 / 3},
+]
+
+
+@pytest.mark.parametrize("name", ["nc_hard1", "nc_hard2"])
+@pytest.mark.parametrize("table", [
+    _LATENT_ZERO_ROWS,
+    _LATENT_ZERO_ROWS + [{"given": [-1.0], "value": [-1.0], "prob": 1.0},
+                         {"given": [1.0], "value": [1.0], "prob": 1.0}],
+], ids=["latent_missing", "extra_latent"])
+def test_noise_table_must_cover_exactly_the_latent_states(name, table):
+    with pytest.raises(InvalidParameterError, match="'noise_table': given states"):
+        build_environment(name, {"noise_table": table})
+
+
 class TestOracles:
     def test_nonconv_misspec_linear_exact(self):
         env = build_environment("nonconv_demo")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from banditlab.env import build_environment, oracle_target
+from banditlab.env import InvalidParameterError, build_environment, oracle_target
 from banditlab.estimator import (
     _WRITE_CHUNK_ROWS,
     AuxiliaryData,
@@ -17,7 +17,6 @@ from banditlab.estimator import (
     ScoreTarget,
     TargetPolicy,
     ipwz_solve,
-    ipwz_solve_estimated_sigma,
     read_log_csv,
     score_g,
     write_log_csv,
@@ -140,7 +139,8 @@ class TestEstimatedSigma:
                         propensities=np.full(60, 0.7), outcomes=Y, num_arms=2)
         aux = AuxiliaryData(observed=np.array([[1.0, 0.0], [0.0, 2.0]]),
                             latent=np.array([[1.0, 0.0], [0.0, 2.0]]))
-        theta, sigma_e = ipwz_solve_estimated_sigma(log, aux, 0)
+        sigma_e = aux.sigma_e_hat()
+        theta = ipwz_solve(log, ScoreTarget(family="noisy_context", sigma_e=sigma_e), 0)
         np.testing.assert_allclose(sigma_e, np.zeros((2, 2)))
         np.testing.assert_allclose(
             theta, ipwz_solve(log, ScoreTarget(family="misspec_linear"), 0), atol=1e-12)
@@ -153,11 +153,39 @@ class TestEstimatedSigma:
         aux = AuxiliaryData(observed=[[2.0]], latent=[[2.0]])
         np.testing.assert_allclose(aux.sigma_e_hat(), [[0.0]])
 
-    def test_marker_target_cannot_be_solved_directly(self):
-        target = ScoreTarget(family="noisy_context", sigma_e="estimate-from-aux")
-        log = _log([[1.0]], [0], [0.5], [1.0])
-        with pytest.raises(ValueError, match="estimate-from-aux"):
-            ipwz_solve(log, target, 0)
+
+# Each is rejected by the one covariance check, in a target or an environment
+# override alike, with the message fragment given.
+BAD_COVARIANCES = {
+    "non_square": ([[1.0, 0.0]], r"must be a (square|2x2) matrix, got shape \(1, 2\)"),
+    "wrong_size": (np.eye(3), r"must be a 2x2 matrix, got shape \(3, 3\)"),
+    "asymmetric": ([[1.0, 0.5], [0.0, 1.0]], "must be symmetric"),
+    "indefinite": ([[1.0, 2.0], [2.0, 1.0]], "must be positive semi-definite"),
+    "marker": ("estimate-from-aux", "must be a number or a matrix of numbers"),
+}
+
+
+@pytest.mark.parametrize("where, case", [
+    (where, case) for where in ("target", "sigma_s", "sigma_e") for case in BAD_COVARIANCES
+    if (where, case) != ("target", "wrong_size")  # a target alone has no dimension
+])
+def test_covariance_check_rejects(where, case):
+    bad, message = BAD_COVARIANCES[case]
+    if where == "target":
+        with pytest.raises(ValueError, match=f"sigma_e {message}"):
+            ScoreTarget(family="noisy_context", sigma_e=bad)
+    else:
+        with pytest.raises(InvalidParameterError, match=f"'{where}': {where} {message}"):
+            build_environment("nc_gaussian", {"d": 2, where: bad})
+
+
+def test_sigma_e_size_must_match_regressors():
+    rng = stream(15)
+    log = _log(rng.normal(size=(20, 2)), np.zeros(20, dtype=int), np.full(20, 0.5),
+               rng.normal(size=20))
+    target = ScoreTarget(family="noisy_context", sigma_e=[[1.0]])
+    with pytest.raises(ValueError, match=r"sigma_e has shape \(1, 1\), but Z has 2 columns"):
+        ipwz_solve(log, target, 0)
 
 
 class TestMartingaleProperty:

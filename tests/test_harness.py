@@ -653,6 +653,26 @@ def test_unknown_cadr_regression_rejected_before_oracle(monkeypatch):
         replicate(config, cadr_regressions="zero")
 
 
+@pytest.mark.parametrize("env_name, target, contexts, message", [
+    ("nonconv_demo", MISSPEC, ((1.0, 1.0),), r"diagnostic context \[1.0, 1.0\] has shape"),
+    ("ms_polynomial", MISSPEC, ((0.5, 0.5),), r"diagnostic context \[0.5, 0.5\] has shape"),
+    ("nc_gaussian", ScoreTarget(family="noisy_context", sigma_e=1.0), (),
+     r"target.sigma_e must be a 2x2 matrix, got shape \(1, 1\)"),
+], ids=["finite_support_context", "continuous_context", "sigma_e_size"])
+def test_shape_mismatch_rejected_before_oracle(monkeypatch, env_name, target, contexts, message):
+    import banditlab.harness as harness
+
+    def no_oracle(*args, **kw):
+        raise AssertionError("oracle computed before the shapes were checked")
+
+    monkeypatch.setattr(harness, "oracle_thetas", no_oracle)
+    env = build_environment(env_name)
+    with pytest.raises(ValueError, match=message):
+        replicate(ExperimentConfig(env=env, policy=PolicyConfig(kind="random"), target=target,
+                                   horizon=50, replications=1, seed=36,
+                                   diagnostic_contexts=contexts))
+
+
 @pytest.mark.parametrize("bad", [{"levels": ()}, {"levels": (0.95, 1.5)},
                                  {"variance_mode": "simple"}])
 def test_bad_levels_and_variance_mode_rejected_before_oracle(monkeypatch, bad):

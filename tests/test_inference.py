@@ -228,10 +228,8 @@ class TestVarianceEstimatedSigma:
         log = self._setup()
         aux = AuxiliaryData(observed=np.ones((50, 1)), latent=np.ones((50, 1)))
         theta = np.array([1.0])
-        prop, scale = variance_estimated_sigma(log, aux, 0, theta, np.zeros((1, 1)),
-                                               regime="proportional")
-        ndom, _ = variance_estimated_sigma(log, aux, 0, theta, np.zeros((1, 1)),
-                                           regime="n_dominant")
+        prop, scale = variance_estimated_sigma(log, aux, 0, theta, regime="proportional")
+        ndom, _ = variance_estimated_sigma(log, aux, 0, theta, regime="n_dominant")
         np.testing.assert_allclose(prop, ndom, rtol=1e-12)
         assert scale == "sqrt_T"
 
@@ -242,10 +240,10 @@ class TestVarianceEstimatedSigma:
         aux = AuxiliaryData(observed=err, latent=np.zeros((40, 1)))
         theta = np.array([1.5])
         sig_small_kappa, _ = variance_estimated_sigma(
-            log, aux, 0, theta, aux.sigma_e_hat(), regime="proportional")
+            log, aux, 0, theta, regime="proportional")
         # Same data treated as if n were large relative to T: drop the H term.
         sig_known, _ = variance_estimated_sigma(
-            log, aux, 0, theta, aux.sigma_e_hat(), regime="n_dominant")
+            log, aux, 0, theta, regime="n_dominant")
         assert sig_small_kappa[0, 0] >= sig_known[0, 0]
 
     def test_hand_h_bar_zero(self):
@@ -253,17 +251,14 @@ class TestVarianceEstimatedSigma:
         log = self._setup()
         aux = AuxiliaryData(observed=[[1.0], [-1.0]], latent=[[0.0], [0.0]])
         assert aux.sigma_e_hat()[0, 0] == pytest.approx(1.0)
-        prop, _ = variance_estimated_sigma(log, aux, 0, np.array([1.0]),
-                                           aux.sigma_e_hat(), regime="proportional")
-        ndom, _ = variance_estimated_sigma(log, aux, 0, np.array([1.0]),
-                                           aux.sigma_e_hat(), regime="n_dominant")
+        prop, _ = variance_estimated_sigma(log, aux, 0, np.array([1.0]), regime="proportional")
+        ndom, _ = variance_estimated_sigma(log, aux, 0, np.array([1.0]), regime="n_dominant")
         np.testing.assert_allclose(prop, ndom, atol=1e-12)
 
     def test_t_dominant_scaling(self):
         log = self._setup()
         aux = AuxiliaryData(observed=[[1.0], [-1.0], [0.5]], latent=[[0.0], [0.0], [0.0]])
-        _, scale = variance_estimated_sigma(log, aux, 0, np.array([1.0]),
-                                            aux.sigma_e_hat(), regime="t_dominant")
+        _, scale = variance_estimated_sigma(log, aux, 0, np.array([1.0]), regime="t_dominant")
         assert scale == "sqrt_n"
 
     def test_auto_regime_thresholds(self):
@@ -272,16 +267,15 @@ class TestVarianceEstimatedSigma:
         big = AuxiliaryData(observed=np.ones((30_000, 1)), latent=np.ones((30_000, 1)))
         small = AuxiliaryData(observed=np.ones((50, 1)), latent=np.ones((50, 1)))
         mid = AuxiliaryData(observed=np.ones((2000, 1)), latent=np.ones((2000, 1)))
-        assert variance_estimated_sigma(log, big, 0, theta, np.zeros((1, 1)))[1] == "sqrt_T"
-        assert variance_estimated_sigma(log, small, 0, theta, np.zeros((1, 1)))[1] == "sqrt_n"
-        prop, scale = variance_estimated_sigma(log, mid, 0, theta, np.zeros((1, 1)))
+        assert variance_estimated_sigma(log, big, 0, theta)[1] == "sqrt_T"
+        assert variance_estimated_sigma(log, small, 0, theta)[1] == "sqrt_n"
+        prop, scale = variance_estimated_sigma(log, mid, 0, theta)
         assert scale == "sqrt_T"
 
 
 class TestEstimatedSigmaEndToEnd:
     def test_proportional_regime_intervals_cover_true_coefficient(self):
         from banditlab.env import sample_rounds
-        from banditlab.estimator import ipwz_solve_estimated_sigma
 
         env = build_environment("nc_hard1")
         true_theta = env.true_params[0, 0]
@@ -292,9 +286,9 @@ class TestEstimatedSigmaEndToEnd:
                                  seed=606, stream_path=(rep,))
             aux_batch = sample_rounds(env, stream(607, rep), n_aux)
             aux = AuxiliaryData(observed=aux_batch.contexts, latent=aux_batch.latents)
-            theta_t, sig_e = ipwz_solve_estimated_sigma(log, aux, 0)
-            var, scaling = variance_estimated_sigma(log, aux, 0, theta_t, sig_e,
-                                                    regime="proportional")
+            target = ScoreTarget(family="noisy_context", sigma_e=aux.sigma_e_hat())
+            theta_t = ipwz_solve(log, target, 0)
+            var, scaling = variance_estimated_sigma(log, aux, 0, theta_t, regime="proportional")
             assert scaling == "sqrt_T"
             half = norm_ppf(0.975) * np.sqrt(var[0, 0] / T)
             hits += theta_t[0] - half <= true_theta <= theta_t[0] + half
