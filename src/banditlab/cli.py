@@ -45,6 +45,7 @@ from .estimator import (
     write_log_csv,
 )
 from .harness import (
+    CADR_REGRESSIONS,
     ExperimentConfig,
     check_levels_and_mode,
     config_fingerprint,
@@ -218,6 +219,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 def cmd_simulate(config: dict, out_dir: Path, argv) -> int:
     exp = build_experiment(config)
+    out_dir.mkdir(parents=True, exist_ok=True)
     log = run_trajectory(exp.env, exp.policy, exp.target, exp.horizon, exp.seed)
     write_log_csv(log, out_dir / "log.csv")
     write_manifest(out_dir, "simulate", config, argv)
@@ -247,6 +249,7 @@ def cmd_infer(config: dict, out_dir: Path, argv, log_path: str) -> int:
         raise ConfigError(
             f"log {log_path}: arm {exc.arm + 1} (1-based) has no observations") from exc
     ope = ope_value(log, target, levels=levels, reports=reports) if target.family == "ope" else None
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_reports_json(reports, out_dir / "report.json", ope_report=ope)
     write_manifest(out_dir, "infer", config, argv)
     print(f"wrote {out_dir / 'report.json'}")
@@ -255,6 +258,7 @@ def cmd_infer(config: dict, out_dir: Path, argv, log_path: str) -> int:
 
 def cmd_coverage(config: dict, out_dir: Path, argv) -> int:
     exp = build_experiment(config)
+    out_dir.mkdir(parents=True, exist_ok=True)
     summary = replicate(exp)
     _write_csv(out_dir / "coverage.csv",
                ["level", "arm", "coord", "empirical_coverage", "mc_stderr"],
@@ -297,6 +301,7 @@ def cmd_diagnose(config: dict, out_dir: Path, argv) -> int:
     exp = build_experiment(config)
     if not exp.diagnostic_contexts:
         raise ConfigError("diagnose requires diagnostics.contexts in the config")
+    out_dir.mkdir(parents=True, exist_ok=True)
     summary = replicate(exp)
     rows = []
     for ci, ctx in enumerate(exp.diagnostic_contexts):
@@ -321,8 +326,10 @@ def cmd_compare_ope(config: dict, out_dir: Path, argv) -> int:
     if exp.target.family != "ope":
         raise ConfigError("compare-ope requires an ope-family target")
     regressions = config.get("cadr_regressions", ["zero"])
-    if not isinstance(regressions, list):
-        raise ConfigError(f"cadr_regressions must be a JSON list of names, got {regressions!r}")
+    if not isinstance(regressions, list) or not set(regressions) <= set(CADR_REGRESSIONS):
+        raise ConfigError(f"cadr_regressions must be a JSON list of names from "
+                          f"{CADR_REGRESSIONS}, got {regressions!r}")
+    out_dir.mkdir(parents=True, exist_ok=True)
     summary = replicate(exp, cadr_regressions=regressions)
     rows = [[name, r["level"], f"{r['coverage']:.6f}", f"{float(values.mean()):.10g}",
              f"{float(values.var(ddof=1)):.10g}", f"{summary.v_star:.10g}"]
@@ -371,7 +378,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.workers is not None:
             config["workers"] = args.workers
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         if command == "simulate":
             return cmd_simulate(config, out_dir, argv)
         if command == "infer":

@@ -80,7 +80,7 @@ class RewardModel:
     def mean_batch(self, contexts: np.ndarray, latents: np.ndarray | None) -> np.ndarray:
         """Mean rewards for every arm, shape (n, K)."""
         if self.kind == "constant_per_arm":
-            return np.broadcast_to(self.params, (contexts.shape[0], self.params.shape[0])).copy()
+            return np.tile(self.params, (contexts.shape[0], 1))
         if self.kind == "linear_latent":
             return latents @ self.params.T
         if self.kind == "polynomial":

@@ -27,6 +27,7 @@ oracles and the ``ipwz_greedy`` policy are all written on this one form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -237,28 +238,39 @@ def score_g(target: ScoreTarget, arm: np.ndarray, x: np.ndarray, y: np.ndarray,
     if theta.shape != Z.shape:
         raise ValueError("theta dimension must match the score dimension")
     c = target.outcome_scale(arm, num_arms)
-    zz = Z[:, :, None] * Z[:, None, :] - target.shift
+    zz = Z[:, :, None] * Z[:, None, :] - _shift(target, Z.shape[-1])
     return Z * (c * y)[:, None] - np.matmul(zz, theta[:, :, None])[:, :, 0]
+
+
+def _shift(target: ScoreTarget, width: int):
+    """S for ``width`` regressor columns; a ValueError if Sigma_e has another size."""
+    S = target.shift
+    if isinstance(S, np.ndarray) and S.shape != (width, width):
+        raise ValueError(f"sigma_e has shape {S.shape}, but Z has {width} columns")
+    return S
 
 
 def _design(target: ScoreTarget, Z: np.ndarray, w: np.ndarray | None, scale: float) -> np.ndarray:
     """sum_t w_t (z_t z_t' - S) / scale over regressor rows ``Z``: the score's gradient."""
     design = (Z.T @ Z if w is None else (Z * w[:, None]).T @ Z) / scale
-    S = target.shift
+    S = _shift(target, Z.shape[1])
     if isinstance(S, np.ndarray):  # the scalar zero shift adds nothing
-        if S.shape != design.shape:
-            raise ValueError(f"sigma_e has shape {S.shape}, but Z has {Z.shape[1]} columns")
         design = design - ((Z.shape[0] if w is None else w.sum()) / scale) * S
     return design
+
+
+def _moment(target: ScoreTarget, arm: int, Z: np.ndarray, Y: np.ndarray,
+            w: np.ndarray | None, num_arms: int, scale: float) -> np.ndarray:
+    """sum_t w_t z_t c_a y_t / scale; unit weights if ``w`` is None."""
+    moment = Z.T @ (Y if w is None else w * Y)
+    return target.outcome_scale(arm, num_arms) * moment / scale
 
 
 def normal_equations(target: ScoreTarget, arm: int, X: np.ndarray, Y: np.ndarray,
                      w: np.ndarray | None, num_arms: int, scale: float):
     """(sum_t w_t (z_t z_t' - S), sum_t w_t z_t c_a y_t) / scale; unit weights if ``w`` is None."""
     Z = target.regressors(X)
-    moment = Z.T @ (Y if w is None else w * Y)
-    return (_design(target, Z, w, scale),
-            target.outcome_scale(arm, num_arms) * moment / scale)
+    return _design(target, Z, w, scale), _moment(target, arm, Z, Y, w, num_arms, scale)
 
 
 def scores(target: ScoreTarget, arm: int, X: np.ndarray, Y: np.ndarray,
@@ -277,14 +289,6 @@ def scores(target: ScoreTarget, arm: int, X: np.ndarray, Y: np.ndarray,
     return rows
 
 
-def _arm_rows(log: BanditLog, arm: int):
-    """(contexts, outcomes, inverse propensities) of the rounds that pulled ``arm``."""
-    mask = log.arms == arm
-    if not mask.any():
-        raise NoDataForArm(arm)
-    return log.contexts[mask], log.outcomes[mask], 1.0 / log.propensities[mask]
-
-
 def _require_conditioned(matrix: np.ndarray, arm: int) -> None:
     """Raise SingularDesign unless ``matrix`` has a finite condition number <= MAX_CONDITION."""
     if matrix.shape == (1, 1):  # cond of a nonzero finite scalar is 1
@@ -295,22 +299,53 @@ def _require_conditioned(matrix: np.ndarray, arm: int) -> None:
         raise SingularDesign(arm, cond)
 
 
-def _solve_checked(design: np.ndarray, moment: np.ndarray, arm: int) -> np.ndarray:
-    """Root of the normal equations, raising SingularDesign on an ill-conditioned design."""
-    _require_conditioned(design, arm)
+def _solve(design: np.ndarray, moment: np.ndarray) -> np.ndarray:
+    """Root of the normal equations for a design already checked by ``_require_conditioned``."""
     if design.shape == (1, 1):
         return moment / design[0, 0]
     return np.linalg.solve(design, moment)
 
 
-def ipwz_solve(log: BanditLog, target: ScoreTarget, arm: int, rows=None) -> np.ndarray:
+def _solve_checked(design: np.ndarray, moment: np.ndarray, arm: int) -> np.ndarray:
+    """Root of the normal equations, raising SingularDesign on an ill-conditioned design."""
+    _require_conditioned(design, arm)
+    return _solve(design, moment)
+
+
+class ArmRows(NamedTuple):
+    """One arm's rounds of a log and its weighted design, built once by ``arm_rows``."""
+
+    X: np.ndarray       # (n, d) contexts of the rounds that pulled the arm
+    Y: np.ndarray       # (n,) their outcomes
+    w: np.ndarray       # (n,) their inverse propensities
+    design: np.ndarray  # (p, p) sum_t w_t (z_t z_t' - S) / T, checked by _require_conditioned
+
+
+def arm_rows(log: BanditLog, target: ScoreTarget, arm: int) -> ArmRows:
+    """The rows of ``arm`` in ``log`` with their design: the input of the solve and its sandwich.
+
+    Raises NoDataForArm if the arm was never pulled, then SingularDesign if
+    its design is ill-conditioned.
+    """
+    idx = np.flatnonzero(log.arms == arm)
+    if idx.size == 0:
+        raise NoDataForArm(arm)
+    X = log.contexts.take(idx, axis=0)
+    w = 1.0 / log.propensities.take(idx)
+    design = _design(target, target.regressors(X), w, log.horizon)
+    _require_conditioned(design, arm)
+    return ArmRows(X, log.outcomes.take(idx), w, design)
+
+
+def ipwz_solve(log: BanditLog, target: ScoreTarget, arm: int,
+               rows: ArmRows | None = None) -> np.ndarray:
     """Exact root of the weighted estimating equation for one arm.
 
-    ``rows`` are the arm's (X, Y, w) rows of ``log`` when the caller has them.
+    ``rows`` are ``arm_rows(log, target, arm)`` when the caller has them.
     """
-    X, Y, w = _arm_rows(log, arm) if rows is None else rows
-    design, moment = normal_equations(target, arm, X, Y, w, log.num_arms, log.horizon)
-    return _solve_checked(design, moment, arm)
+    X, Y, w, design = arm_rows(log, target, arm) if rows is None else rows
+    return _solve(design, _moment(target, arm, target.regressors(X), Y, w,
+                                  log.num_arms, log.horizon))
 
 
 # --- CSV serialization -------------------------------------------------------

@@ -179,8 +179,10 @@ def _run_block(env: EnvironmentSpec, policy: PolicyConfig, target: ScoreTarget |
     its rounds and uniforms from its own streams, so its log does not depend
     on the block it runs in. The looped kinds then make one block-wide
     distribution call and one block-wide update per round; ``random`` draws
-    every arm at once. The drawn arms' probabilities fill a (B, T) array, and
-    log b takes its row b as its propensities. Given (C, d) ``probes``, the
+    every arm at once and gathers each trajectory's outcomes once, with flat
+    indices t * K + arm. The drawn arms' probabilities and outcomes fill
+    (B, T) arrays (a list of B outcome rows for ``random``), and log b takes
+    their row b. Given (C, d) ``probes``, the
     table (B, T, C, K) holds each trajectory's round-t distribution at every
     probe context, filled by the round's one call on the (B, C, d) grid of
     probes; otherwise it is None. The probes must cover every context the
@@ -197,10 +199,12 @@ def _run_block(env: EnvironmentSpec, policy: PolicyConfig, target: ScoreTarget |
     if policy.kind == "random":
         arms = np.minimum((np.stack([u for _, u in draws]) * K).astype(np.int64), K - 1)
         propensities = np.full((B, horizon), 1.0 / K)
+        outcomes = [rounds.potentials.take(arm + np.arange(0, horizon * K, K))
+                    for (rounds, _), arm in zip(draws, arms)]
         state.t = horizon
-        for b, (rounds, _) in enumerate(draws):
+        for b in range(B):
             np.add.at(state.counts[b], arms[b], 1)
-            np.add.at(state.sums[b], arms[b], rounds.potentials[np.arange(horizon), arms[b]])
+            np.add.at(state.sums[b], arms[b], outcomes[b])
     else:
         # Round-major copies, so that each round's B rows are contiguous.
         contexts = np.stack([r.contexts for r, _ in draws], axis=1)      # (T, B, d)
@@ -209,6 +213,7 @@ def _run_block(env: EnvironmentSpec, policy: PolicyConfig, target: ScoreTarget |
         offsets = row_offsets(B, K)
         arms = np.empty((B, horizon), dtype=np.int64)
         propensities = np.empty((B, horizon))
+        outcomes = np.empty((B, horizon))
         if probes is not None:
             grid = np.tile(probes, (B, 1, 1))                            # (B, C, d)
             # Every drawn context is a probe: its round's distribution is a row
@@ -228,12 +233,11 @@ def _run_block(env: EnvironmentSpec, policy: PolicyConfig, target: ScoreTarget |
             flat = offsets + arm
             arms[:, t] = arm
             propensities[:, t] = prob = probs.take(flat)
-            update_state(policy, state, Transition(x, arm, prob, potentials[t].take(flat)))
+            outcomes[:, t] = y = potentials[t].take(flat)
+            update_state(policy, state, Transition(x, arm, prob, y))
 
-    steps = np.arange(horizon)
     logs = [BanditLog(contexts=rounds.contexts, arms=arms[b], propensities=propensities[b],
-                      outcomes=rounds.potentials[steps, arms[b]], num_arms=K,
-                      latents=rounds.latents)
+                      outcomes=outcomes[b], num_arms=K, latents=rounds.latents)
             for b, (rounds, _) in enumerate(draws)]
     return logs, state, table
 

@@ -15,6 +15,10 @@ the test suite. ``simplified`` mode swaps Gdot for its unweighted plug-in over
 all T rows (the context second moment less Sigma_e, or the constant 1 for the
 value target), which estimates the same limit.
 
+``estimate_report`` makes one pass per arm: ``estimator.arm_rows`` gathers the
+arm's rows once and builds and checks their design once, and both the solve
+and, in full mode, the sandwich's Gdot use them.
+
 Confidence intervals take their normal quantile from the standard library's
 ``statistics.NormalDist``, so importing this module loads no part of SciPy.
 """
@@ -29,12 +33,13 @@ from statistics import NormalDist
 import numpy as np
 
 from .estimator import (
+    ArmRows,
     AuxiliaryData,
     BanditLog,
     ScoreTarget,
-    _arm_rows,
     _design,
     _require_conditioned,
+    arm_rows,
     ipwz_solve,
     scores,
 )
@@ -65,23 +70,24 @@ def sandwich_variance(
     arm: int,
     theta_hat: np.ndarray,
     mode: str = "full",
-    rows=None,
+    rows: ArmRows | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Plug-in sandwich estimate; returns (Sigma_hat, Gdot_hat, I_hat).
 
-    ``rows`` are the arm's (X, Y, w) rows of ``log`` when the caller has them.
+    ``rows`` are ``arm_rows(log, target, arm)`` when the caller has them; in
+    full mode their design, already checked, is Gdot.
     """
     if mode not in ("full", "simplified"):
         raise ValueError(f"unknown variance mode {mode!r}")
     theta = np.asarray(theta_hat, dtype=float).ravel()
-    X, Y, w = _arm_rows(log, arm) if rows is None else rows
+    X, Y, w, gdot = arm_rows(log, target, arm) if rows is None else rows
     T = log.horizon
-    design_rows, weights = (X, w) if mode == "full" else (log.contexts, None)
-    gdot = _design(target, target.regressors(design_rows), weights, T)
+    if mode == "simplified":
+        gdot = _design(target, target.regressors(log.contexts), None, T)
+        _require_conditioned(gdot, arm)
     gw = scores(target, arm, X, Y, theta, log.num_arms, w)
     imat = gw.T @ gw / T
 
-    _require_conditioned(gdot, arm)
     ginv = np.linalg.inv(gdot)
     sigma = ginv @ imat @ ginv.T
     sigma = (sigma + sigma.T) / 2.0
@@ -169,8 +175,12 @@ def estimate_report(
     levels=(0.95,),
     mode: str = "full",
 ) -> EstimateReport:
-    """Solve, estimate variance and build intervals for one arm (its rows gathered once)."""
-    rows = _arm_rows(log, arm)
+    """Solve, estimate variance and build intervals for one arm.
+
+    The arm's rows are gathered, and its design built and checked, once for
+    both the solve and the sandwich.
+    """
+    rows = arm_rows(log, target, arm)
     theta = ipwz_solve(log, target, arm, rows=rows)
     sigma, gdot, imat = sandwich_variance(log, target, arm, theta, mode=mode, rows=rows)
     cis = confidence_intervals(theta, sigma, log.horizon, levels)

@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .estimator import ScoreTarget, score_g
+from .estimator import ScoreTarget, check_covariance, score_g
 
 POLICY_KINDS = (
     "random", "eps_greedy_mab", "ucb_mab", "ts_mab",
@@ -163,7 +163,8 @@ def init_state(config: PolicyConfig, num_arms: int, context_dim: int,
                target: ScoreTarget | None = None, block: int = 1) -> PolicyState:
     """Fresh state for ``block`` trajectories in lockstep.
 
-    Validates the K-dependent config constraints.
+    Validates the K-dependent config constraints, and that a noisy_context
+    target's Sigma_e is d x d for the kinds that hold the target.
     """
     if num_arms * config.pi_min > 1.0 + 1e-12:
         raise InfeasibleClipError(
@@ -180,21 +181,21 @@ def init_state(config: PolicyConfig, num_arms: int, context_dim: int,
         state.ridge_beta = np.zeros((B, K, d))
     if config.kind == "linucb":
         state.ridge_gram_inv = np.tile(np.eye(d) / config.ridge_lambda, (B, K, 1, 1))
-    if config.kind == "boltzmann_sgd":
+    if config.kind in ("boltzmann_sgd", "ipwz_greedy"):
         if target is None:
-            raise ValueError("boltzmann_sgd requires a ScoreTarget for its update rule")
-        state.sgd_beta = np.zeros((B, K, target.theta_dim(d)))
+            raise ValueError(f"{config.kind} requires a ScoreTarget")
+        if target.family == "noisy_context":
+            check_covariance(target.sigma_e, "sigma_e", dim=d)
         state.target = target
+    if config.kind == "boltzmann_sgd":
+        state.sgd_beta = np.zeros((B, K, target.theta_dim(d)))
     if config.kind == "ipwz_greedy":
-        if target is None:
-            raise ValueError("ipwz_greedy requires a ScoreTarget")
         dt = target.theta_dim(d)
         state.ipw_weight = np.zeros((B, K))
         state.ipw_gram = np.zeros((B, K, dt, dt))
         state.ipw_moment = np.zeros((B, K, dt))
         state.ipw_theta = np.zeros((B, K, dt))
         state.ipw_ok = np.zeros((B, K), dtype=bool)
-        state.target = target
     return state
 
 

@@ -9,6 +9,10 @@ policy and rescans every past row. ``reference_write_log_csv`` is the log
 writer as a ``csv.writer`` loop, one row at a time: the byte oracle for the
 chunked writer. ``reference_clip_simplex`` is the simplex projection as first
 written, with a row-wise feasibility mask: the bit oracle for the faster one.
+``reference_estimate_report`` is the per-arm solve, sandwich and intervals as
+first written, gathering the arm's rows by boolean mask and building and
+checking the design once for the solve and again for the sandwich: the bit
+oracle for the one-pass ``estimate_report``.
 ``assert_logs_equal`` compares every field of two logs, so no field can be
 left out of a comparison. The single-draw helpers (``sample_round``,
 ``select_action``) exist only for tests; the package itself draws rounds and
@@ -26,9 +30,19 @@ from typing import NamedTuple
 import numpy as np
 
 from banditlab.env import EnvironmentSpec, sample_rounds
-from banditlab.estimator import BanditLog, ScoreTarget, TargetPolicy
+from banditlab.estimator import (
+    BanditLog,
+    NoDataForArm,
+    ScoreTarget,
+    TargetPolicy,
+    _design,
+    _require_conditioned,
+    _solve_checked,
+    normal_equations,
+    scores,
+)
 from banditlab.harness import CadrResult, _run_block
-from banditlab.inference import two_sided_z
+from banditlab.inference import EstimateReport, confidence_intervals, two_sided_z
 from banditlab.policy import (
     InfeasibleClipError,
     PolicyConfig,
@@ -137,6 +151,31 @@ def martingale_zscores(env: EnvironmentSpec, policy: PolicyConfig,
     mean = z.mean(axis=0)
     stderr = z.std(axis=0, ddof=1) / np.sqrt(n_draws)
     return np.abs(mean) / stderr
+
+
+def family_target(family: str, d: int, sigma_e_scale: float = 0.5) -> ScoreTarget:
+    """A target of ``family`` on d-dimensional contexts: Sigma_e = ``sigma_e_scale`` * I for
+    noisy_context, the uniform target policy for ope."""
+    if family == "noisy_context":
+        return ScoreTarget(family=family, sigma_e=sigma_e_scale * np.eye(d))
+    if family == "ope":
+        return ScoreTarget(family=family, target_policy=TargetPolicy(kind="uniform"))
+    return ScoreTarget(family=family)
+
+
+def synthetic_log(env: EnvironmentSpec, horizon: int, seed: int, drawn: bool = True,
+                  skip_last_arm: bool = False) -> BanditLog:
+    """Rounds of ``env`` with arms drawn uniformly and, if ``drawn``, propensities
+    drawn from [0.05, 1) (else 1/K): any positive propensities make a valid log
+    for the estimator. ``skip_last_arm`` leaves arm K - 1 unpulled."""
+    rng = stream(seed, 7)
+    rounds = sample_rounds(env, rng, horizon)
+    K = env.num_arms
+    arms = rng.integers(0, K - 1 if skip_last_arm else K, size=horizon)
+    pis = rng.uniform(0.05, 1.0, size=horizon) if drawn else np.full(horizon, 1.0 / K)
+    return BanditLog(contexts=rounds.contexts, arms=arms, propensities=pis,
+                     outcomes=rounds.potentials[np.arange(horizon), arms], num_arms=K,
+                     latents=rounds.latents)
 
 
 def ipwz_residual(log: BanditLog, target: ScoreTarget, arm: int,
@@ -295,3 +334,51 @@ def reference_clip_simplex(P: np.ndarray, pi_min: float) -> np.ndarray:
     out[~any_valid] = pi_min
     out[ok] = P[ok]
     return out
+
+
+def _reference_arm_rows(log: BanditLog, arm: int):
+    """(contexts, outcomes, inverse propensities) of the rounds that pulled ``arm``."""
+    mask = log.arms == arm
+    if not mask.any():
+        raise NoDataForArm(arm)
+    return log.contexts[mask], log.outcomes[mask], 1.0 / log.propensities[mask]
+
+
+def _reference_ipwz_solve(log: BanditLog, target: ScoreTarget, arm: int, rows=None) -> np.ndarray:
+    X, Y, w = _reference_arm_rows(log, arm) if rows is None else rows
+    design, moment = normal_equations(target, arm, X, Y, w, log.num_arms, log.horizon)
+    return _solve_checked(design, moment, arm)
+
+
+def _reference_sandwich_variance(log: BanditLog, target: ScoreTarget, arm: int,
+                                 theta_hat: np.ndarray, mode: str = "full", rows=None):
+    if mode not in ("full", "simplified"):
+        raise ValueError(f"unknown variance mode {mode!r}")
+    theta = np.asarray(theta_hat, dtype=float).ravel()
+    X, Y, w = _reference_arm_rows(log, arm) if rows is None else rows
+    T = log.horizon
+    design_rows, weights = (X, w) if mode == "full" else (log.contexts, None)
+    gdot = _design(target, target.regressors(design_rows), weights, T)
+    gw = scores(target, arm, X, Y, theta, log.num_arms, w)
+    imat = gw.T @ gw / T
+
+    _require_conditioned(gdot, arm)
+    ginv = np.linalg.inv(gdot)
+    sigma = ginv @ imat @ ginv.T
+    sigma = (sigma + sigma.T) / 2.0
+    neg = np.diag(sigma) < 0
+    if neg.any():
+        sigma[np.diag_indices_from(sigma)] = np.maximum(np.diag(sigma), 0.0)
+    return sigma, gdot, imat
+
+
+def reference_estimate_report(log: BanditLog, target: ScoreTarget, arm: int,
+                              levels=(0.95,), mode: str = "full") -> EstimateReport:
+    """Solve, estimate variance and build intervals for one arm, the rows gathered by mask."""
+    rows = _reference_arm_rows(log, arm)
+    theta = _reference_ipwz_solve(log, target, arm, rows=rows)
+    sigma, gdot, imat = _reference_sandwich_variance(log, target, arm, theta, mode=mode,
+                                                     rows=rows)
+    cis = confidence_intervals(theta, sigma, log.horizon, levels)
+    return EstimateReport(arm=arm, theta=theta, sigma=sigma, gdot=gdot,
+                          imat=imat, cis=cis, horizon=log.horizon)

@@ -259,6 +259,26 @@ def test_bad_shape_exits_one_before_oracle(tmp_path, capsys, monkeypatch, extra,
     assert not (out / "coverage.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["coverage", "simulate"])
+@pytest.mark.parametrize("override", ["bogus=1", "diagnostics.contexts=[[1.0,1.0]]"],
+                         ids=["unknown_key", "bad_shape"])
+def test_rejected_config_leaves_no_output_directory(tmp_path, capsys, command, override):
+    cfg = _tiny_config(tmp_path)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--set", override]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_unknown_cadr_regression_leaves_no_output_directory(tmp_path, capsys):
+    cfg = _tiny_config(tmp_path, target={"family": "ope", "target_policy": {"kind": "uniform"}})
+    out = tmp_path / "cmp"
+    assert main(["compare-ope", "--config", str(cfg), "--out", str(out),
+                 "--set", 'cadr_regressions=["z"]']) == 1
+    assert "cadr_regressions must be a JSON list of names from" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_runtime_failure_exits_two(tmp_path, capsys):
     # A one-round horizon leaves an arm unpulled in every replication, so the
     # failure tolerance aborts the experiment at runtime.

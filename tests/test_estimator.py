@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from banditlab.env import InvalidParameterError, build_environment, oracle_target
 from banditlab.estimator import (
     _WRITE_CHUNK_ROWS,
+    FAMILIES,
     AuxiliaryData,
     BanditLog,
     LogFormatError,
@@ -27,9 +28,11 @@ from banditlab.rng import stream
 
 from helpers import (
     assert_logs_equal,
+    family_target,
     ipwz_residual,
     martingale_zscores,
     reference_write_log_csv,
+    synthetic_log,
 )
 
 
@@ -64,6 +67,13 @@ class TestScoreG:
         with pytest.raises(ValueError):
             score_g(target, np.array([0]), np.array([[1.0, 2.0]]), np.array([3.0]),
                     np.array([[1.0]]))
+
+    def test_sigma_e_size_must_match_context(self):
+        # A 1x1 Sigma_e would broadcast over a 2x2 z z'.
+        target = ScoreTarget(family="noisy_context", sigma_e=[[1.0]])
+        with pytest.raises(ValueError, match=r"sigma_e has shape \(1, 1\), but Z has 2 columns"):
+            score_g(target, np.array([0]), np.array([[1.0, 2.0]]), np.array([3.0]),
+                    np.array([[1.0, 0.0]]))
 
 
 class TestTargetPolicy:
@@ -103,20 +113,19 @@ class TestIpwzSolve:
         with pytest.raises(NoDataForArm):
             ipwz_solve(log, target, 1)
 
-    def test_root_residual_below_tolerance(self):
-        rng = stream(11)
-        env = build_environment("nc_hard1")
-        targets = [
-            ScoreTarget(family="misspec_linear"),
-            ScoreTarget(family="noisy_context", sigma_e=[[2.0]]),
-            ScoreTarget(family="ope", target_policy=TargetPolicy(kind="uniform")),
-        ]
-        log = run_trajectory(env, PolicyConfig(kind="random"), None, 3000, seed=12)
-        for target in targets:
-            for arm in range(2):
-                theta = ipwz_solve(log, target, arm)
-                res = ipwz_residual(log, target, arm, theta)
-                assert np.linalg.norm(res) < 1e-8
+    @given(family=st.sampled_from(FAMILIES), d=st.integers(1, 3), K=st.integers(2, 3),
+           T=st.integers(50, 400), drawn=st.booleans(), seed=st.integers(0, 2**16))
+    def test_root_residual_below_tolerance(self, family, d, K, T, drawn, seed):
+        # The solve is a root of the weighted estimating equation, checked by the
+        # boolean-mask residual built from the family definitions.
+        env = build_environment("nc_gaussian", {"d": d, "num_arms": K}, seed=seed)
+        target = family_target(family, d)
+        log = synthetic_log(env, T, seed, drawn=drawn)
+        for arm in range(K):
+            theta = ipwz_solve(log, target, arm)
+            moment = ipwz_residual(log, target, arm, np.zeros_like(theta))
+            res = ipwz_residual(log, target, arm, theta)
+            assert np.linalg.norm(res) < 1e-8 * max(1.0, np.linalg.norm(moment))
 
     def test_ope_invariant_to_constant_propensity(self):
         # Self-normalization cancels any constant logging propensity exactly.

@@ -618,25 +618,31 @@ def test_closed_form_cadr_matches_reference_loop(kind, K, env_name, points, T, r
 
 def test_replicate_solves_each_arm_once(monkeypatch):
     # The OPE value reuses the per-arm estimates: K * R solves, not 2 * K * R.
+    # The names counted are the ones the benchmark's tracer wraps
+    # (perfbench/shim.py), so its per-call timings cannot silently read zero.
     import banditlab.harness as harness
     import banditlab.inference as inference
 
-    calls = []
-    solve = inference.ipwz_solve
+    calls = {name: [] for name in ("ipwz_solve", "sandwich_variance", "confidence_intervals")}
+    for name, seen in calls.items():
+        original = getattr(inference, name)
 
-    def counting(*args, **kw):
-        calls.append(args[2])
-        return solve(*args, **kw)
+        def counting(*args, _seen=seen, _original=original, **kw):
+            _seen.append(args[2])  # the arm; the horizon for confidence_intervals
+            return _original(*args, **kw)
 
-    # Wherever the engine looks the solver up, the count sees it.
-    monkeypatch.setattr(inference, "ipwz_solve", counting)
-    monkeypatch.setattr(harness, "ipwz_solve", counting, raising=False)
+        # Wherever the engine looks the name up, the count sees it.
+        monkeypatch.setattr(inference, name, counting)
+        monkeypatch.setattr(harness, name, counting, raising=False)
     env = build_environment("nonconv_demo")
     config = ExperimentConfig(env=env, policy=PolicyConfig(kind="boltzmann_ridge", gamma=20.0),
                               target=OPE_UNIFORM, horizon=100, replications=3, seed=32)
     summary = replicate(config, cadr_regressions=("zero",))
     assert summary.failures == []
-    assert calls == [0, 1] * 3
+    assert calls["ipwz_solve"] == [0, 1] * 3
+    assert calls["sandwich_variance"] == [0, 1] * 3
+    # Per replication, one interval call per arm and one for the OPE value.
+    assert calls["confidence_intervals"] == [100] * (3 * 3)
 
 
 def test_unknown_cadr_regression_rejected_before_oracle(monkeypatch):

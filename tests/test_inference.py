@@ -2,20 +2,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from banditlab.env import build_environment, oracle_target
 from banditlab.estimator import (
+    FAMILIES,
     AuxiliaryData,
     BanditLog,
     NoDataForArm,
     ScoreTarget,
+    SingularDesign,
     TargetPolicy,
     ipwz_solve,
 )
 from banditlab.harness import _run_block, run_trajectory
 from banditlab.inference import (
     confidence_intervals,
+    estimate_report,
     norm_ppf,
     ope_value,
     sandwich_variance,
@@ -24,7 +29,7 @@ from banditlab.inference import (
 from banditlab.policy import PolicyConfig
 from banditlab.rng import stream
 
-from helpers import score_batch
+from helpers import family_target, reference_estimate_report, score_batch, synthetic_log
 
 
 def _ope_log(pis, ys, arms=None, K=1):
@@ -312,3 +317,63 @@ class TestVarianceConsistencySmall:
             errs[rep] = np.sqrt(T) * (theta[0] - theta_star[0])
             sigmas[rep] = sig[0, 0]
         assert abs(sigmas.mean() / errs.var(ddof=1) - 1.0) < 0.25
+
+
+def _report_or_error(report, log, target, arm, mode):
+    try:
+        return report(log, target, arm, levels=(0.5, 0.95), mode=mode)
+    except (NoDataForArm, SingularDesign) as exc:
+        return exc
+
+
+def _assert_bits_equal(got, want, what):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes(), what
+
+
+class TestEstimateReport:
+    @given(family=st.sampled_from(FAMILIES), mode=st.sampled_from(("full", "simplified")),
+           d=st.integers(1, 3), K=st.integers(2, 3), T=st.integers(5, 400),
+           drawn=st.booleans(), defect=st.sampled_from((None, "unpulled", "singular")),
+           seed=st.integers(0, 2**16))
+    def test_matches_reference_bit_for_bit(self, family, mode, d, K, T, drawn, defect, seed):
+        # The one-pass report against the mask-gathering, twice-designing one.
+        env = build_environment("nc_gaussian", {"d": d, "num_arms": K}, seed=seed)
+        log = synthetic_log(env, T, seed, drawn=drawn, skip_last_arm=defect == "unpulled")
+        target = family_target(family, d, sigma_e_scale=0.0 if defect == "singular" else 0.5)
+        if defect == "singular":  # arm 0's design is zero unless the regressor is constant
+            log.contexts[log.arms == 0] = 0.0
+        for arm in range(K):
+            got = _report_or_error(estimate_report, log, target, arm, mode)
+            want = _report_or_error(reference_estimate_report, log, target, arm, mode)
+            if isinstance(want, Exception):
+                assert type(got) is type(want) and str(got) == str(want)
+                continue
+            assert not isinstance(got, Exception), got
+            for field in ("theta", "sigma", "gdot", "imat"):
+                _assert_bits_equal(getattr(got, field), getattr(want, field), field)
+            assert got.cis.keys() == want.cis.keys()
+            for level in want.cis:
+                _assert_bits_equal(got.cis[level], want.cis[level], f"ci {level}")
+
+    def test_design_built_and_checked_once_per_arm(self, monkeypatch):
+        # Full mode: the solve's design is the sandwich's Gdot, so one design
+        # and one condition check per (log, arm).
+        import banditlab.estimator as estimator
+        import banditlab.inference as inference
+
+        calls = {"_design": 0, "_require_conditioned": 0}
+        for name in calls:
+            original = getattr(estimator, name)
+
+            def counting(*args, _name=name, _original=original, **kw):
+                calls[_name] += 1
+                return _original(*args, **kw)
+
+            # Wherever the solver or the sandwich looks the helper up, the count sees it.
+            monkeypatch.setattr(estimator, name, counting)
+            monkeypatch.setattr(inference, name, counting)
+        log = synthetic_log(build_environment("nc_gaussian", {"num_arms": 3}), 300, seed=4)
+        for arm in range(3):
+            estimate_report(log, ScoreTarget(family="misspec_linear"), arm)
+        assert calls == {"_design": 3, "_require_conditioned": 3}

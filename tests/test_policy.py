@@ -9,7 +9,7 @@ from scipy.stats import norm
 
 from banditlab.env import build_environment
 from banditlab.estimator import ScoreTarget, TargetPolicy, ipwz_solve
-from banditlab.harness import _run_block
+from banditlab.harness import _run_block, run_trajectory
 from banditlab.policy import (
     POLICY_KINDS,
     InfeasibleClipError,
@@ -394,6 +394,17 @@ def test_ipwz_incremental_equals_batch(env_name, target):
 def test_infeasible_pi_min_at_init():
     with pytest.raises(InfeasibleClipError):
         init_state(PolicyConfig(kind="ts_mab", pi_min=0.4), 3, 1)
+
+
+@pytest.mark.parametrize("kind", ["ipwz_greedy", "boltzmann_sgd"])
+def test_sigma_e_of_the_wrong_size_rejected_at_init(kind):
+    # A 1x1 Sigma_e on d = 2 contexts would broadcast through every update.
+    env = build_environment("nc_gaussian", {"d": 2})
+    target = ScoreTarget("noisy_context", sigma_e=[[1.0]])
+    with pytest.raises(ValueError, match=r"sigma_e must be a 2x2 matrix, got shape \(1, 1\)"):
+        run_trajectory(env, PolicyConfig(kind=kind, pi_min=0.1), target, 200, seed=1)
+    init_state(PolicyConfig(kind=kind, pi_min=0.1), 2, 2,
+               target=ScoreTarget("noisy_context", sigma_e=np.eye(2)))
 
 
 def test_batch_distribution_matches_single():
