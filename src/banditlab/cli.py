@@ -11,8 +11,8 @@ One JSON document configures an experiment end to end:
       "diagnostics": {"contexts": [[-4.0]]}
     }
 
-Every run writes a ``manifest.json`` (resolved config + seed + code, Python,
-NumPy and SciPy versions) into the output directory; re-running a command with
+Every run writes a ``manifest.json`` (resolved config + seed + code, Python
+and NumPy versions) into the output directory; re-running a command with
 the manifest as its config reproduces the outputs byte for byte. Exit codes:
 0 success, 1 config error, 2 runtime failure.
 """
@@ -27,7 +27,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .env import (
@@ -67,12 +66,16 @@ class ConfigError(ValueError):
 # --- config handling -----------------------------------------------------------
 
 
+def _reject_constant(token: str):
+    raise ConfigError(f"non-finite number {token} in config: every number must be finite")
+
+
 def load_config(path: str) -> dict:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        doc = json.loads(p.read_text())
+        doc = json.loads(p.read_text(), parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if isinstance(doc, dict) and "command" in doc and "config" in doc:
@@ -83,13 +86,17 @@ def load_config(path: str) -> dict:
 
 
 def apply_overrides(config: dict, sets: list[str]) -> dict:
-    """Apply ``--set dotted.key=value`` pairs; values parse as JSON literals."""
+    """Apply ``--set dotted.key=value`` pairs; values parse as JSON literals.
+
+    A value that is not JSON is taken as a string, but NaN and Infinity are
+    rejected here as in a config file.
+    """
     for item in sets or []:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
         key, raw = item.split("=", 1)
         try:
-            value = json.loads(raw)
+            value = json.loads(raw, parse_constant=_reject_constant)
         except json.JSONDecodeError:
             value = raw
         node = config
@@ -149,7 +156,7 @@ def parse_policy(doc: dict) -> PolicyConfig:
     if "kind" not in doc:
         raise ConfigError("policy config requires a 'kind'")
     kwargs = dict(doc)
-    if "ts_prior" in doc:
+    if isinstance(doc.get("ts_prior"), list):
         kwargs["ts_prior"] = tuple(doc["ts_prior"])
     return PolicyConfig(**kwargs)
 
@@ -189,8 +196,7 @@ def write_manifest(out_dir: Path, command: str, config: dict, argv: list[str]) -
         "command": command,
         "config": config,
         "package_version": __version__,
-        "versions": {"python": platform.python_version(), "numpy": np.__version__,
-                     "scipy": scipy.__version__},
+        "versions": {"python": platform.python_version(), "numpy": np.__version__},
         "argv": list(argv),
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

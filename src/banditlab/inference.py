@@ -20,7 +20,7 @@ arm's rows once and builds and checks their design once, and both the solve
 and, in full mode, the sandwich's Gdot use them.
 
 Confidence intervals take their normal quantile from the standard library's
-``statistics.NormalDist``, so importing this module loads no part of SciPy.
+``statistics.NormalDist``.
 """
 
 from __future__ import annotations

@@ -9,6 +9,8 @@ policy and rescans every past row. ``reference_write_log_csv`` is the log
 writer as a ``csv.writer`` loop, one row at a time: the byte oracle for the
 chunked writer. ``reference_clip_simplex`` is the simplex projection as first
 written, with a row-wise feasibility mask: the bit oracle for the faster one.
+``reference_ts_entry`` is one Thompson-sampling probability by SciPy's
+adaptive quadrature in absolute units: the oracle for the fixed numpy rule.
 ``reference_estimate_report`` is the per-arm solve, sandwich and intervals as
 first written, gathering the arm's rows by boolean mask and building and
 checking the design once for the solve and again for the sandwich: the bit
@@ -334,6 +336,31 @@ def reference_clip_simplex(P: np.ndarray, pi_min: float) -> np.ndarray:
     out[~any_valid] = pi_min
     out[ok] = P[ok]
     return out
+
+
+def reference_ts_entry(a: int, means: np.ndarray, sds: np.ndarray) -> float:
+    """P(arm a is best) under independent normal posteriors, by SciPy's adaptive ``quad``.
+
+    One entry of one (K,) row, integrated in absolute u with breakpoints at
+    each other arm's mean and mean +- 8 sd; accurate to about 1e-9.
+    """
+    from scipy.integrate import quad
+    from scipy.special import ndtr
+
+    others = [i for i in range(means.shape[0]) if i != a]
+
+    def integrand(u):
+        dens = math.exp(-0.5 * ((u - means[a]) / sds[a]) ** 2) / (sds[a] * math.sqrt(2 * math.pi))
+        for i in others:
+            dens *= ndtr((u - means[i]) / sds[i])
+        return dens
+
+    lo, hi = means[a] - 12 * sds[a], means[a] + 12 * sds[a]
+    # Each other arm's CDF climbs within +-8 sd of its mean: give the climb its own pieces.
+    edges = [m + k * sd for m, sd in zip(means[others], sds[others]) for k in (-8, 0, 8)]
+    breaks = sorted({e for e in edges if lo < e < hi})
+    val, _ = quad(integrand, lo, hi, points=breaks or None, limit=200, epsabs=1e-9)
+    return val
 
 
 def _reference_arm_rows(log: BanditLog, arm: int):

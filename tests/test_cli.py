@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from banditlab.cli import ConfigError, build_experiment, load_config, main
+from banditlab.cli import ConfigError, apply_overrides, build_experiment, load_config, main
 from banditlab.estimator import read_log_csv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -102,7 +102,7 @@ def test_simulate_pi_min_override(tmp_path):
     assert np.any(log.propensities < 0.05)  # override actually lowered the floor
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["policy"]["pi_min"] == 0.01
-    assert set(manifest["versions"]) == {"python", "numpy", "scipy"}
+    assert set(manifest["versions"]) == {"python", "numpy"}
     assert manifest["versions"]["numpy"] == np.__version__
 
 
@@ -260,14 +260,35 @@ def test_bad_shape_exits_one_before_oracle(tmp_path, capsys, monkeypatch, extra,
 
 
 @pytest.mark.parametrize("command", ["coverage", "simulate"])
-@pytest.mark.parametrize("override", ["bogus=1", "diagnostics.contexts=[[1.0,1.0]]"],
-                         ids=["unknown_key", "bad_shape"])
+@pytest.mark.parametrize("override", [
+    "bogus=1", "diagnostics.contexts=[[1.0,1.0]]", "policy.gamma=NaN", "policy.ridge_lambda=NaN",
+    "policy.linucb_alpha=NaN", "policy.ts_prior=[0,NaN,1]", "policy.ts_prior=[0,1]",
+    "env.params.arm_means=[NaN,0.5]", "env.params.sigma_eta=NaN", None,
+], ids=["unknown_key", "bad_shape", "gamma_nan", "ridge_lambda_nan", "linucb_alpha_nan",
+        "ts_prior_nan", "ts_prior_two_numbers", "arm_means_nan", "sigma_eta_nan",
+        "infinity_in_file"])
 def test_rejected_config_leaves_no_output_directory(tmp_path, capsys, command, override):
     cfg = _tiny_config(tmp_path)
+    sets = ["--set", override]
+    if override is None:
+        cfg.write_text(cfg.read_text().replace('"random"', '"random", "gamma": Infinity'))
+        sets = []
     out = tmp_path / "out"
-    assert main([command, "--config", str(cfg), "--out", str(out), "--set", override]) == 1
+    assert main([command, "--config", str(cfg), "--out", str(out), *sets]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_number_named(tmp_path, token):
+    # Python's json reads these tokens as floats; a config may not hold them.
+    path = tmp_path / "cfg.json"
+    path.write_text(f'{{"horizon": {token}}}')
+    with pytest.raises(ConfigError, match=f"non-finite number {token} in config"):
+        load_config(str(path))
+    with pytest.raises(ConfigError, match=f"non-finite number {token} in config"):
+        apply_overrides({}, [f"policy.gamma={token}"])
+    assert apply_overrides({}, ["env.name=nc_gaussian"]) == {"env": {"name": "nc_gaussian"}}
 
 
 def test_unknown_cadr_regression_leaves_no_output_directory(tmp_path, capsys):
@@ -383,30 +404,35 @@ def test_infer_malformed_log_exits_one(tmp_path, capsys, bad_row, message):
 
 _STARTUP_SCRIPT = """
 import json, sys
+sys.modules["scipy"] = None  # every SciPy import now raises ImportError
 from pathlib import Path
 from banditlab import cli
 
 tmp = Path(sys.argv[1])
-ts, ope = tmp / "ts.json", tmp / "ope.json"
-assert cli.main(["simulate", "--config", str(ts), "--out", str(tmp / "sim")]) == 0
-assert cli.main(["infer", "--config", str(ts), "--out", str(tmp / "inf"),
-                 "--log", str(tmp / "sim" / "log.csv")]) == 0
-assert cli.main(["coverage", "--config", str(ts), "--out", str(tmp / "cov"),
-                 "--workers", "1"]) == 0
-assert cli.main(["compare-ope", "--config", str(ope), "--out", str(tmp / "cmp")]) == 0
-prefixes = ("scipy.special", "scipy.integrate", "scipy.stats")
-print(json.dumps(sorted(m for m in sys.modules if m.startswith(prefixes))))
+for name in ("ts", "ts3"):
+    cfg, out = str(tmp / f"{name}.json"), tmp / name
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out / "sim")]) == 0
+    assert cli.main(["infer", "--config", cfg, "--out", str(out / "inf"),
+                     "--log", str(out / "sim" / "log.csv")]) == 0
+    assert cli.main(["coverage", "--config", cfg, "--out", str(out / "cov"),
+                     "--workers", "1"]) == 0
+ope = str(tmp / "ope.json")
+assert cli.main(["compare-ope", "--config", ope, "--out", str(tmp / "cmp")]) == 0
+print(json.dumps(sorted(m for m, mod in sys.modules.items()
+                        if m.startswith("scipy") and mod is not None)))
 """
 
 
-def test_cli_runs_without_scipy_special_integrate_or_stats(tmp_path):
-    # A fresh process that imports the CLI and runs a two-arm Thompson
-    # simulation, inference, coverage and a CADR comparison loads none of
-    # SciPy's special, integrate or stats modules: their import would triple
-    # the start-up time of every CLI process.
+def test_cli_runs_with_scipy_import_blocked(tmp_path):
+    # SciPy is a test dependency only. A fresh process in which any SciPy
+    # import fails runs two- and three-arm Thompson simulation, inference and
+    # coverage, and a CADR comparison, and loads no SciPy module.
     base = {"env": {"name": "nonconv_demo", "seed": 0}, "target": {"family": "misspec_linear"},
             "horizon": 100, "replications": 2, "seed": 5, "levels": [0.95]}
     (tmp_path / "ts.json").write_text(json.dumps({**base, "policy": {"kind": "ts_mab"}}))
+    (tmp_path / "ts3.json").write_text(json.dumps({
+        **base, "env": {"name": "nc_gaussian", "params": {"num_arms": 3}, "seed": 0},
+        "policy": {"kind": "ts_mab"}}))
     (tmp_path / "ope.json").write_text(json.dumps({
         **base, "policy": {"kind": "boltzmann_ridge", "gamma": 20.0},
         "target": {"family": "ope", "target_policy": {"kind": "uniform"}}}))

@@ -15,7 +15,7 @@ from banditlab.policy import (
     InfeasibleClipError,
     PolicyConfig,
     Transition,
-    _ts_ladder,
+    _ts_quadrature,
     action_distribution,
     boltzmann_distribution,
     clip_simplex,
@@ -27,7 +27,7 @@ from banditlab.policy import (
 )
 from banditlab.rng import stream
 
-from helpers import one_round, qp_project, reference_clip_simplex, select_action
+from helpers import one_round, qp_project, reference_clip_simplex, reference_ts_entry, select_action
 
 
 class TestClipSimplex:
@@ -117,11 +117,22 @@ class TestTsOptimalProb:
         z = (means[:, 0] - means[:, 1]) / np.sqrt(variances.sum(axis=1))
         assert np.abs(probs - np.column_stack([ndtr(z), ndtr(-z)])).max() <= 1e-15
         assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-15
-        assert np.abs(probs - _ts_ladder(means, np.sqrt(variances))).max() <= 1e-6
+        assert np.abs(probs - _ts_quadrature(means, np.sqrt(variances))).max() <= 1e-12
+
+    @given(st.integers(3, 5).flatmap(lambda K: st.lists(
+        st.tuples(st.floats(-5.0, 5.0), st.floats(-12.0, 1.0)), min_size=K, max_size=K)))
+    def test_three_or_more_arms_against_adaptive_quadrature(self, arms):
+        # Means in [-5, 5], variances log-uniform in [1e-12, 10].
+        drawn = np.array(arms)
+        means, sds = drawn[:, 0], np.sqrt(10.0 ** drawn[:, 1])
+        probs = ts_optimal_prob(means, sds ** 2)
+        want = [reference_ts_entry(a, means, sds) for a in range(means.size)]
+        assert np.abs(probs - want).max() <= 1e-9
+        assert abs(probs.sum() - 1.0) <= 1e-12
 
     def test_symmetric_arms(self):
         probs = ts_optimal_prob(np.zeros(3), np.ones(3))
-        np.testing.assert_allclose(probs, [1 / 3] * 3, atol=1e-6)
+        np.testing.assert_allclose(probs, [1 / 3] * 3, rtol=0, atol=1e-12)
 
     def test_degenerate_variance_limit(self):
         probs = ts_optimal_prob(np.array([1.0, 0.0]), np.array([1e-12, 1e-12]))
@@ -133,14 +144,14 @@ class TestTsOptimalProb:
         assert probs[0] == pytest.approx(1 - norm.cdf(0.5), abs=1e-6)
 
     def test_sharp_posterior_against_a_diffuse_one(self):
-        # Gauss-Hermite rungs on the diffuse arm's density can agree while both
-        # miss the sharp arm's CDF step (by 0.069 on this pair without the
-        # sd-ratio screen). A third arm far below changes no probability.
+        # The sharp arm's CDF is a step on the diffuse arm's scale, which a
+        # rule placed by the diffuse arm's density alone misses (Gauss-Hermite
+        # by 0.069). A third arm far below changes no probability.
         means = np.array([3.7321435358471273, 4.158817106358033])
         variances = np.array([1.016101190198141e-07, 6.00941335792174])
         z = (means[0] - means[1]) / np.sqrt(variances.sum())
         three = ts_optimal_prob(np.append(means, -50.0), np.append(variances, 1.0))
-        np.testing.assert_allclose(three, [ndtr(z), ndtr(-z), 0.0], rtol=0, atol=1e-6)
+        np.testing.assert_allclose(three, [ndtr(z), ndtr(-z), 0.0], rtol=0, atol=1e-12)
 
     def test_nonpositive_variance_rejected(self):
         with pytest.raises(ValueError):
@@ -394,6 +405,13 @@ def test_ipwz_incremental_equals_batch(env_name, target):
 def test_infeasible_pi_min_at_init():
     with pytest.raises(InfeasibleClipError):
         init_state(PolicyConfig(kind="ts_mab", pi_min=0.4), 3, 1)
+
+
+@pytest.mark.parametrize("prior", [(0.0, 1.0), (0.0, float("nan"), 1.0), 5, ("a", 1.0, 1.0)],
+                         ids=["two_numbers", "nan", "scalar", "string"])
+def test_ts_prior_must_be_three_finite_numbers(prior):
+    with pytest.raises(ValueError, match="ts_prior must be three finite numbers"):
+        PolicyConfig(kind="ts_mab", ts_prior=prior)
 
 
 @pytest.mark.parametrize("kind", ["ipwz_greedy", "boltzmann_sgd"])
