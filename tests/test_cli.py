@@ -279,6 +279,31 @@ def test_rejected_config_leaves_no_output_directory(tmp_path, capsys, command, o
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["coverage", "diagnose", "compare-ope", "simulate"])
+@pytest.mark.parametrize("cap", ["two", "2.5", ""])
+def test_malformed_max_workers_named(tmp_path, capsys, monkeypatch, command, cap):
+    monkeypatch.setenv("BANDITLAB_MAX_WORKERS", cap)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(_tiny_config(tmp_path)), "--out", str(out)]) == 1
+    assert f"BANDITLAB_MAX_WORKERS must be an integer, got {cap!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cap", ["0", "-3", "1"])
+def test_integer_max_workers_clamped_to_one(tmp_path, monkeypatch, cap):
+    import banditlab.harness as harness
+
+    def no_pool(*args, **kw):
+        raise AssertionError("a pool was started under a cap of one worker")
+
+    monkeypatch.setenv("BANDITLAB_MAX_WORKERS", cap)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    out = tmp_path / "out"
+    cfg = _tiny_config(tmp_path, replications=2)
+    assert main(["coverage", "--config", str(cfg), "--out", str(out), "--workers", "2"]) == 0
+    assert (out / "coverage.csv").exists()
+
+
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_number_named(tmp_path, token):
     # Python's json reads these tokens as floats; a config may not hold them.

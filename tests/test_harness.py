@@ -1,6 +1,7 @@
 """Trajectory runner, replication engine, diagnostics, CADR baseline."""
 
 import json
+import pickle
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from banditlab.estimator import ScoreTarget, TargetPolicy, read_log_csv, write_l
 from banditlab.harness import (
     BehaviorTable,
     ExperimentConfig,
+    _replicate_block,
     _run_block,
     cadr_ope,
     convergence_diagnostic,
@@ -157,6 +159,65 @@ def test_block_layout_invariance(env_name, kind, target):
                 _assert_states_equal(state, i, want_state, what)
 
 
+
+def _assert_bits_equal(got, want, what):
+    """Nested dicts of arrays or numbers (or None) are equal bit for bit, dtype included."""
+    if isinstance(want, dict):
+        assert list(got) == list(want), what
+        for key in want:
+            _assert_bits_equal(got[key], want[key], f"{what}[{key}]")
+    elif want is None:
+        assert got is None, what
+    else:
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.dtype == want.dtype and got.shape == want.shape, what
+        assert got.tobytes() == want.tobytes(), what
+
+
+def test_unpickled_config_gives_the_same_records():
+    # A pool worker runs on an unpickled config. nonconv_demo's outcomes come
+    # from constant per-arm means, tiled from the unpickled parameter array, so
+    # they carry NumPy's unpickled float64 descriptor (equal to the canonical
+    # one, but not that object) into the random branch's per-arm scatter.
+    config = ExperimentConfig(
+        env=build_environment("nonconv_demo"), policy=PolicyConfig(kind="random"),
+        target=OPE_UNIFORM, horizon=300, replications=4, seed=45, levels=(0.5, 0.95),
+        diagnostic_contexts=((-4.0,), (1.0,)), n_oracle=10_000)
+    thetas_star = oracle_thetas(config.env, config.target, n_oracle=config.n_oracle,
+                                seed=config.seed)
+    v_star = float(thetas_star.sum())
+    regressions = ("zero", "online_linear")
+    want = _replicate_block(config, range(4), thetas_star, v_star, regressions)
+    got = _replicate_block(pickle.loads(pickle.dumps(config)), range(4), thetas_star, v_star,
+                           regressions)
+    assert [r.rep for r in got] == [r.rep for r in want] == [0, 1, 2, 3]
+    for g, w in zip(got, want):
+        assert g.error is w.error is None
+        _assert_bits_equal(g.diag_probs, w.diag_probs, f"rep {w.rep}: diag_probs")
+        _assert_bits_equal(g.record, w.record, f"rep {w.rep}: record")
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_random_counts_and_sums_are_per_step_sums(size):
+    # The random branch scatters every log into its final state at once; the
+    # result is the same bits as adding the log's rounds one by one in order.
+    env = build_environment("nc_gaussian", {"num_arms": 4}, seed=2)
+    R, T, seed = 6, 500, 46
+    for start in range(0, R, size):
+        reps = range(start, start + size)
+        logs, state, _ = _run_block(env, PolicyConfig(kind="random"), MISSPEC, T, seed,
+                                    [(rep,) for rep in reps])
+        for i, log in enumerate(logs):
+            counts, sums = [0] * 4, [0.0] * 4
+            for arm, y in zip(log.arms.tolist(), log.outcomes.tolist()):
+                counts[arm] += 1
+                sums[arm] += y
+            assert state.t == T
+            assert state.counts.dtype == np.int64
+            assert state.counts[i].tolist() == counts, f"rep {reps[i]}"
+            assert state.sums[i].tobytes() == np.array(sums).tobytes(), f"rep {reps[i]}"
+
+
 class TestReplicate:
     def test_single_replication_indicator_coverage(self):
         env = build_environment("nonconv_demo")
@@ -208,6 +269,27 @@ class TestReplicate:
         for method in serial.value_floored:
             np.testing.assert_array_equal(serial.value_floored[method],
                                           parallel.value_floored[method])
+
+    def test_serial_equals_parallel_several_blocks_per_chunk(self):
+        # 40 random replications are 40 blocks of one, mapped on 2 workers in
+        # chunks of 5: each chunk's one copy of the config, theta*, v* and the
+        # regressions serves several blocks.
+        env = build_environment("nonconv_demo")
+        base = dict(env=env, policy=PolicyConfig(kind="random"), target=OPE_UNIFORM,
+                    horizon=150, replications=40, seed=19, levels=(0.5, 0.95))
+        regressions = ("zero", "online_linear")
+        serial = replicate(ExperimentConfig(**base, workers=1), cadr_regressions=regressions)
+        parallel = replicate(ExperimentConfig(**base, workers=2), cadr_regressions=regressions)
+        np.testing.assert_array_equal(serial.theta_hat, parallel.theta_hat)
+        np.testing.assert_array_equal(serial.covered, parallel.covered)
+        assert serial.failures == parallel.failures
+        for table in ("values", "value_covered", "value_floored"):
+            got, want = getattr(parallel, table), getattr(serial, table)
+            assert list(got) == list(want)
+            for method in want:
+                np.testing.assert_array_equal(got[method], want[method],
+                                              err_msg=f"{table}[{method}]")
+        assert list(serial.values) == ["ipwz", "cadr_zero", "cadr_online_linear"]
 
     def test_coverage_monotone_in_level(self):
         env = build_environment("nc_gaussian", seed=3)
