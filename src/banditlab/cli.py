@@ -24,6 +24,7 @@ import csv
 import json
 import platform
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,6 @@ from .estimator import (
     write_log_csv,
 )
 from .harness import (
-    CADR_REGRESSIONS,
     ExperimentConfig,
     check_levels_and_mode,
     config_fingerprint,
@@ -175,19 +175,14 @@ def build_experiment(config: dict) -> ExperimentConfig:
             raise ConfigError(f"experiment config is missing {key!r}")
     diagnostics = config.get("diagnostics") or {}
     _check_keys(diagnostics, "diagnostics")
+    # The other keys reach ExperimentConfig as they are, to be checked there.
+    rest = {k: v for k, v in config.items() if k not in ("env", "policy", "target", "diagnostics")}
     return ExperimentConfig(
         env=parse_env(config["env"]),
         policy=parse_policy(config["policy"]),
         target=parse_target(config["target"]),
-        horizon=int(config["horizon"]),
-        replications=int(config.get("replications", 1)),
-        seed=int(config.get("seed", 0)),
-        levels=tuple(config.get("levels", (0.5, 0.95))),
-        diagnostic_contexts=tuple(tuple(np.atleast_1d(c).tolist())
-                                  for c in diagnostics.get("contexts", [])),
-        variance_mode=config.get("variance_mode", "full"),
-        workers=int(config.get("workers", 1)),
-        n_oracle=int(config.get("n_oracle", 1_000_000)),
+        diagnostic_contexts=diagnostics.get("contexts", ()),
+        **rest,
     )
 
 
@@ -202,14 +197,15 @@ def write_manifest(out_dir: Path, command: str, config: dict, argv: list[str]) -
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def write_oracle(out_dir: Path, exp: ExperimentConfig, thetas_star) -> None:
+def write_oracle(out_dir: Path, summary) -> None:
     """Persist the ground-truth values used, keyed by the configuration hash."""
+    exp = summary.config
     doc = {
         "config_hash": config_fingerprint([exp.env, exp.target, exp.n_oracle, exp.seed]),
-        "theta_star": np.asarray(thetas_star).tolist(),
+        "theta_star": summary.thetas_star.tolist(),
     }
-    if exp.target.family == "ope":
-        doc["v_star"] = float(np.asarray(thetas_star).sum())
+    if summary.v_star is not None:
+        doc["v_star"] = summary.v_star
     (out_dir / "oracle.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
@@ -236,9 +232,8 @@ def cmd_simulate(config: dict, out_dir: Path, argv) -> int:
 def cmd_infer(config: dict, out_dir: Path, argv, log_path: str) -> int:
     if not Path(log_path).is_file():
         raise ConfigError(f"log file not found: {log_path}")
-    levels = tuple(config.get("levels", (0.5, 0.95)))
     mode = config.get("variance_mode", "full")
-    check_levels_and_mode(levels, mode)
+    levels = check_levels_and_mode(config.get("levels", (0.5, 0.95)), mode)
     num_arms = None
     if "target" in config:
         _check_keys(config, "experiment config")
@@ -263,7 +258,7 @@ def cmd_infer(config: dict, out_dir: Path, argv, log_path: str) -> int:
 
 
 def cmd_coverage(config: dict, out_dir: Path, argv) -> int:
-    exp = build_experiment(config)
+    exp = replace(build_experiment(config), cadr_regressions=())
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = replicate(exp)
     _write_csv(out_dir / "coverage.csv",
@@ -295,7 +290,7 @@ def cmd_coverage(config: dict, out_dir: Path, argv) -> int:
                 ])
     _write_csv(out_dir / "replications.csv",
                ["rep", "arm", "coord", "theta_hat", "sigma_diag", "std_error"], rep_rows)
-    write_oracle(out_dir, exp, summary.thetas_star)
+    write_oracle(out_dir, summary)
     write_manifest(out_dir, "coverage", config, argv)
     n_rows = len(summary.coverage_table())
     print(f"wrote {out_dir / 'coverage.csv'} ({n_rows} rows, "
@@ -304,7 +299,7 @@ def cmd_coverage(config: dict, out_dir: Path, argv) -> int:
 
 
 def cmd_diagnose(config: dict, out_dir: Path, argv) -> int:
-    exp = build_experiment(config)
+    exp = replace(build_experiment(config), cadr_regressions=())
     if not exp.diagnostic_contexts:
         raise ConfigError("diagnose requires diagnostics.contexts in the config")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -321,29 +316,23 @@ def cmd_diagnose(config: dict, out_dir: Path, argv) -> int:
                          f"{diag.low_mass:.6f}", f"{diag.high_mass:.6f}"])
     _write_csv(out_dir / "diagnostic_summary.csv",
                ["context_index", "context", "arm", "spread", "low_mass", "high_mass"], rows)
-    write_oracle(out_dir, exp, summary.thetas_star)
+    write_oracle(out_dir, summary)
     write_manifest(out_dir, "diagnose", config, argv)
     print(f"wrote {out_dir / 'diagnostic_summary.csv'} ({len(rows)} rows)")
     return 0
 
 
 def cmd_compare_ope(config: dict, out_dir: Path, argv) -> int:
-    exp = build_experiment(config)
-    if exp.target.family != "ope":
-        raise ConfigError("compare-ope requires an ope-family target")
-    regressions = config.get("cadr_regressions", ["zero"])
-    if not isinstance(regressions, list) or not set(regressions) <= set(CADR_REGRESSIONS):
-        raise ConfigError(f"cadr_regressions must be a JSON list of names from "
-                          f"{CADR_REGRESSIONS}, got {regressions!r}")
+    exp = build_experiment({"cadr_regressions": ["zero"], **config})
     out_dir.mkdir(parents=True, exist_ok=True)
-    summary = replicate(exp, cadr_regressions=regressions)
+    summary = replicate(exp)
     rows = [[name, r["level"], f"{r['coverage']:.6f}", f"{float(values.mean()):.10g}",
              f"{float(values.var(ddof=1)):.10g}", f"{summary.v_star:.10g}"]
             for name, values in summary.values.items()
             for r in summary.value_coverage_table(name)]
     _write_csv(out_dir / "compare_ope.csv",
                ["method", "level", "coverage", "mean_value", "variance", "v_star"], rows)
-    write_oracle(out_dir, exp, summary.thetas_star)
+    write_oracle(out_dir, summary)
     write_manifest(out_dir, "compare-ope", config, argv)
     print(f"wrote {out_dir / 'compare_ope.csv'} ({len(rows)} rows, "
           f"{summary.replications_used} replications used, {len(summary.failures)} failed)")

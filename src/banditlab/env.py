@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .estimator import ScoreTarget, _solve_checked, check_covariance, normal_equations, scores
-from .rng import PURPOSE_ORACLE, PURPOSE_PARAMS, stream
+from .rng import PURPOSE_ORACLE, PURPOSE_PARAMS, stream, whole_number
 
 ENVIRONMENT_NAMES = (
     "nonconv_demo", "nc_hard1", "nc_hard2", "nc_gaussian", "ms_polynomial", "ms_neural",
@@ -323,7 +323,7 @@ def build_environment(name: str, params: dict | None = None, seed: int = 0) -> E
     if name not in _BUILDERS:
         raise UnknownEnvironmentError(
             f"unknown environment {name!r}; expected one of {ENVIRONMENT_NAMES}")
-    rng = stream(seed, PURPOSE_PARAMS)
+    rng = stream(whole_number(seed, "env.seed"), PURPOSE_PARAMS)
     return _BUILDERS[name](params or {}, rng)
 
 

@@ -27,9 +27,8 @@ blocks of at most ``BLOCK_CAP``, as many as a multiple of the worker count,
 and maps them over the process pool; inference, CADR, diagnostics (read from
 the final block state) and failure isolation stay per replication. The
 ``random`` policy needs no step loop and keeps one replication per task. The
-pool receives the config, theta* and the CADR regressions bound into one
-``functools.partial``, which it pickles once per chunk of tasks, not once per
-task.
+pool receives the config and theta* bound into one ``functools.partial``,
+which it pickles once per chunk of tasks, not once per task.
 
 Each replication's estimates form one record, a dict of named arrays built by
 ``_analyse``; ``replicate`` folds the successful records by one rule, dicts
@@ -39,9 +38,9 @@ entry.
 
 ``cadr_ope`` implements the contextual adaptive doubly-robust baseline with
 variance-stabilization weights, which use the exact round-t behavior policy.
-It is one more per-replication value estimator:
-``replicate(config, cadr_regressions=...)`` runs it on each replication's log,
-and its values sit next to IPW-Z's in the record's ``values`` table as
+It is one more per-replication value estimator: each name in the config's
+``cadr_regressions`` runs it on each replication's log, and its values sit
+next to IPW-Z's in the record's ``values`` table as
 ``cadr_<regression>`` (its floored-variance counts in ``value_floored``). On a
 finite context support the block engine records every replication's policy at
 the support's distinct contexts each round (the round's own distribution is
@@ -56,6 +55,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass
@@ -76,7 +76,7 @@ from .policy import (
     row_offsets,
     update_state,
 )
-from .rng import PURPOSE_ENV, PURPOSE_POLICY, stream
+from .rng import PURPOSE_ENV, PURPOSE_POLICY, stream, whole_number
 
 MAX_WORKERS_ENV_VAR = "BANDITLAB_MAX_WORKERS"
 
@@ -87,90 +87,101 @@ MAX_WORKERS_ENV_VAR = "BANDITLAB_MAX_WORKERS"
 BLOCK_CAP = 64
 
 CADR_REGRESSIONS = ("zero", "online_linear")
+CADR_BURN_IN = 10  # CADR's first steps, weighted 1 before any variance estimate
 
 # Largest share of failed replications a run tolerates; beyond it ``replicate`` raises.
 FAILURE_TOLERANCE = 0.05
 
 
-def check_levels_and_mode(levels, variance_mode: str) -> None:
-    """Reject empty or out-of-(0, 1) confidence levels and an unknown variance mode."""
-    if not levels or not all(0.0 < float(level) < 1.0 for level in levels):
-        raise ValueError(f"levels must be a non-empty list in (0, 1), got {list(levels)}")
+def check_levels_and_mode(levels, variance_mode: str) -> tuple:
+    """The levels as a tuple, if a non-empty list in (0, 1), and the variance mode known."""
+    if not (isinstance(levels, (list, tuple)) and levels and all(
+            isinstance(level, numbers.Real) and 0.0 < level < 1.0 for level in levels)):
+        raise ValueError(f"levels must be a non-empty list in (0, 1), got {levels!r}")
     if variance_mode not in ("full", "simplified"):
         raise ValueError(f"unknown variance mode {variance_mode!r}")
+    return tuple(levels)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one coverage experiment needs, in picklable form."""
+    """Everything one coverage experiment needs, in picklable form, checked on creation."""
 
     env: EnvironmentSpec
     policy: PolicyConfig
     target: ScoreTarget
     horizon: int
-    replications: int
+    replications: int = 1
     seed: int = 0
     levels: tuple = (0.5, 0.95)
     diagnostic_contexts: tuple = ()
     variance_mode: str = "full"
     workers: int = 1
     n_oracle: int = 1_000_000
+    cadr_regressions: tuple = ()
 
     def __post_init__(self):
+        for name in ("horizon", "replications", "seed", "workers", "n_oracle"):
+            object.__setattr__(self, name, whole_number(getattr(self, name), name))
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        check_levels_and_mode(self.levels, self.variance_mode)
+        object.__setattr__(self, "levels", check_levels_and_mode(self.levels, self.variance_mode))
         _resolve_workers(self.workers)
         d = self.env.context_dim
         if self.target.family == "noisy_context":
             check_covariance(self.target.sigma_e, "target.sigma_e", dim=d)
+        if not isinstance(self.diagnostic_contexts, (list, tuple)):
+            raise ValueError(f"diagnostics.contexts must be a list of contexts, "
+                             f"got {self.diagnostic_contexts!r}")
+        object.__setattr__(self, "diagnostic_contexts", tuple(
+            tuple(np.atleast_1d(c).tolist()) for c in self.diagnostic_contexts))
         sup = support(self.env)
         xs = None if sup is None else np.array([x for _, _, x in sup])
         for ctx in self.diagnostic_contexts:
-            ctx = np.atleast_1d(np.asarray(ctx, dtype=float))
+            ctx = np.asarray(ctx, dtype=float)
             if ctx.shape != (d,):
                 raise ValueError(f"diagnostic context {ctx.tolist()} has shape {ctx.shape}, "
                                  f"but the environment's context dimension is {d}")
             if xs is not None and not np.any(np.all(np.isclose(xs, ctx), axis=1)):
                 raise ValueError(
                     f"diagnostic context {ctx.tolist()} is outside the environment support")
+        if not isinstance(self.cadr_regressions, (list, tuple)):
+            raise ValueError(f"cadr_regressions must be a list of names from "
+                             f"{CADR_REGRESSIONS}, got {self.cadr_regressions!r}")
+        for reg in self.cadr_regressions:
+            if reg not in CADR_REGRESSIONS:
+                raise ValueError(f"unknown regression {reg!r} in cadr_regressions; "
+                                 f"expected one of {CADR_REGRESSIONS}")
+        object.__setattr__(self, "cadr_regressions", tuple(dict.fromkeys(self.cadr_regressions)))
+        if self.cadr_regressions and self.target.family != "ope":
+            raise ValueError("CADR requires an ope-family target")
+        if self.cadr_regressions and self.horizon <= CADR_BURN_IN:
+            raise ValueError(f"horizon {self.horizon} must exceed the CADR burn-in {CADR_BURN_IN}")
 
 
 def config_fingerprint(obj) -> str:
-    """Stable content hash for configs (dataclasses, arrays, callables by name)."""
+    """Stable content hash of a list of dataclasses, float arrays and scalars."""
 
     def canon(o):
-        if is_dataclass(o) and not isinstance(o, type):
+        if is_dataclass(o):
             return {f.name: canon(getattr(o, f.name)) for f in fields(o)}
         if isinstance(o, np.ndarray):
-            return ["ndarray", o.shape, o.astype(float).ravel().tolist()] \
-                if o.dtype != bool else ["ndarray", o.shape, o.ravel().tolist()]
+            return ["ndarray", o.shape, o.astype(float).ravel().tolist()]
         if isinstance(o, (list, tuple)):
             return [canon(v) for v in o]
-        if isinstance(o, dict):
-            return {str(k): canon(v) for k, v in sorted(o.items())}
-        if callable(o):
-            return f"callable:{getattr(o, '__module__', '?')}.{getattr(o, '__qualname__', repr(o))}"
         return o
 
     blob = json.dumps(canon(obj), sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-_ORACLE_CACHE: dict[str, np.ndarray] = {}
-
-
 def oracle_thetas(env: EnvironmentSpec, target: ScoreTarget,
                   n_oracle: int = 1_000_000, seed: int = 0) -> np.ndarray:
-    """Ground-truth theta* for every arm, cached by configuration hash."""
-    key = config_fingerprint([env, target, n_oracle, seed])
-    if key not in _ORACLE_CACHE:
-        cols = [oracle_target(env, target, arm, n_oracle=n_oracle, seed=seed).theta
-                for arm in range(env.num_arms)]
-        _ORACLE_CACHE[key] = np.stack(cols)
-    return _ORACLE_CACHE[key]
+    """Ground-truth theta* for every arm, (K, d_theta), a new array on every call."""
+    return np.stack([oracle_target(env, target, arm, n_oracle=n_oracle, seed=seed).theta
+                     for arm in range(env.num_arms)])
 
 
 # --- trajectories ---------------------------------------------------------------
@@ -276,8 +287,7 @@ def _covers(cis: dict, levels, value: float) -> np.ndarray:
 
 
 def _analyse(config: ExperimentConfig, log: BanditLog, thetas_star: np.ndarray,
-             v_star: float | None, cadr_regressions: tuple,
-             behavior_table: BehaviorTable | None = None) -> dict:
+             v_star: float | None, behavior_table: BehaviorTable | None = None) -> dict:
     """One replication's estimates as named arrays; estimator failures raise.
 
     ``values`` and ``value_covered`` hold one entry per value estimator of an
@@ -299,7 +309,7 @@ def _analyse(config: ExperimentConfig, log: BanditLog, thetas_star: np.ndarray,
     values, value_covered, value_floored = {}, {}, {}
     if target.family == "ope":
         estimates = {"ipwz": ope_value(log, target, levels=config.levels, reports=reports)}
-        for reg in cadr_regressions:
+        for reg in config.cadr_regressions:
             estimates[f"cadr_{reg}"] = est = cadr_ope(
                 log, target.target_policy, regression=reg, levels=config.levels,
                 behavior_policy=config.policy, behavior_target=target,
@@ -314,28 +324,27 @@ def _analyse(config: ExperimentConfig, log: BanditLog, thetas_star: np.ndarray,
 
 
 def _replicate_block(config: ExperimentConfig, reps: range, thetas_star: np.ndarray,
-                     v_star: float | None, cadr_regressions: tuple = ()) -> list[_RepResult]:
+                     v_star: float | None) -> list[_RepResult]:
     """Simulate the replications ``reps`` as one lockstep block, then analyse each alone.
 
     When CADR is requested on a finite context support, the block also records
     each replication's behavior policy at the support's distinct contexts, so
     CADR needs no replay of the policy.
     """
-    sup = support(config.env) if cadr_regressions else None
+    sup = support(config.env) if config.cadr_regressions else None
     probes = None if sup is None else np.unique(np.array([x for _, _, x in sup]), axis=0)
     logs, state, table = _run_block(config.env, config.policy, config.target, config.horizon,
                                     config.seed, [(rep,) for rep in reps], probes=probes)
     diag = [None] * len(reps)
     if config.diagnostic_contexts:
         # Last-step distributions at each diagnostic context: (B, n_ctx, K).
-        points = np.stack([np.atleast_1d(np.asarray(c, dtype=float))
-                           for c in config.diagnostic_contexts])
+        points = np.array(config.diagnostic_contexts, dtype=float)
         diag = action_distribution(config.policy, state, np.tile(points, (len(reps), 1, 1)))
     results = []
     for i, (rep, log, probs) in enumerate(zip(reps, logs, diag)):
         behavior = None if table is None else BehaviorTable(probes, table[i])
         try:
-            record = _analyse(config, log, thetas_star, v_star, cadr_regressions, behavior)
+            record = _analyse(config, log, thetas_star, v_star, behavior)
         except (NoDataForArm, SingularDesign) as exc:
             results.append(_RepResult(rep, probs, None, str(exc)))
         else:
@@ -397,7 +406,7 @@ class ReplicationSummary:
 def _resolve_workers(requested: int) -> int:
     """``requested`` capped by ``BANDITLAB_MAX_WORKERS``, each clamped to at least 1."""
     cap = os.environ.get(MAX_WORKERS_ENV_VAR)
-    workers = max(1, int(requested))
+    workers = max(1, requested)
     if cap is not None:
         try:
             cap = int(cap)
@@ -413,19 +422,13 @@ def _blocks(R: int, workers: int, cap: int) -> list[range]:
     return [range(i * R // n, (i + 1) * R // n) for i in range(n)]
 
 
-def replicate(config: ExperimentConfig, cadr_regressions=()) -> ReplicationSummary:
+def replicate(config: ExperimentConfig) -> ReplicationSummary:
     """Run R independent replications and aggregate coverage against theta*.
 
-    Each name in ``cadr_regressions`` ("zero", "online_linear") adds a CADR
-    estimate of the target-policy value per replication, computed on the same
-    log as the IPW-Z value; it requires an ope-family target.
+    Each name in ``config.cadr_regressions`` ("zero", "online_linear") adds a
+    CADR estimate of the target-policy value per replication, computed on the
+    same log as the IPW-Z value.
     """
-    cadr_regressions = tuple(dict.fromkeys(cadr_regressions))
-    if cadr_regressions and config.target.family != "ope":
-        raise ValueError("CADR requires an ope-family target")
-    for reg in cadr_regressions:
-        if reg not in CADR_REGRESSIONS:
-            raise ValueError(f"unknown regression {reg!r}; expected one of {CADR_REGRESSIONS}")
     thetas_star = oracle_thetas(config.env, config.target,
                                 n_oracle=config.n_oracle, seed=config.seed)
     v_star = float(thetas_star.sum()) if config.target.family == "ope" else None
@@ -433,8 +436,7 @@ def replicate(config: ExperimentConfig, cadr_regressions=()) -> ReplicationSumma
     R = config.replications
     workers = _resolve_workers(config.workers)
     blocks = _blocks(R, workers, 1 if config.policy.kind == "random" else BLOCK_CAP)
-    run = partial(_replicate_block, config, thetas_star=thetas_star, v_star=v_star,
-                  cadr_regressions=cadr_regressions)
+    run = partial(_replicate_block, config, thetas_star=thetas_star, v_star=v_star)
     if workers > 1:
         # The pool pickles ``run``, config included, once per chunk of blocks.
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -482,9 +484,8 @@ def convergence_diagnostic(summary: ReplicationSummary, context, arm: int) -> Di
     if summary.last_step_probs is None:
         raise ValueError("no diagnostic contexts were registered in the config")
     ctx = np.atleast_1d(np.asarray(context, dtype=float))
-    registered = [np.atleast_1d(np.asarray(c, dtype=float))
-                  for c in summary.config.diagnostic_contexts]
-    idx = next((i for i, c in enumerate(registered) if np.allclose(c, ctx)), None)
+    idx = next((i for i, c in enumerate(summary.config.diagnostic_contexts)
+                if np.allclose(c, ctx)), None)
     if idx is None:
         raise ValueError(f"context {ctx.tolist()} was not registered as a diagnostic point")
     values = summary.last_step_probs[:, idx, arm]
@@ -549,7 +550,7 @@ def cadr_ope(
     levels=(0.95,),
     behavior_policy: PolicyConfig | None = None,
     behavior_target: ScoreTarget | None = None,
-    burn_in: int = 10,
+    burn_in: int = CADR_BURN_IN,
     behavior_table: BehaviorTable | None = None,
 ) -> CadrResult:
     """Contextual adaptive doubly-robust estimate of the target-policy value.
@@ -574,7 +575,7 @@ def cadr_ope(
         raise ValueError(f"unknown regression {regression!r}; expected one of {CADR_REGRESSIONS}")
     T, K, d = log.horizon, log.num_arms, log.context_dim
     if T <= burn_in:
-        raise ValueError(f"horizon {T} is below the CADR burn-in {burn_in}")
+        raise ValueError(f"horizon {T} must exceed the CADR burn-in {burn_in}")
     X, A, Y, pi = log.contexts, log.arms, log.outcomes, log.propensities
     gstar = target_policy.vector(K)
     r = gstar[A] / pi  # g*(A_s|X_s) / g_s(A_s|X_s)

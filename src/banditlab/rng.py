@@ -28,3 +28,11 @@ def seed_sequence(master_seed: int, *path: int) -> np.random.SeedSequence:
 def stream(master_seed: int, *path: int) -> np.random.Generator:
     """Independent Philox generator for ``(master_seed, *path)``."""
     return np.random.Generator(np.random.Philox(seed_sequence(master_seed, *path)))
+
+
+def whole_number(value, name: str) -> int:
+    """``value`` as an int: a seed or a count may be a whole float, never a bool or a fraction."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer))
+                                       or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)

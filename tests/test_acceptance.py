@@ -166,8 +166,8 @@ def test_criterion_07_ope_head_to_head():
     config = ExperimentConfig(
         env=env, policy=PolicyConfig(kind="boltzmann_ridge", gamma=20.0, pi_min=0.05),
         target=OPE_UNIFORM, horizon=2500, replications=500, seed=307, levels=(0.95,),
-        workers=WORKERS)
-    summary = replicate(config, cadr_regressions=("zero",))
+        workers=WORKERS, cadr_regressions=("zero",))
+    summary = replicate(config)
     cov_ipwz = float(summary.value_covered["ipwz"][:, 0].mean())
     cov_cadr = float(summary.value_covered["cadr_zero"][:, 0].mean())
     var_ipwz = float(summary.values["ipwz"].var(ddof=1))

@@ -228,7 +228,7 @@ def test_compare_ope_regressions_must_be_a_list(tmp_path, capsys):
     rc = main(["compare-ope", "--config", str(cfg), "--out", str(tmp_path / "cmp"),
                "--set", "cadr_regressions=zero"])
     assert rc == 1
-    assert "cadr_regressions must be a JSON list" in capsys.readouterr().err
+    assert "cadr_regressions must be a list of names from" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extra, override, message", [
@@ -264,9 +264,12 @@ def test_bad_shape_exits_one_before_oracle(tmp_path, capsys, monkeypatch, extra,
     "bogus=1", "diagnostics.contexts=[[1.0,1.0]]", "policy.gamma=NaN", "policy.ridge_lambda=NaN",
     "policy.linucb_alpha=NaN", "policy.ts_prior=[0,NaN,1]", "policy.ts_prior=[0,1]",
     "env.params.arm_means=[NaN,0.5]", "env.params.sigma_eta=NaN", None,
+    "seed=1.5", "replications=true", "horizon=2.7", "workers=1.9", "n_oracle=1000.9",
+    "env.seed=1.5",
 ], ids=["unknown_key", "bad_shape", "gamma_nan", "ridge_lambda_nan", "linucb_alpha_nan",
         "ts_prior_nan", "ts_prior_two_numbers", "arm_means_nan", "sigma_eta_nan",
-        "infinity_in_file"])
+        "infinity_in_file", "seed_fraction", "replications_bool", "horizon_fraction",
+        "workers_fraction", "n_oracle_fraction", "env_seed_fraction"])
 def test_rejected_config_leaves_no_output_directory(tmp_path, capsys, command, override):
     cfg = _tiny_config(tmp_path)
     sets = ["--set", override]
@@ -321,8 +324,97 @@ def test_unknown_cadr_regression_leaves_no_output_directory(tmp_path, capsys):
     out = tmp_path / "cmp"
     assert main(["compare-ope", "--config", str(cfg), "--out", str(out),
                  "--set", 'cadr_regressions=["z"]']) == 1
-    assert "cadr_regressions must be a JSON list of names from" in capsys.readouterr().err
+    assert "unknown regression 'z' in cadr_regressions" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    ('cadr_regressions=[["zero"]]', "unknown regression ['zero'] in cadr_regressions"),
+    ("horizon=5", "horizon 5 must exceed the CADR burn-in 10"),
+    ("horizon=10", "horizon 10 must exceed the CADR burn-in 10"),
+], ids=["nested_list", "horizon_5", "horizon_10"])
+def test_compare_ope_rejects_before_oracle_and_output(tmp_path, capsys, monkeypatch, override,
+                                                      message):
+    import banditlab.harness as harness
+
+    def no_oracle(*args, **kw):
+        raise AssertionError("oracle computed before the config was checked")
+
+    monkeypatch.setattr(harness, "oracle_thetas", no_oracle)
+    cfg = _tiny_config(tmp_path, target={"family": "ope", "target_policy": {"kind": "uniform"}})
+    out = tmp_path / "cmp"
+    assert main(["compare-ope", "--config", str(cfg), "--out", str(out),
+                 "--set", override]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_coverage_never_runs_cadr(tmp_path, monkeypatch):
+    # fig4 names a CADR regression; coverage checks it but writes no value
+    # table, so only compare-ope runs CADR on the same config.
+    import banditlab.harness as harness
+
+    calls = []
+    cadr = harness.cadr_ope
+
+    def counting(*args, **kw):
+        calls.append(kw["regression"])
+        return cadr(*args, **kw)
+
+    monkeypatch.setattr(harness, "cadr_ope", counting)
+    cfg = str(CONFIGS / "fig4_ope_nonconv_boltzmann.json")
+    sets = ["--set", "replications=3", "--workers", "1"]
+    assert main(["coverage", "--config", cfg, "--out", str(tmp_path / "cov"), *sets]) == 0
+    assert calls == []
+    assert main(["compare-ope", "--config", cfg, "--out", str(tmp_path / "cmp"), *sets]) == 0
+    assert calls == ["zero"] * 3
+
+
+@pytest.mark.parametrize("command", ["coverage", "diagnose", "compare-ope", "simulate"])
+@pytest.mark.parametrize("override, key", [
+    ("seed=1.5", "seed"), ("replications=true", "replications"), ("horizon=2.7", "horizon"),
+    ("workers=1.9", "workers"), ("n_oracle=1000.9", "n_oracle"), ("env.seed=1.5", "env.seed"),
+    ("levels=0.95", "levels"), ("diagnostics.contexts=5", "diagnostics.contexts"),
+    ('cadr_regressions="garbage"', "cadr_regressions"),
+])
+def test_mistyped_setting_named_for_every_command(tmp_path, capsys, command, override, key):
+    # Every command builds the experiment, and so checks every setting, before
+    # it creates --out; a setting of the wrong type exits 1 naming its key.
+    cfg = _tiny_config(tmp_path, target={"family": "ope", "target_policy": {"kind": "uniform"}})
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--set", override]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{key} must be" in err
+    assert not out.exists()
+
+
+# config_hash of every shipped config's oracle.json, as written since the
+# oracle key was introduced; a change of these bytes orphans saved oracles.
+SHIPPED_CONFIG_HASHES = {
+    "fig1_nonconv_linucb": "0c843b7613ea53c0985c594dfe6ccc7bdb73792a351ff205f097d32df7b7ce29",
+    "fig1_nonconv_random": "4009e3cbcf29faca1ca73ad3db50f127781965f79e570866183e7527081222f2",
+    "fig2a_ms_polynomial_boltzmann":
+        "363461eb21af7cce69d3a3a0c40c38c173aeef929faf0582fdacbc2038c65f3c",
+    "fig2a_nc_gaussian_random": "3fd8365a5a1121fd4c4ddbb605454e762ae2bb47dce1ff2bc6fc9be067884d91",
+    "fig3c_nc_hard1_boltzmann_gamma10":
+        "0a456143bfe6d1543e3a47c4ccc5ee032451710bcae176ee772bc52f41e34ef9",
+    "fig3c_nc_hard1_boltzmann_gamma100":
+        "0a456143bfe6d1543e3a47c4ccc5ee032451710bcae176ee772bc52f41e34ef9",
+    "fig3d_nc_hard2_ipwz_pimin0005":
+        "f2ce09b64d353df9beadcd5f4b754f98f8ef2bd17a3b6bda64ef34ca86c977ec",
+    "fig3d_nc_hard2_ipwz_pimin005":
+        "f2ce09b64d353df9beadcd5f4b754f98f8ef2bd17a3b6bda64ef34ca86c977ec",
+    "fig4_ope_nonconv_boltzmann": "e1a006d988a6a74dae58ea493aa327356b8126d97d5e29feebef938a600d5033",
+}
+
+
+def test_oracle_config_hash_keeps_its_bytes():
+    from banditlab.harness import config_fingerprint
+
+    assert sorted(SHIPPED_CONFIG_HASHES) == sorted(p.stem for p in CONFIGS.glob("*.json"))
+    for stem, want in SHIPPED_CONFIG_HASHES.items():
+        exp = build_experiment(load_config(str(CONFIGS / f"{stem}.json")))
+        assert config_fingerprint([exp.env, exp.target, exp.n_oracle, exp.seed]) == want, stem
 
 
 def test_runtime_failure_exits_two(tmp_path, capsys):
@@ -339,6 +431,7 @@ def test_runtime_failure_exits_two(tmp_path, capsys):
     ("levels=[]", "levels"),
     ("levels=[0.95,1.5]", "levels"),
     ('variance_mode="simple"', "variance mode"),
+    ("levels=0.95", "levels must be a non-empty list in (0, 1), got 0.95"),
 ])
 def test_bad_levels_or_variance_mode_exits_one(tmp_path, capsys, override, message):
     cfg = _tiny_config(tmp_path)
@@ -346,13 +439,14 @@ def test_bad_levels_or_variance_mode_exits_one(tmp_path, capsys, override, messa
     rc = main(["coverage", "--config", str(cfg), "--out", str(out), "--set", override])
     assert rc == 1
     assert message in capsys.readouterr().err
-    assert not (out / "coverage.csv").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("override, message", [
     ("levels=[]", "levels"),
     ("levels=[0.95,1.5]", "levels"),
     ('variance_mode="simple"', "variance mode"),
+    ("levels=0.95", "levels must be a non-empty list in (0, 1), got 0.95"),
 ])
 def test_infer_bad_levels_or_variance_mode_exits_one(tmp_path, capsys, override, message):
     cfg = _tiny_config(tmp_path)
@@ -363,7 +457,7 @@ def test_infer_bad_levels_or_variance_mode_exits_one(tmp_path, capsys, override,
                "--log", str(sim / "log.csv"), "--set", override])
     assert rc == 1
     assert message in capsys.readouterr().err
-    assert not (out / "report.json").exists()
+    assert not out.exists()
 
 
 def _three_arm_log(tmp_path, arms):

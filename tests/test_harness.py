@@ -182,14 +182,13 @@ def test_unpickled_config_gives_the_same_records():
     config = ExperimentConfig(
         env=build_environment("nonconv_demo"), policy=PolicyConfig(kind="random"),
         target=OPE_UNIFORM, horizon=300, replications=4, seed=45, levels=(0.5, 0.95),
-        diagnostic_contexts=((-4.0,), (1.0,)), n_oracle=10_000)
+        diagnostic_contexts=((-4.0,), (1.0,)), n_oracle=10_000,
+        cadr_regressions=("zero", "online_linear"))
     thetas_star = oracle_thetas(config.env, config.target, n_oracle=config.n_oracle,
                                 seed=config.seed)
     v_star = float(thetas_star.sum())
-    regressions = ("zero", "online_linear")
-    want = _replicate_block(config, range(4), thetas_star, v_star, regressions)
-    got = _replicate_block(pickle.loads(pickle.dumps(config)), range(4), thetas_star, v_star,
-                           regressions)
+    want = _replicate_block(config, range(4), thetas_star, v_star)
+    got = _replicate_block(pickle.loads(pickle.dumps(config)), range(4), thetas_star, v_star)
     assert [r.rep for r in got] == [r.rep for r in want] == [0, 1, 2, 3]
     for g, w in zip(got, want):
         assert g.error is w.error is None
@@ -258,8 +257,8 @@ class TestReplicate:
                     target=OPE_UNIFORM, horizon=200, replications=6, seed=18,
                     levels=(0.5, 0.95))
         regressions = ("zero", "online_linear")
-        serial = replicate(ExperimentConfig(**base, workers=1), cadr_regressions=regressions)
-        parallel = replicate(ExperimentConfig(**base, workers=2), cadr_regressions=regressions)
+        serial = replicate(ExperimentConfig(**base, workers=1, cadr_regressions=regressions))
+        parallel = replicate(ExperimentConfig(**base, workers=2, cadr_regressions=regressions))
         assert list(serial.values) == list(parallel.values) == \
             ["ipwz", "cadr_zero", "cadr_online_linear"]
         for method in serial.values:
@@ -278,8 +277,8 @@ class TestReplicate:
         base = dict(env=env, policy=PolicyConfig(kind="random"), target=OPE_UNIFORM,
                     horizon=150, replications=40, seed=19, levels=(0.5, 0.95))
         regressions = ("zero", "online_linear")
-        serial = replicate(ExperimentConfig(**base, workers=1), cadr_regressions=regressions)
-        parallel = replicate(ExperimentConfig(**base, workers=2), cadr_regressions=regressions)
+        serial = replicate(ExperimentConfig(**base, workers=1, cadr_regressions=regressions))
+        parallel = replicate(ExperimentConfig(**base, workers=2, cadr_regressions=regressions))
         np.testing.assert_array_equal(serial.theta_hat, parallel.theta_hat)
         np.testing.assert_array_equal(serial.covered, parallel.covered)
         assert serial.failures == parallel.failures
@@ -449,8 +448,8 @@ def test_compare_ope_smoke():
     env = build_environment("nonconv_demo")
     config = ExperimentConfig(env=env, policy=PolicyConfig(kind="boltzmann_ridge", gamma=20.0),
                               target=OPE_UNIFORM, horizon=400, replications=10,
-                              seed=27, levels=(0.95,))
-    summary = replicate(config, cadr_regressions=("zero",))
+                              seed=27, levels=(0.95,), cadr_regressions=("zero",))
+    summary = replicate(config)
     assert summary.v_star == pytest.approx(7.0 / 24.0)
     assert summary.values["ipwz"].shape == (10,)
     assert summary.values["cadr_zero"].shape == (10,)
@@ -502,10 +501,10 @@ class TestCadrInReplicate:
         config = ExperimentConfig(
             env=env, policy=PolicyConfig(kind="boltzmann_ridge", gamma=20.0, pi_min=0.05),
             target=OPE_UNIFORM, horizon=300, replications=6, seed=28,
-            levels=(0.5, 0.95), workers=workers)
+            levels=(0.5, 0.95), workers=workers, cadr_regressions=self.REGRESSIONS)
         v_star, ipwz_values, ipwz_covered, cadr_values, cadr_covered, cadr_floored = \
             _reference_ope_loop(config, self.REGRESSIONS)
-        summary = replicate(config, cadr_regressions=self.REGRESSIONS)
+        summary = replicate(config)
         assert summary.failures == []
         assert summary.v_star == v_star
         np.testing.assert_array_equal(summary.values["ipwz"], ipwz_values)
@@ -527,8 +526,8 @@ class TestCadrInReplicate:
         env = build_environment("nc_gaussian", {"num_arms": 4}, seed=1)
         config = ExperimentConfig(env=env, policy=PolicyConfig(kind="random"),
                                   target=OPE_UNIFORM, horizon=12, replications=20,
-                                  seed=31, levels=(0.95,))
-        summary = replicate(config, cadr_regressions=("zero",))
+                                  seed=31, levels=(0.95,), cadr_regressions=("zero",))
+        summary = replicate(config)
         used = summary.replications_used
         assert [rep for rep, _ in summary.failures] == [10] and used == 19
         for name in ("theta_hat", "sigma_diag", "std_errors", "covered"):
@@ -541,10 +540,9 @@ class TestCadrInReplicate:
 
     def test_requires_ope_target(self):
         env = build_environment("nonconv_demo")
-        config = ExperimentConfig(env=env, policy=PolicyConfig(kind="random"),
-                                  target=MISSPEC, horizon=50, replications=1, seed=30)
         with pytest.raises(ValueError, match="ope-family"):
-            replicate(config, cadr_regressions=("zero",))
+            ExperimentConfig(env=env, policy=PolicyConfig(kind="random"), target=MISSPEC,
+                             horizon=50, replications=1, seed=30, cadr_regressions=("zero",))
 
     def test_no_regressions_no_cadr(self):
         env = build_environment("nonconv_demo")
@@ -559,8 +557,9 @@ class TestCadrInReplicate:
         # every replication hits the variance floor.
         env = build_environment("nonconv_demo", {"sigma_eta": 0.0, "arm_means": (3.0, 3.0)})
         config = ExperimentConfig(env=env, policy=PolicyConfig(kind="random"),
-                                  target=OPE_UNIFORM, horizon=60, replications=3, seed=36)
-        summary = replicate(config, cadr_regressions=("zero",))
+                                  target=OPE_UNIFORM, horizon=60, replications=3, seed=36,
+                                  cadr_regressions=("zero",))
+        summary = replicate(config)
         np.testing.assert_array_equal(summary.value_floored["cadr_zero"], [50, 50, 50])
 
     def test_duplicate_regressions_run_once(self, monkeypatch):
@@ -576,8 +575,9 @@ class TestCadrInReplicate:
         monkeypatch.setattr(harness, "cadr_ope", counting)
         env = build_environment("nonconv_demo")
         config = ExperimentConfig(env=env, policy=PolicyConfig(kind="boltzmann_ridge", gamma=20.0),
-                                  target=OPE_UNIFORM, horizon=60, replications=4, seed=37)
-        summary = replicate(config, cadr_regressions=["zero", "zero"])
+                                  target=OPE_UNIFORM, horizon=60, replications=4, seed=37,
+                                  cadr_regressions=["zero", "zero"])
+        summary = replicate(config)
         assert calls == ["zero"] * 4
         assert list(summary.values) == ["ipwz", "cadr_zero"]
 
@@ -590,13 +590,13 @@ class TestCadrInReplicate:
         config = ExperimentConfig(
             env=build_environment(env_name),
             policy=PolicyConfig(kind="boltzmann_ridge", gamma=5.0, pi_min=0.05),
-            target=OPE_UNIFORM, horizon=150, replications=7, seed=38, levels=(0.5, 0.95))
+            target=OPE_UNIFORM, horizon=150, replications=7, seed=38, levels=(0.5, 0.95),
+            cadr_regressions=self.REGRESSIONS)
         runs = []
         for cap in (1, 3, harness.BLOCK_CAP):
             monkeypatch.setattr(harness, "BLOCK_CAP", cap)
             for workers in (1, 2):
-                runs.append(replicate(replace(config, workers=workers),
-                                      cadr_regressions=self.REGRESSIONS))
+                runs.append(replicate(replace(config, workers=workers)))
         first = runs[0]
         for run in runs[1:]:
             for table in ("values", "value_covered", "value_floored"):
@@ -718,8 +718,9 @@ def test_replicate_solves_each_arm_once(monkeypatch):
         monkeypatch.setattr(harness, name, counting, raising=False)
     env = build_environment("nonconv_demo")
     config = ExperimentConfig(env=env, policy=PolicyConfig(kind="boltzmann_ridge", gamma=20.0),
-                              target=OPE_UNIFORM, horizon=100, replications=3, seed=32)
-    summary = replicate(config, cadr_regressions=("zero",))
+                              target=OPE_UNIFORM, horizon=100, replications=3, seed=32,
+                              cadr_regressions=("zero",))
+    summary = replicate(config)
     assert summary.failures == []
     assert calls["ipwz_solve"] == [0, 1] * 3
     assert calls["sandwich_variance"] == [0, 1] * 3
@@ -735,10 +736,67 @@ def test_unknown_cadr_regression_rejected_before_oracle(monkeypatch):
 
     monkeypatch.setattr(harness, "oracle_thetas", no_oracle)
     env = build_environment("nonconv_demo")
-    config = ExperimentConfig(env=env, policy=PolicyConfig(kind="random"),
-                              target=OPE_UNIFORM, horizon=50, replications=1, seed=33)
     with pytest.raises(ValueError, match="unknown regression 'z'"):
-        replicate(config, cadr_regressions="zero")
+        replicate(ExperimentConfig(env=env, policy=PolicyConfig(kind="random"),
+                                   target=OPE_UNIFORM, horizon=50, replications=1, seed=33,
+                                   cadr_regressions=["z"]))
+
+
+def test_summaries_do_not_share_theta_star():
+    # Each replicate computes its own oracle: writing into one summary's
+    # theta* leaves a later run in the same process at the oracle's value.
+    config = ExperimentConfig(env=build_environment("nonconv_demo"),
+                              policy=PolicyConfig(kind="random"), target=MISSPEC,
+                              horizon=200, replications=4, seed=47)
+    first = replicate(config)
+    want, covered = first.thetas_star.copy(), first.covered.copy()
+    first.thetas_star[:] = 99.0
+    second = replicate(config)
+    assert second.thetas_star is not first.thetas_star
+    np.testing.assert_array_equal(second.thetas_star, want)
+    np.testing.assert_array_equal(second.covered, covered)
+
+
+def test_config_normalises_its_settings():
+    config = ExperimentConfig(
+        env=build_environment("nonconv_demo"), policy=PolicyConfig(kind="random"),
+        target=OPE_UNIFORM, horizon=50.0, replications=np.int64(2), seed=3, levels=[0.5, 0.95],
+        diagnostic_contexts=[[-4.0], 1.0], n_oracle=1e4,
+        cadr_regressions=["online_linear", "zero", "online_linear"])
+    for name in ("horizon", "replications", "seed", "workers", "n_oracle"):
+        assert type(getattr(config, name)) is int, name
+    assert (config.horizon, config.replications, config.n_oracle) == (50, 2, 10_000)
+    assert config.levels == (0.5, 0.95)
+    assert config.diagnostic_contexts == ((-4.0,), (1.0,))
+    assert config.cadr_regressions == ("online_linear", "zero")
+    assert replace(config, cadr_regressions=()).cadr_regressions == ()
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"seed": 1.5}, "seed must be a whole number, got 1.5"),
+    ({"replications": True}, "replications must be a whole number, got True"),
+    ({"horizon": "50"}, "horizon must be a whole number, got '50'"),
+    ({"n_oracle": 1000.9}, "n_oracle must be a whole number, got 1000.9"),
+    ({"levels": 0.95}, r"levels must be a non-empty list in \(0, 1\), got 0.95"),
+    ({"levels": ["0.5"]}, r"levels must be a non-empty list in \(0, 1\), got \['0.5'\]"),
+    ({"diagnostic_contexts": 5}, "diagnostics.contexts must be a list of contexts, got 5"),
+    ({"cadr_regressions": "zero"}, "cadr_regressions must be a list of names from .*, got 'zero'"),
+    ({"cadr_regressions": [["zero"]]}, r"unknown regression \['zero'\] in cadr_regressions"),
+    ({"horizon": 10, "cadr_regressions": ("zero",)},
+     "horizon 10 must exceed the CADR burn-in 10"),
+], ids=["seed", "replications", "horizon", "n_oracle", "levels_number", "levels_string",
+        "contexts", "regressions_string", "regressions_nested", "horizon_burn_in"])
+def test_bad_setting_rejected_before_oracle(monkeypatch, bad, message):
+    import banditlab.harness as harness
+
+    def no_oracle(*args, **kw):
+        raise AssertionError("oracle computed before the config was checked")
+
+    monkeypatch.setattr(harness, "oracle_thetas", no_oracle)
+    settings = dict(env=build_environment("nonconv_demo"), policy=PolicyConfig(kind="random"),
+                    target=OPE_UNIFORM, horizon=50, replications=1, seed=34)
+    with pytest.raises(ValueError, match=message):
+        replicate(ExperimentConfig(**{**settings, **bad}))
 
 
 @pytest.mark.parametrize("env_name, target, contexts, message", [
