@@ -46,7 +46,7 @@ from .estimator import (
 )
 from .harness import (
     ExperimentConfig,
-    check_levels_and_mode,
+    check_levels,
     config_fingerprint,
     convergence_diagnostic,
     qq_points,
@@ -114,14 +114,13 @@ def apply_overrides(config: dict, sets: list[str]) -> dict:
 # ``infer`` config may be a bare target: its keys at the top level.
 CONFIG_KEYS = {
     "experiment config": ("env", "policy", "target", "horizon", "replications", "seed",
-                          "levels", "diagnostics", "variance_mode", "workers", "n_oracle",
-                          "cadr_regressions"),
+                          "levels", "diagnostics", "workers", "n_oracle", "cadr_regressions"),
     "env": ("name", "params", "seed"),
     "policy": ("kind", "pi_min", "epsilon", "gamma", "ridge_lambda", "linucb_alpha", "ts_prior"),
     "target": ("family", "sigma_e", "target_policy"),
     "target.target_policy": ("kind", "probs", "arm"),
     "diagnostics": ("contexts",),
-    "infer config": ("family", "sigma_e", "target_policy", "levels", "variance_mode", "workers"),
+    "infer config": ("family", "sigma_e", "target_policy", "levels", "workers"),
 }
 
 
@@ -232,8 +231,7 @@ def cmd_simulate(config: dict, out_dir: Path, argv) -> int:
 def cmd_infer(config: dict, out_dir: Path, argv, log_path: str) -> int:
     if not Path(log_path).is_file():
         raise ConfigError(f"log file not found: {log_path}")
-    mode = config.get("variance_mode", "full")
-    levels = check_levels_and_mode(config.get("levels", (0.5, 0.95)), mode)
+    levels = check_levels(config.get("levels", (0.5, 0.95)))
     num_arms = None
     if "target" in config:
         _check_keys(config, "experiment config")
@@ -244,8 +242,7 @@ def cmd_infer(config: dict, out_dir: Path, argv, log_path: str) -> int:
         target = parse_target(config, "infer config")
     log = read_log_csv(log_path, num_arms=num_arms)
     try:
-        reports = [estimate_report(log, target, arm, levels=levels, mode=mode)
-                   for arm in range(log.num_arms)]
+        reports = [estimate_report(log, target, arm, levels=levels) for arm in range(log.num_arms)]
     except NoDataForArm as exc:
         raise ConfigError(
             f"log {log_path}: arm {exc.arm + 1} (1-based) has no observations") from exc
@@ -324,6 +321,9 @@ def cmd_diagnose(config: dict, out_dir: Path, argv) -> int:
 
 def cmd_compare_ope(config: dict, out_dir: Path, argv) -> int:
     exp = build_experiment({"cadr_regressions": ["zero"], **config})
+    if exp.target.family != "ope":
+        raise ConfigError(f"compare-ope requires an ope-family target, "
+                          f"got target family {exp.target.family!r}")
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = replicate(exp)
     rows = [[name, r["level"], f"{r['coverage']:.6f}", f"{float(values.mean()):.10g}",

@@ -171,6 +171,17 @@ def implied_sigma_e(env: EnvironmentSpec) -> np.ndarray | None:
 # --- builders -----------------------------------------------------------------
 
 
+def _count(params: dict, key: str) -> int:
+    """Integer parameter ``key``: a whole number of at least 1, never a bool or a fraction."""
+    try:
+        value = whole_number(params[key], key)
+    except ValueError as exc:
+        raise InvalidParameterError(key, str(exc)) from exc
+    if value < 1:
+        raise InvalidParameterError(key, "must be >= 1")
+    return value
+
+
 def _take(params: dict, allowed: dict) -> dict:
     """Merge overrides into defaults, rejecting undeclared keys."""
     out = dict(allowed)
@@ -249,8 +260,8 @@ def _build_nc_gaussian(params: dict, rng: np.random.Generator) -> EnvironmentSpe
     p = _take(params, {"d": 2, "num_arms": 2, "sigma_eta": 1.0,
                        "sigma_s": None, "sigma_e": None, "sigma_theta": None,
                        "theta": None})
-    d = int(p["d"])
-    K = int(p["num_arms"])
+    d = _count(p, "d")
+    K = _count(p, "num_arms")
     sigma_s = _check_cov(p["sigma_s"] if p["sigma_s"] is not None else np.eye(d), "sigma_s", d)
     sigma_e = _check_cov(p["sigma_e"] if p["sigma_e"] is not None else np.eye(d), "sigma_e", d)
     sigma_th = _check_cov(
@@ -273,10 +284,8 @@ def _build_nc_gaussian(params: dict, rng: np.random.Generator) -> EnvironmentSpe
 def _build_ms_polynomial(params: dict, rng: np.random.Generator) -> EnvironmentSpec:
     p = _take(params, {"degree": 3, "num_arms": 2, "sigma_eta": 1.0,
                        "sigma_x": 1.0, "sigma_theta": 1.0, "theta": None})
-    degree = int(p["degree"])
-    if degree < 1:
-        raise InvalidParameterError("degree", "must be >= 1")
-    K = int(p["num_arms"])
+    degree = _count(p, "degree")
+    K = _count(p, "num_arms")
     if p["theta"] is not None:
         coeffs = np.asarray(p["theta"], dtype=float).reshape(K, degree)
     else:
@@ -293,7 +302,7 @@ def _build_ms_polynomial(params: dict, rng: np.random.Generator) -> EnvironmentS
 def _build_ms_neural(params: dict, rng: np.random.Generator) -> EnvironmentSpec:
     p = _take(params, {"num_arms": 2, "sigma_eta": 1.0, "sigma_x": 1.0,
                        "sigma_theta": 1.0, "theta": None})
-    K = int(p["num_arms"])
+    K = _count(p, "num_arms")
     if p["theta"] is not None:
         theta = np.asarray(p["theta"], dtype=float).reshape(K, 1)
     else:
@@ -323,7 +332,10 @@ def build_environment(name: str, params: dict | None = None, seed: int = 0) -> E
     if name not in _BUILDERS:
         raise UnknownEnvironmentError(
             f"unknown environment {name!r}; expected one of {ENVIRONMENT_NAMES}")
-    rng = stream(whole_number(seed, "env.seed"), PURPOSE_PARAMS)
+    seed = whole_number(seed, "env.seed")
+    if seed < 0:
+        raise ValueError(f"env.seed must be >= 0, got {seed}")
+    rng = stream(seed, PURPOSE_PARAMS)
     return _BUILDERS[name](params or {}, rng)
 
 

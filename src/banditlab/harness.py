@@ -88,18 +88,17 @@ BLOCK_CAP = 64
 
 CADR_REGRESSIONS = ("zero", "online_linear")
 CADR_BURN_IN = 10  # CADR's first steps, weighted 1 before any variance estimate
+CADR_VARIANCE_FLOOR = 1e-6  # least step variance CADR weights by
 
 # Largest share of failed replications a run tolerates; beyond it ``replicate`` raises.
 FAILURE_TOLERANCE = 0.05
 
 
-def check_levels_and_mode(levels, variance_mode: str) -> tuple:
-    """The levels as a tuple, if a non-empty list in (0, 1), and the variance mode known."""
+def check_levels(levels) -> tuple:
+    """The levels as a tuple, if a non-empty list in (0, 1)."""
     if not (isinstance(levels, (list, tuple)) and levels and all(
             isinstance(level, numbers.Real) and 0.0 < level < 1.0 for level in levels)):
         raise ValueError(f"levels must be a non-empty list in (0, 1), got {levels!r}")
-    if variance_mode not in ("full", "simplified"):
-        raise ValueError(f"unknown variance mode {variance_mode!r}")
     return tuple(levels)
 
 
@@ -115,7 +114,6 @@ class ExperimentConfig:
     seed: int = 0
     levels: tuple = (0.5, 0.95)
     diagnostic_contexts: tuple = ()
-    variance_mode: str = "full"
     workers: int = 1
     n_oracle: int = 1_000_000
     cadr_regressions: tuple = ()
@@ -127,7 +125,11 @@ class ExperimentConfig:
             raise ValueError("horizon must be >= 1")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        object.__setattr__(self, "levels", check_levels_and_mode(self.levels, self.variance_mode))
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.n_oracle < 1:
+            raise ValueError(f"n_oracle must be >= 1, got {self.n_oracle}")
+        object.__setattr__(self, "levels", check_levels(self.levels))
         _resolve_workers(self.workers)
         d = self.env.context_dim
         if self.target.family == "noisy_context":
@@ -295,8 +297,8 @@ def _analyse(config: ExperimentConfig, log: BanditLog, thetas_star: np.ndarray,
     ``value_floored`` holds each CADR entry's count of floored variances.
     """
     target = config.target
-    reports = [estimate_report(log, target, arm, levels=config.levels,
-                               mode=config.variance_mode) for arm in range(log.num_arms)]
+    reports = [estimate_report(log, target, arm, levels=config.levels)
+               for arm in range(log.num_arms)]
     theta = np.stack([r.theta for r in reports])                  # (K, d_theta)
     sigma_diag = np.stack([np.diag(r.sigma) for r in reports])
     lo, hi = (np.array([[r.cis[float(level)][:, side] for r in reports]
@@ -546,11 +548,9 @@ def cadr_ope(
     log: BanditLog,
     target_policy: TargetPolicy,
     regression: str = "zero",
-    variance_floor: float = 1e-6,
     levels=(0.95,),
     behavior_policy: PolicyConfig | None = None,
     behavior_target: ScoreTarget | None = None,
-    burn_in: int = CADR_BURN_IN,
     behavior_table: BehaviorTable | None = None,
 ) -> CadrResult:
     """Contextual adaptive doubly-robust estimate of the target-policy value.
@@ -560,22 +560,26 @@ def cadr_ope(
     D'_{t,s} = r_s Y_s - r_s q_t(X_s, A_s) + m_t(X_s) at past rows, with
     r = g*/pi, q_t the fit and m_t its g*-mean, estimate the step's
     conditional variance from them with stabilization weights
-    g_t(A_s|X_s)/g_s(A_s|X_s), floor it, and weight the step's own score by
-    1/sigma_t. The first ``burn_in`` steps use sigma_t = 1.
+    g_t(A_s|X_s)/g_s(A_s|X_s), floor it at ``CADR_VARIANCE_FLOOR``, and weight
+    the step's own score by 1/sigma_t. The first ``CADR_BURN_IN`` steps use
+    sigma_t = 1.
 
     No step rescans the past: rows are grouped into cells of equal context,
     and the weighted moments of D'_{t,s} over rows s < t expand into prefix
     sums per (cell, arm), so m_k(t) = sum_{c,a} g_t(a|c) S_k(t; c, a) / t.
     The round-t policy g_t comes from ``behavior_table`` (recorded during the
     simulation) when given; else from replaying ``behavior_policy`` on the log
-    at its distinct contexts. Without either, the ratio is taken as 1 (its
-    limit under policy convergence).
+    at its distinct contexts. One of the two is required: the weights use the
+    exact round-t behavior policy.
     """
     if regression not in CADR_REGRESSIONS:
         raise ValueError(f"unknown regression {regression!r}; expected one of {CADR_REGRESSIONS}")
     T, K, d = log.horizon, log.num_arms, log.context_dim
-    if T <= burn_in:
-        raise ValueError(f"horizon {T} must exceed the CADR burn-in {burn_in}")
+    if T <= CADR_BURN_IN:
+        raise ValueError(f"horizon {T} must exceed the CADR burn-in {CADR_BURN_IN}")
+    if behavior_table is None and behavior_policy is None:
+        raise ValueError("cadr_ope needs the behavior policy: a behavior_table or a "
+                         "behavior_policy to replay")
     X, A, Y, pi = log.contexts, log.arms, log.outcomes, log.propensities
     gstar = target_policy.vector(K)
     r = gstar[A] / pi  # g*(A_s|X_s) / g_s(A_s|X_s)
@@ -588,17 +592,13 @@ def cadr_ope(
         contexts, cells = behavior_table.contexts, _cells(X, behavior_table.contexts)
     else:
         contexts, cells = np.unique(X, axis=0, return_inverse=True)
-    replay = (init_state(behavior_policy, K, d, target=behavior_target)
-              if behavior_table is None and behavior_policy is not None else None)
-    weighted = behavior_table is not None or replay is not None
-    w = 1.0 / pi if weighted else np.ones(T)
+        replay = init_state(behavior_policy, K, d, target=behavior_target)
+    w = 1.0 / pi
 
     def policy_at(t0, t1):
-        """(t1 - t0, C, K): g_t at each cell for steps t0 <= t < t1 (ones if unweighted)."""
+        """(t1 - t0, C, K): g_t at each cell for steps t0 <= t < t1."""
         if behavior_table is not None:
             return behavior_table.probs[t0:t1]
-        if replay is None:
-            return np.ones((1, 1, 1))
         out = np.empty((t1 - t0, len(contexts), K))
         for t in range(t0, t1):
             out[t - t0] = action_distribution(behavior_policy, replay, contexts)
@@ -629,12 +629,12 @@ def cadr_ope(
         second[t0:t1] = (g * (S[5] + q * q * S[3] + m * m * S[0] - 2.0 * q * S[4]
                               + 2.0 * m * S[2] - 2.0 * q * m * S[1])).sum(axis=(0, 1))
 
-    past = np.arange(burn_in, T)  # rows before each post-burn-in step
-    m1 = first[burn_in:] / past
-    var = second[burn_in:] / past - m1 * m1
-    floored = var < variance_floor
+    past = np.arange(CADR_BURN_IN, T)  # rows before each post-burn-in step
+    m1 = first[CADR_BURN_IN:] / past
+    var = second[CADR_BURN_IN:] / past - m1 * m1
+    floored = var < CADR_VARIANCE_FLOOR
     sigma = np.ones(T)
-    sigma[burn_in:] = np.sqrt(np.where(floored, variance_floor, var))
+    sigma[CADR_BURN_IN:] = np.sqrt(np.where(floored, CADR_VARIANCE_FLOOR, var))
     gamma = 1.0 / float((1.0 / sigma).mean())
     psi = gamma * float((own / sigma).mean())
     cis = {}

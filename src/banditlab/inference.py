@@ -11,13 +11,11 @@ g = z (c_a y) - (z z' - S) theta (the table of z, c_a and S is in the
 ``estimator`` module docstring), so its gradient is the constant -(z z' - S)
 and Gdot is the design of ``estimator.normal_equations``, coded directly
 rather than differentiated numerically; a finite-difference guard lives in
-the test suite. ``simplified`` mode swaps Gdot for its unweighted plug-in over
-all T rows (the context second moment less Sigma_e, or the constant 1 for the
-value target), which estimates the same limit.
+the test suite.
 
 ``estimate_report`` makes one pass per arm: ``estimator.arm_rows`` gathers the
 arm's rows once and builds and checks their design once, and both the solve
-and, in full mode, the sandwich's Gdot use them.
+and the sandwich's Gdot use them.
 
 Confidence intervals take their normal quantile from the standard library's
 ``statistics.NormalDist``.
@@ -37,8 +35,6 @@ from .estimator import (
     AuxiliaryData,
     BanditLog,
     ScoreTarget,
-    _design,
-    _require_conditioned,
     arm_rows,
     ipwz_solve,
     scores,
@@ -69,22 +65,16 @@ def sandwich_variance(
     target: ScoreTarget,
     arm: int,
     theta_hat: np.ndarray,
-    mode: str = "full",
     rows: ArmRows | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Plug-in sandwich estimate; returns (Sigma_hat, Gdot_hat, I_hat).
 
-    ``rows`` are ``arm_rows(log, target, arm)`` when the caller has them; in
-    full mode their design, already checked, is Gdot.
+    ``rows`` are ``arm_rows(log, target, arm)`` when the caller has them; their
+    design, already checked, is Gdot.
     """
-    if mode not in ("full", "simplified"):
-        raise ValueError(f"unknown variance mode {mode!r}")
     theta = np.asarray(theta_hat, dtype=float).ravel()
     X, Y, w, gdot = arm_rows(log, target, arm) if rows is None else rows
     T = log.horizon
-    if mode == "simplified":
-        gdot = _design(target, target.regressors(log.contexts), None, T)
-        _require_conditioned(gdot, arm)
     gw = scores(target, arm, X, Y, theta, log.num_arms, w)
     imat = gw.T @ gw / T
 
@@ -173,7 +163,6 @@ def estimate_report(
     target: ScoreTarget,
     arm: int,
     levels=(0.95,),
-    mode: str = "full",
 ) -> EstimateReport:
     """Solve, estimate variance and build intervals for one arm.
 
@@ -182,13 +171,13 @@ def estimate_report(
     """
     rows = arm_rows(log, target, arm)
     theta = ipwz_solve(log, target, arm, rows=rows)
-    sigma, gdot, imat = sandwich_variance(log, target, arm, theta, mode=mode, rows=rows)
+    sigma, gdot, imat = sandwich_variance(log, target, arm, theta, rows=rows)
     cis = confidence_intervals(theta, sigma, log.horizon, levels)
     return EstimateReport(arm=arm, theta=theta, sigma=sigma, gdot=gdot,
                           imat=imat, cis=cis, horizon=log.horizon)
 
 
-def ope_value(log: BanditLog, target: ScoreTarget, mode: str = "full", levels=(0.95,),
+def ope_value(log: BanditLog, target: ScoreTarget, levels=(0.95,),
               reports: list[EstimateReport] | None = None) -> OPEReport:
     """Target-policy value V_hat = sum_a theta_hat_a with its scalar variance.
 
@@ -198,8 +187,7 @@ def ope_value(log: BanditLog, target: ScoreTarget, mode: str = "full", levels=(0
     if target.family != "ope":
         raise ValueError("ope_value requires an ope-family target")
     if reports is None:
-        reports = [estimate_report(log, target, arm, levels=levels, mode=mode)
-                   for arm in range(log.num_arms)]
+        reports = [estimate_report(log, target, arm, levels=levels) for arm in range(log.num_arms)]
     per_arm = np.array([r.theta[0] for r in reports])
     variance = sum(float(r.imat[0, 0]) / float(r.gdot[0, 0]) ** 2 for r in reports)
     value = float(per_arm.sum())
@@ -237,7 +225,7 @@ def variance_estimated_sigma(
     sigma_e_hat = aux.sigma_e_hat()
     target = ScoreTarget(family="noisy_context", sigma_e=sigma_e_hat)
     # sandwich_variance has already rejected an ill-conditioned gdot.
-    _, gdot, imat = sandwich_variance(log, target, arm, theta, mode="full")
+    _, gdot, imat = sandwich_variance(log, target, arm, theta)
 
     # H = mean over aux rows of (V_i - Sigma_e) theta theta' (V_i - Sigma_e),
     # with V_i the outer product of the i-th measurement error.

@@ -27,7 +27,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,38 +56,35 @@ def _leggauss(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-def default_ucb_radius(t: int) -> float:
-    return 2.0 * math.log(t)
-
-
-def default_sgd_rate(t: int) -> float:
-    # Satisfies sum eta_t = inf, sum eta_t^2 < inf.
-    return 0.5 * t ** (-2.0 / 3.0)
+def _is_number(x) -> bool:
+    """A finite real number, not a bool."""
+    return not isinstance(x, bool) and isinstance(x, numbers.Real) and math.isfinite(x)
 
 
 @dataclass(frozen=True)
 class PolicyConfig:
-    """Static configuration of a behavior policy."""
+    """Static configuration of a behavior policy: plain data a config file states in full."""
 
     kind: str
     pi_min: float = 0.05
-    # Exploration mass for eps_greedy_mab / ipwz_greedy: a constant, or a
-    # schedule t -> eps_t (must converge for the greedy policies to converge).
-    epsilon: float | Callable[[int], float] | None = None
-    ucb_radius_fn: Callable[[int], float] = default_ucb_radius
+    # Constant exploration mass for eps_greedy_mab / ipwz_greedy; None means K * pi_min.
+    epsilon: float | None = None
     ts_prior: tuple[float, float, float] = (0.0, 1.0, 1.0)  # (mu0, sigma0^2, sigma^2)
     gamma: float = 1.0                    # boltzmann temperature
     ridge_lambda: float = 1.0
-    sgd_rate_fn: Callable[[int], float] = default_sgd_rate
     linucb_alpha: float = 1.0
 
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
+        optional = () if self.epsilon is None else ("epsilon",)
+        for name in ("pi_min", "gamma", "ridge_lambda", "linucb_alpha") + optional:
+            value = getattr(self, name)
+            if not _is_number(value):
+                raise ValueError(f"policy.{name} must be a finite number, got {value!r}")
         if not (0.0 < self.pi_min <= 0.5):
             raise ValueError("pi_min must lie in (0, 1/K] (checked against K at init)")
-        if (self.epsilon is not None and not callable(self.epsilon)
-                and not (0.0 < self.epsilon <= 1.0)):
+        if self.epsilon is not None and not (0.0 < self.epsilon <= 1.0):
             raise ValueError("epsilon must lie in (0, 1]")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
@@ -95,19 +92,16 @@ class PolicyConfig:
             raise ValueError("ridge_lambda must be positive")
         prior = self.ts_prior
         if not (isinstance(prior, (tuple, list)) and len(prior) == 3
-                and all(isinstance(x, numbers.Real) and math.isfinite(x) for x in prior)):
+                and all(_is_number(x) for x in prior)):
             raise ValueError(f"ts_prior must be three finite numbers, got {prior!r}")
         if prior[1] <= 0 or prior[2] <= 0:
             raise ValueError("ts prior variances must be positive")
 
-    def epsilon_for(self, num_arms: int, t: int) -> float:
-        """Exploration mass at round t; defaults to K * pi_min as the floor."""
+    def epsilon_for(self, num_arms: int) -> float:
+        """Exploration mass; defaults to K * pi_min as the floor."""
         if self.epsilon is None:
             return min(1.0, num_arms * self.pi_min)
-        eps = self.epsilon(t) if callable(self.epsilon) else self.epsilon
-        if not 0.0 < eps <= 1.0:
-            raise ValueError(f"epsilon schedule produced {eps} outside (0, 1]")
-        return eps
+        return self.epsilon
 
 
 @dataclass
@@ -359,12 +353,12 @@ def mab_distribution(kind: str, state: PolicyState, config: PolicyConfig) -> np.
     """Distributions of the context-free multi-armed bandit algorithms; one row per trajectory."""
     K = state.num_arms
     if kind == "eps_greedy":
-        eps = config.epsilon_for(K, state.t + 1)
+        eps = config.epsilon_for(K)
         return _greedy_rows(np.argmax(state.means, axis=1), K, eps / K)
     if kind == "ucb":
         if state.t < K:  # forced initialization: rounds 1..K pull each arm once
             return _greedy_rows(np.full(state.block, state.t), K, 0.0)
-        radius = config.ucb_radius_fn(state.t + 1)
+        radius = 2.0 * math.log(state.t + 1)  # squared radius 2 log t at round t
         index = np.where(state.counts > 0,
                          state.means + np.sqrt(radius / np.maximum(state.counts, 1)),
                          np.inf)
@@ -410,7 +404,7 @@ def _ipwz_distribution(config: PolicyConfig, state: PolicyState,
     out = np.full(contexts.shape[:-1] + (K,), 1.0 / K)
     if not state.ipw_ready.any():
         return out
-    eps = config.epsilon_for(K, state.t + 1)
+    eps = config.epsilon_for(K)
     best = np.argmax(_apply(state.ipw_theta, state.target.regressors(contexts)), axis=-1)
     greedy = clip_simplex(_greedy_rows(best, K, eps / K), config.pi_min)
     return np.where(_per_row(state.ipw_ready, contexts)[..., None], greedy, out)
@@ -538,7 +532,7 @@ def update_state(config: PolicyConfig, state: PolicyState,
         _by_row(state.ridge_beta)[flat] = _solve_small(gram, moment)
 
     if config.kind == "boltzmann_sgd":
-        rate = config.sgd_rate_fn(state.t)
+        rate = 0.5 * state.t ** (-2.0 / 3.0)  # sum eta_t = inf, sum eta_t^2 < inf
         betas = _by_row(state.sgd_beta)
         beta = betas.take(flat, axis=0)
         beta = beta + rate * score_g(state.target, arms, X, ys, beta, num_arms=state.num_arms)

@@ -43,7 +43,7 @@ from banditlab.estimator import (
     normal_equations,
     scores,
 )
-from banditlab.harness import CadrResult, _run_block
+from banditlab.harness import CADR_BURN_IN, CADR_VARIANCE_FLOOR, CadrResult, _run_block
 from banditlab.inference import EstimateReport, confidence_intervals, two_sided_z
 from banditlab.policy import (
     InfeasibleClipError,
@@ -190,17 +190,15 @@ def ipwz_residual(log: BanditLog, target: ScoreTarget, arm: int,
 
 
 def reference_cadr_loop(log: BanditLog, target_policy: TargetPolicy, regression: str = "zero",
-                        variance_floor: float = 1e-6, levels=(0.95,),
-                        behavior_policy: PolicyConfig | None = None,
-                        behavior_target: ScoreTarget | None = None,
-                        burn_in: int = 10) -> CadrResult:
+                        levels=(0.95,), *, behavior_policy: PolicyConfig,
+                        behavior_target: ScoreTarget | None = None) -> CadrResult:
     """CADR by a plain O(T^2) loop over steps, the oracle for ``harness.cadr_ope``.
 
     Per step t it refits the outcome regression on rows < t, recomputes the
     doubly-robust scores D'_{t,s} of every past row, evaluates the replayed
     round-t policy at the log's distinct contexts for the stabilization
-    weights g_t(A_s|X_s)/g_s(A_s|X_s) (taken as 1 without ``behavior_policy``),
-    and takes the step's variance from two dot products over those rows.
+    weights g_t(A_s|X_s)/g_s(A_s|X_s), and takes the step's variance from two
+    dot products over those rows.
     """
     T, K, d = log.horizon, log.num_arms, log.context_dim
     X, A, Y, pi = log.contexts, log.arms, log.outcomes, log.propensities
@@ -208,10 +206,8 @@ def reference_cadr_loop(log: BanditLog, target_policy: TargetPolicy, regression:
     gstar_realized = gstar_vec[A]
     ratio_star = gstar_realized / pi  # g*(A_s|X_s) / g_s(A_s|X_s)
 
-    replay_state = None
-    if behavior_policy is not None:
-        replay_state = init_state(behavior_policy, K, d, target=behavior_target)
-        uniq_X, uniq_inv = np.unique(X, axis=0, return_inverse=True)
+    replay_state = init_state(behavior_policy, K, d, target=behavior_target)
+    uniq_X, uniq_inv = np.unique(X, axis=0, return_inverse=True)
 
     # Recursive ridge accumulators for the online_linear regression.
     lam = 1.0
@@ -233,19 +229,16 @@ def reference_cadr_loop(log: BanditLog, target_policy: TargetPolicy, regression:
             q_mean_star = qmat @ gstar_vec
         dprime = ratio_star[:t + 1] * (Y[:t + 1] - q_realized) + q_mean_star
 
-        if t < burn_in:
+        if t < CADR_BURN_IN:
             sigma_t = 1.0
         else:
-            if replay_state is not None:
-                g_t = action_distribution(behavior_policy, replay_state, uniq_X)
-                wts = g_t[uniq_inv[:t], A[:t]] / pi[:t]
-            else:
-                wts = np.ones(t)
+            g_t = action_distribution(behavior_policy, replay_state, uniq_X)
+            wts = g_t[uniq_inv[:t], A[:t]] / pi[:t]
             m1 = float(wts @ dprime[:t]) / t
             m2 = float(wts @ (dprime[:t] ** 2)) / t
             var_t = m2 - m1 * m1
-            if var_t < variance_floor:
-                var_t = variance_floor
+            if var_t < CADR_VARIANCE_FLOOR:
+                var_t = CADR_VARIANCE_FLOOR
                 floored += 1
             sigma_t = math.sqrt(var_t)
         inv_sigma[t] = 1.0 / sigma_t
@@ -256,9 +249,8 @@ def reference_cadr_loop(log: BanditLog, target_policy: TargetPolicy, regression:
             reg_gram[a] += np.outer(X[t], X[t])
             reg_moment[a] += X[t] * Y[t]
             reg_beta[a] = np.linalg.solve(reg_gram[a], reg_moment[a])
-        if replay_state is not None:
-            update_state(behavior_policy, replay_state,
-                         Transition(X[t:t + 1], A[t:t + 1], pi[t:t + 1], Y[t:t + 1]))
+        update_state(behavior_policy, replay_state,
+                     Transition(X[t:t + 1], A[t:t + 1], pi[t:t + 1], Y[t:t + 1]))
 
     gamma = 1.0 / float(inv_sigma.mean())
     psi = gamma * float(own_scores.mean())
@@ -378,14 +370,11 @@ def _reference_ipwz_solve(log: BanditLog, target: ScoreTarget, arm: int, rows=No
 
 
 def _reference_sandwich_variance(log: BanditLog, target: ScoreTarget, arm: int,
-                                 theta_hat: np.ndarray, mode: str = "full", rows=None):
-    if mode not in ("full", "simplified"):
-        raise ValueError(f"unknown variance mode {mode!r}")
+                                 theta_hat: np.ndarray, rows=None):
     theta = np.asarray(theta_hat, dtype=float).ravel()
     X, Y, w = _reference_arm_rows(log, arm) if rows is None else rows
     T = log.horizon
-    design_rows, weights = (X, w) if mode == "full" else (log.contexts, None)
-    gdot = _design(target, target.regressors(design_rows), weights, T)
+    gdot = _design(target, target.regressors(X), w, T)
     gw = scores(target, arm, X, Y, theta, log.num_arms, w)
     imat = gw.T @ gw / T
 
@@ -400,12 +389,11 @@ def _reference_sandwich_variance(log: BanditLog, target: ScoreTarget, arm: int,
 
 
 def reference_estimate_report(log: BanditLog, target: ScoreTarget, arm: int,
-                              levels=(0.95,), mode: str = "full") -> EstimateReport:
+                              levels=(0.95,)) -> EstimateReport:
     """Solve, estimate variance and build intervals for one arm, the rows gathered by mask."""
     rows = _reference_arm_rows(log, arm)
     theta = _reference_ipwz_solve(log, target, arm, rows=rows)
-    sigma, gdot, imat = _reference_sandwich_variance(log, target, arm, theta, mode=mode,
-                                                     rows=rows)
+    sigma, gdot, imat = _reference_sandwich_variance(log, target, arm, theta, rows=rows)
     cis = confidence_intervals(theta, sigma, log.horizon, levels)
     return EstimateReport(arm=arm, theta=theta, sigma=sigma, gdot=gdot,
                           imat=imat, cis=cis, horizon=log.horizon)

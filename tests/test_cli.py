@@ -198,11 +198,25 @@ def test_misspelt_key_exits_one(tmp_path, capsys):
     ("target.target_policy", {"target": {"family": "ope",
                                          "target_policy": {"kind": "uniform", "prob": [1]}}}),
     ("diagnostics", {"diagnostics": {"context": [[-4.0]]}}),
+    ("experiment config", {"variance_mode": "full"}),
 ])
 def test_unknown_nested_key_rejected(tmp_path, where, extra):
     config = json.loads(_tiny_config(tmp_path, **extra).read_text())
     with pytest.raises(ConfigError, match=f"unknown key .* in {where}"):
         build_experiment(config)
+
+
+def test_schema_keys_are_the_dataclass_fields():
+    # A field with no key could not be set from a config, nor replayed from a manifest.
+    from dataclasses import fields
+
+    from banditlab.cli import CONFIG_KEYS
+    from banditlab.estimator import ScoreTarget, TargetPolicy
+    from banditlab.policy import PolicyConfig
+
+    for where, cls in (("policy", PolicyConfig), ("target", ScoreTarget),
+                       ("target.target_policy", TargetPolicy)):
+        assert sorted(CONFIG_KEYS[where]) == sorted(f.name for f in fields(cls)), where
 
 
 def test_infer_bare_target_config(tmp_path):
@@ -217,10 +231,12 @@ def test_infer_bare_target_config(tmp_path):
                  "--log", str(sim / "log.csv")]) == 0
     doc = json.loads((inf / "report.json").read_text())
     assert doc["ope"]["value"] == pytest.approx(sum(a["theta"][0] for a in doc["arms"]))
-    bare.write_text(json.dumps({"family": "ope", "target_policy": {"kind": "uniform"},
-                                "horizon": 5}))
-    assert main(["infer", "--config", str(bare), "--out", str(inf),
-                 "--log", str(sim / "log.csv")]) == 1
+    for key, value in (("horizon", 5), ("variance_mode", "full")):
+        bare.write_text(json.dumps({"family": "ope", "target_policy": {"kind": "uniform"},
+                                    key: value}))
+        assert main(["infer", "--config", str(bare), "--out", str(tmp_path / "bad"),
+                     "--log", str(sim / "log.csv")]) == 1
+        assert not (tmp_path / "bad").exists()
 
 
 def test_compare_ope_regressions_must_be_a_list(tmp_path, capsys):
@@ -241,7 +257,19 @@ def test_compare_ope_regressions_must_be_a_list(tmp_path, capsys):
     ({"env": {"name": "nc_gaussian"}}, 'target={"family": "noisy_context", "sigma_e": 1.0}',
      "target.sigma_e must be a 2x2 matrix"),
     ({}, "diagnostics.contexts=[[1.0,1.0]]", "diagnostic context [1.0, 1.0] has shape"),
-], ids=["arm_means", "noise_table", "sigma_e_marker", "sigma_e_size", "diagnostic_context"])
+    ({"env": {"name": "nc_gaussian"}}, "env.params.num_arms=2.5",
+     "invalid parameter 'num_arms': num_arms must be a whole number, got 2.5"),
+    ({"env": {"name": "nc_gaussian"}}, "env.params.num_arms=0",
+     "invalid parameter 'num_arms': must be >= 1"),
+    ({"env": {"name": "nc_gaussian"}}, "env.params.d=true",
+     "invalid parameter 'd': d must be a whole number, got True"),
+    ({"env": {"name": "ms_polynomial"}}, "env.params.degree=2.9",
+     "invalid parameter 'degree': degree must be a whole number, got 2.9"),
+    ({"env": {"name": "nc_gaussian"},
+      "target": {"family": "noisy_context", "sigma_e": [[0.5, 0.0], [0.0, 0.5]]}},
+     "n_oracle=0", "n_oracle must be >= 1, got 0"),
+], ids=["arm_means", "noise_table", "sigma_e_marker", "sigma_e_size", "diagnostic_context",
+        "num_arms_fraction", "num_arms_zero", "d_bool", "degree_fraction", "n_oracle_zero_mc"])
 def test_bad_shape_exits_one_before_oracle(tmp_path, capsys, monkeypatch, extra, override,
                                            message):
     import banditlab.harness as harness
@@ -256,7 +284,7 @@ def test_bad_shape_exits_one_before_oracle(tmp_path, capsys, monkeypatch, extra,
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
-    assert not (out / "coverage.csv").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["coverage", "simulate"])
@@ -328,12 +356,14 @@ def test_unknown_cadr_regression_leaves_no_output_directory(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("override, message", [
-    ('cadr_regressions=[["zero"]]', "unknown regression ['zero'] in cadr_regressions"),
-    ("horizon=5", "horizon 5 must exceed the CADR burn-in 10"),
-    ("horizon=10", "horizon 10 must exceed the CADR burn-in 10"),
-], ids=["nested_list", "horizon_5", "horizon_10"])
-def test_compare_ope_rejects_before_oracle_and_output(tmp_path, capsys, monkeypatch, override,
+@pytest.mark.parametrize("overrides, message", [
+    (['cadr_regressions=[["zero"]]'], "unknown regression ['zero'] in cadr_regressions"),
+    (["horizon=5"], "horizon 5 must exceed the CADR burn-in 10"),
+    (["horizon=10"], "horizon 10 must exceed the CADR burn-in 10"),
+    (["cadr_regressions=[]", 'target={"family": "misspec_linear"}'],
+     "compare-ope requires an ope-family target, got target family 'misspec_linear'"),
+], ids=["nested_list", "horizon_5", "horizon_10", "no_regressions_non_ope_target"])
+def test_compare_ope_rejects_before_oracle_and_output(tmp_path, capsys, monkeypatch, overrides,
                                                       message):
     import banditlab.harness as harness
 
@@ -343,8 +373,8 @@ def test_compare_ope_rejects_before_oracle_and_output(tmp_path, capsys, monkeypa
     monkeypatch.setattr(harness, "oracle_thetas", no_oracle)
     cfg = _tiny_config(tmp_path, target={"family": "ope", "target_policy": {"kind": "uniform"}})
     out = tmp_path / "cmp"
-    assert main(["compare-ope", "--config", str(cfg), "--out", str(out),
-                 "--set", override]) == 1
+    sets = [arg for override in overrides for arg in ("--set", override)]
+    assert main(["compare-ope", "--config", str(cfg), "--out", str(out), *sets]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
 
@@ -376,6 +406,9 @@ def test_coverage_never_runs_cadr(tmp_path, monkeypatch):
     ("workers=1.9", "workers"), ("n_oracle=1000.9", "n_oracle"), ("env.seed=1.5", "env.seed"),
     ("levels=0.95", "levels"), ("diagnostics.contexts=5", "diagnostics.contexts"),
     ('cadr_regressions="garbage"', "cadr_regressions"),
+    ("seed=-1", "seed"), ("env.seed=-2", "env.seed"), ("n_oracle=0", "n_oracle"),
+    ('policy.gamma="hot"', "policy.gamma"), ("policy.ridge_lambda=[1]", "policy.ridge_lambda"),
+    ('policy.linucb_alpha="a"', "policy.linucb_alpha"),
 ])
 def test_mistyped_setting_named_for_every_command(tmp_path, capsys, command, override, key):
     # Every command builds the experiment, and so checks every setting, before
@@ -430,7 +463,7 @@ def test_runtime_failure_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize("override, message", [
     ("levels=[]", "levels"),
     ("levels=[0.95,1.5]", "levels"),
-    ('variance_mode="simple"', "variance mode"),
+    ('variance_mode="full"', "unknown key 'variance_mode'"),
     ("levels=0.95", "levels must be a non-empty list in (0, 1), got 0.95"),
 ])
 def test_bad_levels_or_variance_mode_exits_one(tmp_path, capsys, override, message):
@@ -445,7 +478,7 @@ def test_bad_levels_or_variance_mode_exits_one(tmp_path, capsys, override, messa
 @pytest.mark.parametrize("override, message", [
     ("levels=[]", "levels"),
     ("levels=[0.95,1.5]", "levels"),
-    ('variance_mode="simple"', "variance mode"),
+    ('variance_mode="full"', "unknown key 'variance_mode'"),
     ("levels=0.95", "levels must be a non-empty list in (0, 1), got 0.95"),
 ])
 def test_infer_bad_levels_or_variance_mode_exits_one(tmp_path, capsys, override, message):

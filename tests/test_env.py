@@ -13,6 +13,7 @@ from banditlab.env import (
     support,
 )
 from banditlab.estimator import ScoreTarget, TargetPolicy
+from banditlab.harness import config_fingerprint
 from banditlab.rng import stream
 
 from helpers import sample_round
@@ -149,6 +150,22 @@ def test_reward_table_invalid_override_rejected():
 def test_nonconv_demo_shape_overrides_rejected(key, value):
     with pytest.raises(InvalidParameterError, match=f"'{key}': expected"):
         build_environment("nonconv_demo", {key: value})
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("nc_gaussian", "num_arms", 2.5), ("nc_gaussian", "d", True), ("nc_gaussian", "d", "2"),
+    ("ms_polynomial", "degree", 2.9), ("ms_polynomial", "num_arms", 2.5),
+    ("ms_neural", "num_arms", 2.5), ("nc_gaussian", "num_arms", 0), ("nc_gaussian", "d", 0),
+    ("ms_polynomial", "degree", 0), ("ms_neural", "num_arms", -1),
+])
+def test_integer_parameters_must_be_whole_numbers(name, key, value):
+    # int() would truncate 2.5 arms to 2 and read True as d = 1; zero arms
+    # failed deep in the run, naming no key.
+    reason = "must be >= 1" if isinstance(value, int) and value < 1 else f"{key} must be a whole"
+    with pytest.raises(InvalidParameterError, match=f"'{key}': {reason}"):
+        build_environment(name, {key: value})
+    whole, integer = build_environment(name, {key: 2.0}), build_environment(name, {key: 2})
+    assert config_fingerprint([whole]) == config_fingerprint([integer])
 
 
 _LATENT_ZERO_ROWS = [

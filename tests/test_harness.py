@@ -377,12 +377,12 @@ class TestCadr:
         env = build_environment("nonconv_demo")
         log = run_trajectory(env, PolicyConfig(kind="random"), None, 400, seed=21)
         result = cadr_ope(log, TargetPolicy(kind="uniform"), regression="zero",
-                          variance_floor=1e-12)
+                          behavior_policy=PolicyConfig(kind="random"))
         dprime = log.outcomes  # ratio g*/g = 1
         sigmas = np.ones(400)
         for t in range(10, 400):
             past = dprime[:t]
-            sigmas[t] = max(np.sqrt(past.var()), np.sqrt(1e-12))
+            sigmas[t] = max(np.sqrt(past.var()), np.sqrt(1e-6))
         gamma = 1.0 / np.mean(1.0 / sigmas)
         want = gamma * np.mean(dprime / sigmas)
         assert result.value == pytest.approx(want, rel=1e-12)
@@ -392,7 +392,7 @@ class TestCadr:
                                                  "arm_means": (3.0, 3.0)})
         log = run_trajectory(env, PolicyConfig(kind="random"), None, 200, seed=22)
         result = cadr_ope(log, TargetPolicy(kind="uniform"), regression="zero",
-                          variance_floor=1e-8)
+                          behavior_policy=PolicyConfig(kind="random"))
         assert result.value == pytest.approx(3.0, abs=1e-9)
         # zero dispersion: every post-burn-in step hits the variance floor
         assert result.floored == 200 - 10
@@ -422,6 +422,13 @@ class TestCadr:
         env = build_environment("nonconv_demo")
         log = run_trajectory(env, PolicyConfig(kind="random"), None, 8, seed=24)
         with pytest.raises(ValueError, match="burn-in"):
+            cadr_ope(log, TargetPolicy(kind="uniform"), behavior_policy=PolicyConfig(kind="random"))
+
+    def test_behavior_policy_required(self):
+        # The stabilization weights use the exact round-t behavior policy.
+        env = build_environment("nonconv_demo")
+        log = run_trajectory(env, PolicyConfig(kind="random"), None, 50, seed=24)
+        with pytest.raises(ValueError, match="needs the behavior policy"):
             cadr_ope(log, TargetPolicy(kind="uniform"))
 
     def test_online_linear_regression_runs_and_covers(self):
@@ -432,16 +439,6 @@ class TestCadr:
                           behavior_policy=PolicyConfig(kind="boltzmann_ridge", gamma=20.0))
         lo, hi = result.cis[0.95]
         assert lo < 7.0 / 24.0 < hi
-
-    def test_replayed_weights_match_ratio_one_at_convergence(self):
-        # For the random logging policy the replayed ratio is exactly 1, so
-        # both paths agree to the last bit.
-        env = build_environment("nonconv_demo")
-        log = run_trajectory(env, PolicyConfig(kind="random"), None, 300, seed=26)
-        without = cadr_ope(log, TargetPolicy(kind="uniform"))
-        with_replay = cadr_ope(log, TargetPolicy(kind="uniform"),
-                               behavior_policy=PolicyConfig(kind="random"))
-        assert without.value == with_replay.value
 
 
 def test_compare_ope_smoke():
@@ -472,8 +469,7 @@ def _reference_ope_loop(config: ExperimentConfig, regressions):
     for rep in range(R):
         log = run_trajectory(config.env, config.policy, config.target,
                              config.horizon, config.seed, (rep,))
-        report = ope_value(log, config.target, mode=config.variance_mode,
-                           levels=config.levels)
+        report = ope_value(log, config.target, levels=config.levels)
         ipwz_values[rep] = report.value
         for li, level in enumerate(config.levels):
             lo, hi = report.cis[float(level)]
@@ -674,25 +670,19 @@ def _cadr_env(name: str, K: int, points: list) -> EnvironmentSpec:
        points=st.lists(st.integers(-8, 8).map(lambda v: v / 2.0), min_size=1, max_size=4,
                        unique=True),
        T=st.integers(11, 300), regression=st.sampled_from(["zero", "online_linear"]),
-       replay=st.booleans(), seed=st.integers(0, 2**16))
-def test_closed_form_cadr_matches_reference_loop(kind, K, env_name, points, T, regression,
-                                                 replay, seed):
+       seed=st.integers(0, 2**16))
+def test_closed_form_cadr_matches_reference_loop(kind, K, env_name, points, T, regression, seed):
     env = _cadr_env(env_name, K, points)
     policy = PolicyConfig(kind=kind, pi_min=0.05, gamma=2.0)
     probes = np.unique(np.array([x for _, _, x in support(env)]), axis=0)
     logs, _, table = _run_block(env, policy, OPE_UNIFORM, T, seed, [(0,), (1,)], probes=probes)
     uniform = OPE_UNIFORM.target_policy
+    kw = dict(behavior_policy=policy, behavior_target=OPE_UNIFORM)
     for log, recorded in zip(logs, table):
-        if replay:
-            kw = dict(behavior_policy=policy, behavior_target=OPE_UNIFORM)
-            want = reference_cadr_loop(log, uniform, regression=regression, **kw)
-            runs = [cadr_ope(log, uniform, regression=regression, **kw),
+        want = reference_cadr_loop(log, uniform, regression=regression, **kw)
+        for got in (cadr_ope(log, uniform, regression=regression, **kw),
                     cadr_ope(log, uniform, regression=regression,
-                             behavior_table=BehaviorTable(probes, recorded))]
-        else:
-            want = reference_cadr_loop(log, uniform, regression=regression)
-            runs = [cadr_ope(log, uniform, regression=regression)]
-        for got in runs:
+                             behavior_table=BehaviorTable(probes, recorded))):
             assert got.value == pytest.approx(want.value, rel=1e-12, abs=0)
             assert got.gamma == pytest.approx(want.gamma, rel=1e-12, abs=0)
             assert got.floored == want.floored
@@ -784,8 +774,11 @@ def test_config_normalises_its_settings():
     ({"cadr_regressions": [["zero"]]}, r"unknown regression \['zero'\] in cadr_regressions"),
     ({"horizon": 10, "cadr_regressions": ("zero",)},
      "horizon 10 must exceed the CADR burn-in 10"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+    ({"n_oracle": 0}, "n_oracle must be >= 1, got 0"),
 ], ids=["seed", "replications", "horizon", "n_oracle", "levels_number", "levels_string",
-        "contexts", "regressions_string", "regressions_nested", "horizon_burn_in"])
+        "contexts", "regressions_string", "regressions_nested", "horizon_burn_in",
+        "seed_negative", "n_oracle_zero"])
 def test_bad_setting_rejected_before_oracle(monkeypatch, bad, message):
     import banditlab.harness as harness
 
@@ -819,8 +812,7 @@ def test_shape_mismatch_rejected_before_oracle(monkeypatch, env_name, target, co
                                    diagnostic_contexts=contexts))
 
 
-@pytest.mark.parametrize("bad", [{"levels": ()}, {"levels": (0.95, 1.5)},
-                                 {"variance_mode": "simple"}])
+@pytest.mark.parametrize("bad", [{"levels": ()}, {"levels": (0.95, 1.5)}])
 def test_bad_levels_and_variance_mode_rejected_before_oracle(monkeypatch, bad):
     import banditlab.harness as harness
 
@@ -829,7 +821,7 @@ def test_bad_levels_and_variance_mode_rejected_before_oracle(monkeypatch, bad):
 
     monkeypatch.setattr(harness, "oracle_thetas", no_oracle)
     env = build_environment("nonconv_demo")
-    with pytest.raises(ValueError, match="levels|variance mode"):
+    with pytest.raises(ValueError, match="levels"):
         replicate(ExperimentConfig(env=env, policy=PolicyConfig(kind="random"),
                                    target=MISSPEC, horizon=50, replications=1, seed=34, **bad))
 
@@ -847,13 +839,19 @@ def test_all_replications_failed_names_first_failure():
 @pytest.mark.parametrize("regression", ["zero", "online_linear"])
 def test_continuous_contexts_match_reference_loop(regression, replay):
     # Every row of an nc_gaussian log is its own cell, so the prefix sums run
-    # in several chunks that carry their running sums.
+    # in several chunks that carry their running sums. Without replay CADR
+    # reads the policy recorded at every context of the log: the contexts do
+    # not depend on the policy, so a second run can record it there.
     env = build_environment("nc_gaussian", {"num_arms": 3}, seed=2)
     policy = PolicyConfig(kind="boltzmann_ridge", gamma=2.0, pi_min=0.05)
     log = run_trajectory(env, policy, OPE_UNIFORM, 400, seed=40)
-    kw = dict(behavior_policy=policy, behavior_target=OPE_UNIFORM) if replay else {}
+    kw = dict(behavior_policy=policy, behavior_target=OPE_UNIFORM)
     uniform = OPE_UNIFORM.target_policy
     want = reference_cadr_loop(log, uniform, regression=regression, **kw)
+    if not replay:
+        probes = np.unique(log.contexts, axis=0)
+        _, _, table = _run_block(env, policy, OPE_UNIFORM, 400, 40, [()], probes=probes)
+        kw = dict(behavior_table=BehaviorTable(probes, table[0]))
     got = cadr_ope(log, uniform, regression=regression, **kw)
     assert got.value == pytest.approx(want.value, rel=1e-12, abs=0)
     assert got.gamma == pytest.approx(want.gamma, rel=1e-12, abs=0)

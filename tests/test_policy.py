@@ -183,11 +183,10 @@ class TestMabDistributions:
         np.testing.assert_allclose(mab_distribution("eps_greedy", state, config)[0], [0.9, 0.1])
 
     def test_ucb_hand_index(self):
-        config = PolicyConfig(kind="ucb_mab", pi_min=0.05,
-                              ucb_radius_fn=lambda t: 2.0)
-        state = _state_with(config, [1.0, 0.5], [100, 1])
+        config = PolicyConfig(kind="ucb_mab", pi_min=0.05)
+        state = _state_with(config, [1.0, 0.5], [100, 1])  # t = 101, so round 102
         dist = mab_distribution("ucb", state, config)[0]
-        # indices (1 + sqrt(0.02), 0.5 + sqrt(2)) -> arm 2 wins
+        # radius 2 log 102 = 9.25: indices (1 + sqrt(0.0925), 0.5 + sqrt(9.25)) -> arm 2 wins
         np.testing.assert_allclose(dist, [0.05, 0.95])
 
     def test_ucb_forced_initialization(self):
@@ -201,12 +200,6 @@ class TestMabDistributions:
         config = PolicyConfig(kind="ts_mab", pi_min=0.05)
         state = init_state(config, 2, 1)
         np.testing.assert_allclose(mab_distribution("ts", state, config)[0], [0.5, 0.5], atol=1e-6)
-
-    def test_eps_schedule_applied_per_round(self):
-        config = PolicyConfig(kind="eps_greedy_mab", epsilon=lambda t: 1.0 / (1 + t))
-        state = _state_with(config, [1.0, 0.0], [3, 3])  # t = 6, so round 7
-        np.testing.assert_allclose(
-            mab_distribution("eps_greedy", state, config)[0], [1 - 0.5 / 8, 0.5 / 8])
 
     def test_argmax_invariance_to_common_shift(self):
         config = PolicyConfig(kind="eps_greedy_mab", epsilon=0.3)
@@ -297,10 +290,10 @@ class TestSelectAction:
 class TestUpdateState:
     def test_sgd_one_step(self):
         target = ScoreTarget(family="misspec_linear")
-        config = PolicyConfig(kind="boltzmann_sgd", sgd_rate_fn=lambda t: 0.1)
+        config = PolicyConfig(kind="boltzmann_sgd")
         state = init_state(config, 2, 1, target=target)
-        update_state(config, state, one_round([1.0], 0, 0.5, 2.0))
-        assert state.sgd_beta[0, 0, 0] == pytest.approx(0.2)
+        update_state(config, state, one_round([1.0], 0, 0.5, 2.0))  # rate 0.5 * 1^(-2/3)
+        assert state.sgd_beta[0, 0, 0] == pytest.approx(1.0)
         assert state.sgd_beta[0, 1, 0] == 0.0  # unpulled arm untouched
 
     def test_ridge_recursive_equals_batch_first_step(self):
@@ -407,11 +400,23 @@ def test_infeasible_pi_min_at_init():
         init_state(PolicyConfig(kind="ts_mab", pi_min=0.4), 3, 1)
 
 
-@pytest.mark.parametrize("prior", [(0.0, 1.0), (0.0, float("nan"), 1.0), 5, ("a", 1.0, 1.0)],
-                         ids=["two_numbers", "nan", "scalar", "string"])
+@pytest.mark.parametrize("prior", [(0.0, 1.0), (0.0, float("nan"), 1.0), 5, ("a", 1.0, 1.0),
+                                   (True, 1.0, 1.0)],
+                         ids=["two_numbers", "nan", "scalar", "string", "bool"])
 def test_ts_prior_must_be_three_finite_numbers(prior):
     with pytest.raises(ValueError, match="ts_prior must be three finite numbers"):
         PolicyConfig(kind="ts_mab", ts_prior=prior)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("pi_min", "0.05"), ("gamma", "hot"), ("gamma", True), ("ridge_lambda", [1]),
+    ("linucb_alpha", "a"), ("linucb_alpha", float("inf")), ("epsilon", float("nan")),
+    ("epsilon", lambda t: 0.1),
+])
+def test_numeric_fields_must_be_finite_numbers(field, value):
+    # Checked on every kind, also one that never reads the field.
+    with pytest.raises(ValueError, match=f"policy.{field} must be a finite number, got "):
+        PolicyConfig(kind="random", **{field: value})
 
 
 @pytest.mark.parametrize("kind", ["ipwz_greedy", "boltzmann_sgd"])
