@@ -23,6 +23,7 @@ force Monte Carlo path (with a reported standard error) elsewhere.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -182,6 +183,16 @@ def _count(params: dict, key: str) -> int:
     return value
 
 
+def _scale(params: dict, key: str) -> float:
+    """Scale parameter ``key``: a finite, non-negative number, never a bool."""
+    value = params[key]
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value < 0):
+        raise InvalidParameterError(
+            key, f"{key} must be a finite, non-negative number, got {value!r}")
+    return float(value)
+
+
 def _take(params: dict, allowed: dict) -> dict:
     """Merge overrides into defaults, rejecting undeclared keys."""
     out = dict(allowed)
@@ -209,7 +220,7 @@ def _build_nonconv_demo(params: dict, rng: np.random.Generator) -> EnvironmentSp
         context_law=ContextLaw(kind="finite", points=points, weights=weights),
         noise_law=None,
         reward=RewardModel(kind="constant_per_arm", params=means),
-        reward_noise_sd=float(p["sigma_eta"]),
+        reward_noise_sd=_scale(p, "sigma_eta"),
     )
 
 
@@ -250,7 +261,7 @@ def _build_nc_hard(theta: tuple, name: str):
             ),
             noise_law=noise,
             reward=RewardModel(kind="linear_latent", params=th),
-            reward_noise_sd=float(p["sigma_eta"]),
+            reward_noise_sd=_scale(p, "sigma_eta"),
             true_params=th,
         )
     return build
@@ -276,7 +287,7 @@ def _build_nc_gaussian(params: dict, rng: np.random.Generator) -> EnvironmentSpe
         context_law=ContextLaw(kind="gaussian", cov=sigma_s),
         noise_law=NoiseLaw(kind="gaussian", cov=sigma_e),
         reward=RewardModel(kind="linear_latent", params=theta),
-        reward_noise_sd=float(p["sigma_eta"]),
+        reward_noise_sd=_scale(p, "sigma_eta"),
         true_params=theta,
     )
 
@@ -286,16 +297,17 @@ def _build_ms_polynomial(params: dict, rng: np.random.Generator) -> EnvironmentS
                        "sigma_x": 1.0, "sigma_theta": 1.0, "theta": None})
     degree = _count(p, "degree")
     K = _count(p, "num_arms")
+    sigma_theta = _scale(p, "sigma_theta")
     if p["theta"] is not None:
         coeffs = np.asarray(p["theta"], dtype=float).reshape(K, degree)
     else:
-        coeffs = np.sqrt(float(p["sigma_theta"])) * rng.standard_normal((K, degree))
+        coeffs = np.sqrt(sigma_theta) * rng.standard_normal((K, degree))
     return EnvironmentSpec(
         name="ms_polynomial", num_arms=K, context_dim=1,
         context_law=ContextLaw(kind="gaussian", cov=_check_cov([[p["sigma_x"]]], "sigma_x", 1)),
         noise_law=None,
         reward=RewardModel(kind="polynomial", params=coeffs),
-        reward_noise_sd=float(p["sigma_eta"]),
+        reward_noise_sd=_scale(p, "sigma_eta"),
     )
 
 
@@ -303,16 +315,17 @@ def _build_ms_neural(params: dict, rng: np.random.Generator) -> EnvironmentSpec:
     p = _take(params, {"num_arms": 2, "sigma_eta": 1.0, "sigma_x": 1.0,
                        "sigma_theta": 1.0, "theta": None})
     K = _count(p, "num_arms")
+    sigma_theta = _scale(p, "sigma_theta")
     if p["theta"] is not None:
         theta = np.asarray(p["theta"], dtype=float).reshape(K, 1)
     else:
-        theta = np.sqrt(float(p["sigma_theta"])) * rng.standard_normal((K, 1))
+        theta = np.sqrt(sigma_theta) * rng.standard_normal((K, 1))
     return EnvironmentSpec(
         name="ms_neural", num_arms=K, context_dim=1,
         context_law=ContextLaw(kind="gaussian", cov=_check_cov([[p["sigma_x"]]], "sigma_x", 1)),
         noise_law=None,
         reward=RewardModel(kind="relu_linear", params=theta),
-        reward_noise_sd=float(p["sigma_eta"]),
+        reward_noise_sd=_scale(p, "sigma_eta"),
         true_params=theta,
     )
 

@@ -131,6 +131,10 @@ class ExperimentConfig:
             raise ValueError(f"n_oracle must be >= 1, got {self.n_oracle}")
         object.__setattr__(self, "levels", check_levels(self.levels))
         _resolve_workers(self.workers)
+        K, pi_min = self.env.num_arms, self.policy.pi_min
+        if K * pi_min > 1.0 + 1e-12:  # init_state's test, made before any output
+            raise ValueError(f"env.num_arms * policy.pi_min must be at most 1, "
+                             f"got {K} * {pi_min!r} = {K * pi_min!r}")
         d = self.env.context_dim
         if self.target.family == "noisy_context":
             check_covariance(self.target.sigma_e, "target.sigma_e", dim=d)
@@ -196,21 +200,18 @@ def _run_block(env: EnvironmentSpec, policy: PolicyConfig, target: ScoreTarget |
     Returns (logs, final block state, probe table). Each trajectory pre-draws
     its rounds and uniforms from its own streams, so its log does not depend
     on the block it runs in. The looped kinds then make one block-wide
-    distribution call and one block-wide update per round; ``random`` draws
-    every arm at once, gathers each trajectory's outcomes once, with flat
-    indices t * K + arm, and fills its pull counts and outcome sums with one
-    ``np.bincount`` each, which adds in index order from zero as per-round
-    updates do. (``np.add.at`` gives the same bits but leaves its fast path,
-    about 25x slower, on outcomes computed from an unpickled config, as in a
-    pool worker.) The drawn arms' probabilities and outcomes fill
-    (B, T) arrays (a list of B outcome rows for ``random``), and log b takes
-    their row b. Given (C, d) ``probes``, the
-    table (B, T, C, K) holds each trajectory's round-t distribution at every
-    probe context, filled by the round's one call on the (B, C, d) grid of
-    probes; otherwise it is None. The probes must cover every context the
-    environment draws: each round's own distribution is then its context's
-    row of the table, with no further call. The round's gathers (the drawn
-    arm's probability and outcome) take flat indices b * K + arm.
+    distribution call and one block-wide update per round; ``random``, whose
+    state holds no statistics, draws every arm at once and gathers each
+    trajectory's outcomes once, with flat indices t * K + arm. The drawn
+    arms' probabilities and outcomes fill (B, T) arrays (a list of B outcome
+    rows for ``random``), and log b takes their row b. Given (C, d)
+    ``probes``, the table (B, T, C, K) holds each trajectory's round-t
+    distribution at every probe context, filled by the round's one call on
+    the (B, C, d) grid of probes; otherwise it is None. The probes must cover
+    every context the environment draws: each round's own distribution is
+    then its context's row of the table, with no further call. The round's
+    gathers (the drawn arm's probability and outcome) take flat indices
+    b * K + arm.
     """
     K, d, B = env.num_arms, env.context_dim, len(paths)
     state = init_state(policy, K, d, target=target, block=B)
@@ -224,14 +225,11 @@ def _run_block(env: EnvironmentSpec, policy: PolicyConfig, target: ScoreTarget |
         outcomes = [rounds.potentials.take(arm + np.arange(0, horizon * K, K))
                     for (rounds, _), arm in zip(draws, arms)]
         state.t = horizon
-        for b in range(B):
-            state.counts[b] = np.bincount(arms[b], minlength=K)
-            state.sums[b] = np.bincount(arms[b], weights=outcomes[b], minlength=K)
     else:
         # Round-major copies, so that each round's B rows are contiguous.
         contexts = np.stack([r.contexts for r, _ in draws], axis=1)      # (T, B, d)
         potentials = np.stack([r.potentials for r, _ in draws], axis=1)  # (T, B, K)
-        uniforms = np.stack([u for _, u in draws], axis=1)[..., None]    # (T, B, 1)
+        uniforms = np.stack([u for _, u in draws], axis=1)               # (T, B)
         offsets = row_offsets(B, K)
         arms = np.empty((B, horizon), dtype=np.int64)
         propensities = np.empty((B, horizon))
@@ -251,7 +249,12 @@ def _run_block(env: EnvironmentSpec, policy: PolicyConfig, target: ScoreTarget |
                 probs = dist.reshape(-1, K).take(cells[t], axis=0)
             # The searchsorted(cumsum(probs), u, side="right") of each row: partial
             # sums never decrease, so counting the first K - 1 caps the arm at K - 1.
-            arm = np.add.reduce(probs[:, :-1].cumsum(1) <= uniforms[t], axis=1, dtype=np.intp)
+            # With two arms the one partial sum is probs[:, 0].
+            if K == 2:
+                arm = (probs[:, 0] <= uniforms[t]).astype(np.intp)
+            else:
+                arm = np.add.reduce(probs[:, :-1].cumsum(1) <= uniforms[t][:, None],
+                                    axis=1, dtype=np.intp)
             flat = offsets + arm
             arms[:, t] = arm
             propensities[:, t] = prob = probs.take(flat)

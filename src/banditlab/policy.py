@@ -109,14 +109,16 @@ class PolicyState:
     """Mutable summary statistics of a block of B trajectories advanced in lockstep.
 
     Every per-trajectory field has a leading axis of length B; the round
-    counter ``t`` is shared. A lone trajectory is a block of one.
+    counter ``t`` is shared. A lone trajectory is a block of one. Each kind
+    keeps only the statistics its distribution reads; the others stay None.
     """
 
     num_arms: int
     context_dim: int
     t: int = 0
-    counts: np.ndarray = None           # (B, K) pulls per arm
-    sums: np.ndarray = None             # (B, K) outcome sums per arm
+    counts: np.ndarray = None           # (B, K) pulls per arm: the MAB kinds and ipwz_greedy
+    sums: np.ndarray = None             # (B, K) outcome sums per arm: the MAB kinds
+    means: np.ndarray = None            # (B, K) sums / counts, zero before the first pull: MAB
     # Ridge sufficient statistics and their solved coefficients.
     ridge_gram: np.ndarray = None       # (B, K, d, d) lambda*I + sum x x'
     ridge_moment: np.ndarray = None     # (B, K, d) sum x y
@@ -124,7 +126,7 @@ class PolicyState:
     ridge_gram_inv: np.ndarray = None   # (B, K, d, d), LinUCB's confidence widths only
     # SGD coefficients.
     sgd_beta: np.ndarray = None         # (B, K, d_theta)
-    sgd_clip_count: np.ndarray = None   # (B,) steps the coefficient cap bound
+    sgd_clip_count: np.ndarray = None   # (B,) steps the coefficient cap bound; every kind
     # Incremental inverse-propensity-weighted sufficient statistics.
     # In the score's terms (estimator module docstring), z = regressors(x).
     ipw_weight: np.ndarray = None       # (B, K) sum of weights
@@ -132,19 +134,13 @@ class PolicyState:
     ipw_moment: np.ndarray = None       # (B, K, d_theta) sum w z c_a y
     ipw_theta: np.ndarray = None        # (B, K, d_theta) current estimates
     ipw_ok: np.ndarray = None           # (B, K) per-arm solve succeeded
-    ipw_ready: np.ndarray = None        # (B,) every arm's estimate is usable
+    ipw_ready: np.ndarray = None        # (B,) every arm's estimate is usable; every kind
     target: ScoreTarget | None = None
 
     @property
     def block(self) -> int:
         """Number of trajectories B in the block."""
-        return self.counts.shape[0]
-
-    @property
-    def means(self) -> np.ndarray:
-        """Per-arm running mean outcomes (zero before the first pull)."""
-        return np.divide(self.sums, self.counts,
-                         out=np.zeros_like(self.sums), where=self.counts > 0)
+        return self.sgd_clip_count.shape[0]
 
 
 class Transition(NamedTuple):
@@ -168,9 +164,13 @@ def init_state(config: PolicyConfig, num_arms: int, context_dim: int,
             f"K * pi_min = {num_arms * config.pi_min:.4f} > 1 is infeasible")
     B, K, d = block, num_arms, context_dim
     state = PolicyState(num_arms=K, context_dim=d,
-                        counts=np.zeros((B, K), dtype=np.int64), sums=np.zeros((B, K)),
                         sgd_clip_count=np.zeros(B, dtype=np.int64),
                         ipw_ready=np.zeros(B, dtype=bool))
+    if config.kind.endswith("_mab") or config.kind == "ipwz_greedy":
+        state.counts = np.zeros((B, K), dtype=np.int64)
+    if config.kind.endswith("_mab"):
+        state.sums = np.zeros((B, K))
+        state.means = np.zeros((B, K))
     if config.kind in ("boltzmann_ridge", "linucb"):
         lam = config.ridge_lambda
         state.ridge_gram = np.tile(lam * np.eye(d), (B, K, 1, 1))
@@ -240,33 +240,47 @@ def clip_simplex(P: np.ndarray, pi_min: float) -> np.ndarray:
 
     Each row's projection is max(p - nu, pi_min) where nu is the unique root of
     q(nu) = sum_a max(p_a - nu, pi_min) = 1; q is piecewise linear in nu, so
-    the root is found exactly by sorting, with no iteration. Rows that are
-    already feasible come back unchanged, and the result has P's shape.
+    the root is found exactly by sorting, with no iteration (at K = 2 the
+    sort is a max and a min). Rows that are already feasible come back
+    unchanged, and the result has P's shape.
     """
     P = np.asarray(P, dtype=float)
     shape, K = P.shape, P.shape[-1]
     if K * pi_min > 1.0 + 1e-12:
         raise InfeasibleClipError(f"K * pi_min = {K * pi_min:.4f} > 1 is infeasible")
     # Every clipped round runs this test: ufunc reductions give ndarray.sum / min /
-    # max bit for bit without their Python wrappers.
-    off = np.abs(np.add.reduce(P, axis=-1) - 1.0).reshape(-1)
+    # max / any / all bit for bit without their Python wrappers.
+    excess = (np.add.reduce(P, axis=-1) - 1.0).reshape(-1)     # row sum less one
+    off = np.abs(excess)
     if (np.minimum.reduce(P, axis=None, initial=math.inf) >= pi_min
             and np.maximum.reduce(off, initial=0.0) <= 1e-12):
         return P.copy()
     P = P.reshape(-1, K)
-    desc = np.sort(P, axis=1)[:, ::-1]
-    ms, floor_mass = _clip_ladder(K, pi_min)
-    nus = (desc.cumsum(axis=1) + floor_mass - 1.0) / ms       # (n, K) candidate roots
-    valid = desc - nus >= pi_min - 1e-15                       # m-th largest stays unclipped
-    valid[:, :-1] &= desc[:, 1:] - nus[:, :-1] <= pi_min + 1e-15
-    # Largest valid m per row; rows with none (K*pi_min == 1) get all-pi_min.
-    any_valid = np.logical_or.reduce(valid, axis=1)
-    m_idx = np.where(any_valid, K - 1 - valid[:, ::-1].argmax(axis=1), 0)
-    out = np.maximum(P - nus.take(row_offsets(P.shape[0], K) + m_idx)[:, None], pi_min)
-    if not any_valid.all():
+    lo = np.minimum.reduce(P, axis=1)
+    if K == 2:
+        # The sorted path below at K = 2, from each row's larger entry hi and
+        # smaller entry lo: the same candidate roots and tests, so the same bits.
+        hi = np.maximum.reduce(P, axis=1)
+        nu_one = (hi + pi_min) - 1.0             # lo clipped
+        nu_two = excess / 2                      # ((hi + lo) - 1.0) / 2: neither clipped
+        two = lo - nu_two >= pi_min - 1e-15
+        any_valid = two | ((hi - nu_one >= pi_min - 1e-15) & (lo - nu_one <= pi_min + 1e-15))
+        nu = np.where(two, nu_two, nu_one)
+    else:
+        desc = np.sort(P, axis=1)[:, ::-1]
+        ms, floor_mass = _clip_ladder(K, pi_min)
+        nus = (desc.cumsum(axis=1) + floor_mass - 1.0) / ms       # (n, K) candidate roots
+        valid = desc - nus >= pi_min - 1e-15                       # m-th largest stays unclipped
+        valid[:, :-1] &= desc[:, 1:] - nus[:, :-1] <= pi_min + 1e-15
+        # Largest valid m per row; rows with none (K*pi_min == 1) get all-pi_min.
+        any_valid = np.logical_or.reduce(valid, axis=1)
+        m_idx = np.where(any_valid, K - 1 - valid[:, ::-1].argmax(axis=1), 0)
+        nu = nus.take(row_offsets(P.shape[0], K) + m_idx)
+    out = np.maximum(P - nu[:, None], pi_min)
+    if not np.logical_and.reduce(any_valid):
         out[~any_valid] = pi_min
-    ok = (off <= 1e-12) & (np.minimum.reduce(P, axis=1) >= pi_min)
-    if ok.any():
+    ok = (off <= 1e-12) & (lo >= pi_min)
+    if np.logical_or.reduce(ok):
         out[ok] = P[ok]
     return out.reshape(shape)
 
@@ -280,7 +294,9 @@ def _ts_quadrature(means: np.ndarray, sds: np.ndarray) -> np.ndarray:
     Entry (b, a) integrates phi(z) prod_{j != a} Phi((m_a - m_j + s_a z) / s_j)
     over |z| <= 8 in arm a's standard coordinate z = (u - m_a) / s_a (in u
     itself, u - m_a cancels when s_a is tiny). Cuts at every arm's mean and
-    mean +- 8 sd give 3K - 1 pieces, collapsed ones of zero width.
+    mean +- 8 sd give 3K - 1 pieces, collapsed ones of zero width. A
+    collapsed piece's density factor is +0.0, so its CDF factor is left at
+    1.0 instead of evaluated: its terms are +0.0 either way.
     """
     K = means.shape[1]
     others = np.array([[j for j in range(K) if j != a] for a in range(K)])   # (K, K - 1)
@@ -292,7 +308,9 @@ def _ts_quadrature(means: np.ndarray, sds: np.ndarray) -> np.ndarray:
     z = (cuts[..., :-1] + half)[..., None] + half[..., None] * nodes     # (B, K, 3K - 1, n)
     x = (((means[:, :, None] - means[:, others])[:, :, None, None]
           + sds[:, :, None, None, None] * z[..., None]) / sds[:, others][:, :, None, None])
-    cdfs = 0.5 * np.frompyfunc(math.erfc, 1, 1)(x * -math.sqrt(0.5)).astype(float)
+    live = half > 0
+    cdfs = np.ones(x.shape)
+    cdfs[live] = 0.5 * np.frompyfunc(math.erfc, 1, 1)(x[live] * -math.sqrt(0.5)).astype(float)
     dens = np.exp(-0.5 * z * z) * (half[..., None] * weights / math.sqrt(2.0 * math.pi))
     return (dens * cdfs.prod(axis=-1)).sum(axis=(-2, -1))
 
@@ -311,7 +329,7 @@ def ts_optimal_prob(post_means: np.ndarray, post_vars: np.ndarray) -> np.ndarray
     variances = np.asarray(post_vars, dtype=float)
     if means.ndim == 1:
         return ts_optimal_prob(means[None], variances[None])[0]
-    if np.any(variances <= 0):
+    if np.logical_or.reduce(variances <= 0, axis=None):
         raise ValueError("posterior variances must be positive")
     if means.shape[1] != 2:
         return _ts_quadrature(means, np.sqrt(variances))
@@ -341,12 +359,25 @@ def _apply(coefs: np.ndarray, contexts: np.ndarray) -> np.ndarray:
     return np.matmul(_per_row(coefs, contexts), contexts[..., None])[..., 0]
 
 
-def _greedy_rows(best: np.ndarray, num_arms: int, explore_each: float) -> np.ndarray:
-    """One distribution per entry of ``best``: ``explore_each`` on every other arm."""
-    out = np.full(best.shape + (num_arms,), explore_each)
-    out.reshape(-1)[row_offsets(best.size, num_arms) + best.reshape(-1)] = \
-        1.0 - (num_arms - 1) * explore_each
-    return out
+@lru_cache(maxsize=64)
+def _greedy_table(num_arms: int, explore_each: float, pi_min: float | None) -> np.ndarray:
+    """(K, K): row a puts ``explore_each`` on every arm but a, the rest on a.
+
+    Clipped at ``pi_min`` when given; ``clip_simplex`` works row by row, so a
+    row of the clipped table is that row clipped alone. Read-only, shared.
+    """
+    table = np.full((num_arms, num_arms), explore_each)
+    np.fill_diagonal(table, 1.0 - (num_arms - 1) * explore_each)
+    if pi_min is not None:
+        table = clip_simplex(table, pi_min)
+    table.flags.writeable = False
+    return table
+
+
+def _greedy_rows(best: np.ndarray, num_arms: int, explore_each: float,
+                 pi_min: float | None = None) -> np.ndarray:
+    """One distribution per entry of ``best``: its row of ``_greedy_table``."""
+    return _greedy_table(num_arms, explore_each, pi_min).take(best, axis=0)
 
 
 def mab_distribution(kind: str, state: PolicyState, config: PolicyConfig) -> np.ndarray:
@@ -354,7 +385,7 @@ def mab_distribution(kind: str, state: PolicyState, config: PolicyConfig) -> np.
     K = state.num_arms
     if kind == "eps_greedy":
         eps = config.epsilon_for(K)
-        return _greedy_rows(np.argmax(state.means, axis=1), K, eps / K)
+        return _greedy_rows(state.means.argmax(axis=1), K, eps / K)
     if kind == "ucb":
         if state.t < K:  # forced initialization: rounds 1..K pull each arm once
             return _greedy_rows(np.full(state.block, state.t), K, 0.0)
@@ -362,7 +393,7 @@ def mab_distribution(kind: str, state: PolicyState, config: PolicyConfig) -> np.
         index = np.where(state.counts > 0,
                          state.means + np.sqrt(radius / np.maximum(state.counts, 1)),
                          np.inf)
-        return _greedy_rows(np.argmax(index, axis=1), K, config.pi_min)
+        return _greedy_rows(index.argmax(axis=1), K, config.pi_min)
     if kind == "ts":
         mu0, s0, s2 = config.ts_prior
         precision = 1.0 / s0 + state.counts / s2
@@ -380,9 +411,9 @@ def boltzmann_distribution(beta: np.ndarray, contexts: np.ndarray,
     by ``action_distribution``'s shape rule.
     """
     scores = _apply(beta, contexts) / gamma
-    scores -= scores.max(axis=-1, keepdims=True)
+    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
     expd = np.exp(scores)
-    return clip_simplex(expd / expd.sum(axis=-1, keepdims=True), pi_min)
+    return clip_simplex(expd / np.add.reduce(expd, axis=-1, keepdims=True), pi_min)
 
 
 def linucb_distribution(state: PolicyState, contexts: np.ndarray,
@@ -394,20 +425,22 @@ def linucb_distribution(state: PolicyState, contexts: np.ndarray,
     widths = np.sqrt(np.einsum("b...i,baij,b...j->b...a",
                                contexts, state.ridge_gram_inv, contexts))
     index = _apply(state.ridge_beta, contexts) + alpha * widths
-    return _greedy_rows(np.argmax(index, axis=-1), state.num_arms, pi_min)
+    return _greedy_rows(index.argmax(axis=-1), state.num_arms, pi_min)
 
 
 def _ipwz_distribution(config: PolicyConfig, state: PolicyState,
                        contexts: np.ndarray) -> np.ndarray:
     """Uniform until every arm's estimate is ready, then clipped eps-greedy on them."""
     K = state.num_arms
-    out = np.full(contexts.shape[:-1] + (K,), 1.0 / K)
-    if not state.ipw_ready.any():
-        return out
+    ready = state.ipw_ready
+    if not ready.any():
+        return np.full(contexts.shape[:-1] + (K,), 1.0 / K)
     eps = config.epsilon_for(K)
-    best = np.argmax(_apply(state.ipw_theta, state.target.regressors(contexts)), axis=-1)
-    greedy = clip_simplex(_greedy_rows(best, K, eps / K), config.pi_min)
-    return np.where(_per_row(state.ipw_ready, contexts)[..., None], greedy, out)
+    best = _apply(state.ipw_theta, state.target.regressors(contexts)).argmax(axis=-1)
+    greedy = _greedy_rows(best, K, eps / K, config.pi_min)
+    if ready.all():
+        return greedy
+    return np.where(_per_row(ready, contexts)[..., None], greedy, 1.0 / K)
 
 
 def action_distribution(config: PolicyConfig, state: PolicyState,
@@ -518,8 +551,13 @@ def update_state(config: PolicyConfig, state: PolicyState,
         raise ValueError(f"arms {arm_list} out of range for K={state.num_arms}")
     flat = row_offsets(state.block, state.num_arms) + arms
     state.t += 1
-    state.counts.put(flat, state.counts.take(flat) + 1)
-    state.sums.put(flat, state.sums.take(flat) + ys)
+    if state.counts is not None:
+        counts = state.counts.take(flat) + 1
+        state.counts.put(flat, counts)
+    if state.sums is not None:
+        sums = state.sums.take(flat) + ys
+        state.sums.put(flat, sums)
+        state.means.put(flat, sums / counts)  # the pulled entries of sums / counts
 
     if state.ridge_gram is not None:
         grams, moments = _by_row(state.ridge_gram), _by_row(state.ridge_moment)

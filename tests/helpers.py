@@ -11,6 +11,10 @@ chunked writer. ``reference_clip_simplex`` is the simplex projection as first
 written, with a row-wise feasibility mask: the bit oracle for the faster one.
 ``reference_ts_entry`` is one Thompson-sampling probability by SciPy's
 adaptive quadrature in absolute units: the oracle for the fixed numpy rule.
+``reference_ts_quadrature`` is that rule as first written, evaluating every
+piece's CDFs, collapsed pieces included: the bit oracle for the one that
+skips them. ``reference_greedy_rows`` builds greedy distributions as first
+written, a fill and a scatter per call: the bit oracle for the cached table.
 ``reference_estimate_report`` is the per-arm solve, sandwich and intervals as
 first written, gathering the arm's rows by boolean mask and building and
 checking the design once for the solve and again for the sandwich: the bit
@@ -46,12 +50,14 @@ from banditlab.estimator import (
 from banditlab.harness import CADR_BURN_IN, CADR_VARIANCE_FLOOR, CadrResult, _run_block
 from banditlab.inference import EstimateReport, confidence_intervals, two_sided_z
 from banditlab.policy import (
+    _TS_NODES,
     InfeasibleClipError,
     PolicyConfig,
     PolicyState,
     Transition,
     action_distribution,
     init_state,
+    _leggauss,
     update_state,
 )
 from banditlab.rng import stream
@@ -353,6 +359,31 @@ def reference_ts_entry(a: int, means: np.ndarray, sds: np.ndarray) -> float:
     breaks = sorted({e for e in edges if lo < e < hi})
     val, _ = quad(integrand, lo, hi, points=breaks or None, limit=200, epsabs=1e-9)
     return val
+
+
+def reference_ts_quadrature(means: np.ndarray, sds: np.ndarray) -> np.ndarray:
+    """(B, K) P(arm a is best) by the composite Gauss-Legendre rule, erfc on every piece."""
+    K = means.shape[1]
+    others = np.array([[j for j in range(K) if j != a] for a in range(K)])
+    nodes, weights = _leggauss(_TS_NODES)
+    cuts = (means[:, None, :, None] - means[:, :, None, None]
+            + sds[:, None, :, None] * np.array([-8.0, 0.0, 8.0])) / sds[:, :, None, None]
+    cuts = np.sort(np.clip(cuts.reshape(means.shape + (3 * K,)), -8.0, 8.0), axis=-1)
+    half = 0.5 * np.diff(cuts, axis=-1)
+    z = (cuts[..., :-1] + half)[..., None] + half[..., None] * nodes
+    x = (((means[:, :, None] - means[:, others])[:, :, None, None]
+          + sds[:, :, None, None, None] * z[..., None]) / sds[:, others][:, :, None, None])
+    cdfs = 0.5 * np.frompyfunc(math.erfc, 1, 1)(x * -math.sqrt(0.5)).astype(float)
+    dens = np.exp(-0.5 * z * z) * (half[..., None] * weights / math.sqrt(2.0 * math.pi))
+    return (dens * cdfs.prod(axis=-1)).sum(axis=(-2, -1))
+
+
+def reference_greedy_rows(best: np.ndarray, num_arms: int, explore_each: float) -> np.ndarray:
+    """``explore_each`` on every arm but ``best``, the rest on ``best``: fill, then scatter."""
+    out = np.full(best.shape + (num_arms,), explore_each)
+    out.reshape(-1)[np.arange(best.size) * num_arms + best.reshape(-1)] = \
+        1.0 - (num_arms - 1) * explore_each
+    return out
 
 
 def _reference_arm_rows(log: BanditLog, arm: int):

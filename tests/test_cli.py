@@ -268,8 +268,24 @@ def test_compare_ope_regressions_must_be_a_list(tmp_path, capsys):
     ({"env": {"name": "nc_gaussian"},
       "target": {"family": "noisy_context", "sigma_e": [[0.5, 0.0], [0.0, 0.5]]}},
      "n_oracle=0", "n_oracle must be >= 1, got 0"),
+    ({"env": {"name": "ms_polynomial"}, "policy": {"kind": "boltzmann_ridge", "pi_min": 0.5}},
+     "env.params.num_arms=3", "env.num_arms * policy.pi_min must be at most 1, got 3 * 0.5 = 1.5"),
+    ({}, "env.params.sigma_eta=-1",
+     "invalid parameter 'sigma_eta': sigma_eta must be a finite, non-negative number, got -1"),
+    ({"env": {"name": "nc_hard2"}}, "env.params.sigma_eta=true",
+     "sigma_eta must be a finite, non-negative number, got True"),
+    ({"env": {"name": "nc_gaussian"}}, 'env.params.sigma_eta="1.0"',
+     "sigma_eta must be a finite, non-negative number, got '1.0'"),
+    ({"env": {"name": "ms_polynomial"}}, "env.params.sigma_theta=-0.5",
+     "invalid parameter 'sigma_theta': sigma_theta must be a finite, non-negative number"),
+    ({"env": {"name": "ms_neural"}}, "env.params.sigma_theta=false",
+     "sigma_theta must be a finite, non-negative number, got False"),
+    ({"env": {"name": "ms_neural"}}, "env.params.sigma_eta=[1.0]",
+     "sigma_eta must be a finite, non-negative number, got [1.0]"),
 ], ids=["arm_means", "noise_table", "sigma_e_marker", "sigma_e_size", "diagnostic_context",
-        "num_arms_fraction", "num_arms_zero", "d_bool", "degree_fraction", "n_oracle_zero_mc"])
+        "num_arms_fraction", "num_arms_zero", "d_bool", "degree_fraction", "n_oracle_zero_mc",
+        "k_times_pi_min", "sigma_eta_negative", "sigma_eta_bool", "sigma_eta_string",
+        "sigma_theta_negative", "sigma_theta_bool", "sigma_eta_list"])
 def test_bad_shape_exits_one_before_oracle(tmp_path, capsys, monkeypatch, extra, override,
                                            message):
     import banditlab.harness as harness
@@ -379,6 +395,17 @@ def test_compare_ope_rejects_before_oracle_and_output(tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
+def test_infeasible_floor_exits_one_before_output(tmp_path, capsys):
+    # Three arms cannot each keep 0.5: the run stops before it makes --out.
+    out = tmp_path / "out"
+    rc = main(["coverage", "--config", str(CONFIGS / "fig2a_ms_polynomial_boltzmann.json"),
+               "--out", str(out), "--set", "env.params.num_arms=3", "--set", "policy.pi_min=0.5"])
+    assert rc == 1
+    assert "env.num_arms * policy.pi_min must be at most 1, got 3 * 0.5 = 1.5" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_coverage_never_runs_cadr(tmp_path, monkeypatch):
     # fig4 names a CADR regression; coverage checks it but writes no value
     # table, so only compare-ope runs CADR on the same config.
@@ -409,6 +436,9 @@ def test_coverage_never_runs_cadr(tmp_path, monkeypatch):
     ("seed=-1", "seed"), ("env.seed=-2", "env.seed"), ("n_oracle=0", "n_oracle"),
     ('policy.gamma="hot"', "policy.gamma"), ("policy.ridge_lambda=[1]", "policy.ridge_lambda"),
     ('policy.linucb_alpha="a"', "policy.linucb_alpha"),
+    ("env.params.sigma_eta=-1", "sigma_eta"), ("env.params.sigma_eta=true", "sigma_eta"),
+    ('env={"name": "ms_polynomial", "params": {"sigma_theta": -1}}', "sigma_theta"),
+    ('env={"name": "nc_gaussian", "params": {"num_arms": 21}}', "policy.pi_min"),
 ])
 def test_mistyped_setting_named_for_every_command(tmp_path, capsys, command, override, key):
     # Every command builds the experiment, and so checks every setting, before

@@ -178,7 +178,7 @@ def test_unpickled_config_gives_the_same_records():
     # A pool worker runs on an unpickled config. nonconv_demo's outcomes come
     # from constant per-arm means, tiled from the unpickled parameter array, so
     # they carry NumPy's unpickled float64 descriptor (equal to the canonical
-    # one, but not that object) into the random branch's per-arm scatter.
+    # one, but not that object) into every estimate made from the log.
     config = ExperimentConfig(
         env=build_environment("nonconv_demo"), policy=PolicyConfig(kind="random"),
         target=OPE_UNIFORM, horizon=300, replications=4, seed=45, levels=(0.5, 0.95),
@@ -194,27 +194,6 @@ def test_unpickled_config_gives_the_same_records():
         assert g.error is w.error is None
         _assert_bits_equal(g.diag_probs, w.diag_probs, f"rep {w.rep}: diag_probs")
         _assert_bits_equal(g.record, w.record, f"rep {w.rep}: record")
-
-
-@pytest.mark.parametrize("size", [1, 3])
-def test_random_counts_and_sums_are_per_step_sums(size):
-    # The random branch scatters every log into its final state at once; the
-    # result is the same bits as adding the log's rounds one by one in order.
-    env = build_environment("nc_gaussian", {"num_arms": 4}, seed=2)
-    R, T, seed = 6, 500, 46
-    for start in range(0, R, size):
-        reps = range(start, start + size)
-        logs, state, _ = _run_block(env, PolicyConfig(kind="random"), MISSPEC, T, seed,
-                                    [(rep,) for rep in reps])
-        for i, log in enumerate(logs):
-            counts, sums = [0] * 4, [0.0] * 4
-            for arm, y in zip(log.arms.tolist(), log.outcomes.tolist()):
-                counts[arm] += 1
-                sums[arm] += y
-            assert state.t == T
-            assert state.counts.dtype == np.int64
-            assert state.counts[i].tolist() == counts, f"rep {reps[i]}"
-            assert state.sums[i].tobytes() == np.array(sums).tobytes(), f"rep {reps[i]}"
 
 
 class TestReplicate:

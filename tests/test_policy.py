@@ -15,6 +15,7 @@ from banditlab.policy import (
     InfeasibleClipError,
     PolicyConfig,
     Transition,
+    _greedy_rows,
     _ts_quadrature,
     action_distribution,
     boltzmann_distribution,
@@ -27,7 +28,15 @@ from banditlab.policy import (
 )
 from banditlab.rng import stream
 
-from helpers import one_round, qp_project, reference_clip_simplex, reference_ts_entry, select_action
+from helpers import (
+    one_round,
+    qp_project,
+    reference_clip_simplex,
+    reference_greedy_rows,
+    reference_ts_entry,
+    reference_ts_quadrature,
+    select_action,
+)
 
 
 class TestClipSimplex:
@@ -98,6 +107,25 @@ class TestClipSimplex:
             P = np.choose(rng.integers(3, size=(n, 1)), rows)
             got, want = clip_simplex(P, pi_min), reference_clip_simplex(P, pi_min)
             assert got.tobytes() == want.tobytes(), (P.tolist(), pi_min)
+        # Two arms take max and min instead of the sort: rows where its
+        # tolerances bite, alone and as one block. Entries at pi_min and one
+        # ulp either side, row sums at 1, 1 +- 1e-12 and one ulp either side
+        # of those, the smaller entry within a few 1e-15 of where the
+        # candidate roots' tests flip, exact 0 and 1, and K * pi_min = 1.
+        for pi_min in (0.005, 0.05, 0.2, 0.5, np.nextafter(0.5, 0.0)):
+            floors = (0.0, np.nextafter(pi_min, 0.0), pi_min, np.nextafter(pi_min, 1.0))
+            sums = [s for c in (1.0 - 1e-12, 1.0, 1.0 + 1e-12)
+                    for s in (np.nextafter(c, 0.0), c, np.nextafter(c, 2.0))]
+            near = [pi_min + (s - 1.0) / 2 + k * 1e-15 for s in sums for k in range(-3, 4)]
+            rows = [[lo, s - lo] for lo in floors + tuple(near) for s in sums]
+            rows += [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.5, 0.5], [pi_min, pi_min]]
+            rows += [row[::-1] for row in rows]
+            P = np.array(rows)
+            got, want = clip_simplex(P, pi_min), reference_clip_simplex(P, pi_min)
+            assert got.tobytes() == want.tobytes(), pi_min
+            for row in P:
+                got, want = clip_simplex(row, pi_min), reference_clip_simplex(row, pi_min)
+                assert got.tobytes() == want.tobytes(), (row.tolist(), pi_min)
 
 
 class TestTsOptimalProb:
@@ -129,6 +157,17 @@ class TestTsOptimalProb:
         want = [reference_ts_entry(a, means, sds) for a in range(means.size)]
         assert np.abs(probs - want).max() <= 1e-9
         assert abs(probs.sum() - 1.0) <= 1e-12
+
+    @given(st.integers(3, 5).flatmap(lambda K: st.lists(
+        st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(-12.0, 1.0)), min_size=K, max_size=K),
+        min_size=1, max_size=4)))
+    def test_quadrature_skips_no_bit_on_collapsed_pieces(self, rows):
+        # The random rows above, in blocks: leaving the CDFs of zero-width
+        # pieces at 1.0 gives the bits of evaluating every piece's CDFs.
+        drawn = np.array(rows)
+        means, sds = drawn[..., 0], np.sqrt(10.0 ** drawn[..., 1])
+        got, want = _ts_quadrature(means, sds), reference_ts_quadrature(means, sds)
+        assert got.tobytes() == want.tobytes()
 
     def test_symmetric_arms(self):
         probs = ts_optimal_prob(np.zeros(3), np.ones(3))
@@ -172,6 +211,8 @@ def _state_with(config, means, counts, d=1, target=None):
     state = init_state(config, len(means), d, target=target)
     state.counts = np.asarray(counts, dtype=np.int64)[None]
     state.sums = np.asarray(means, dtype=float) * state.counts
+    state.means = np.divide(state.sums, state.counts, out=np.zeros_like(state.sums),
+                            where=state.counts > 0)
     state.t = int(state.counts.sum())
     return state
 
@@ -214,6 +255,34 @@ class TestMabDistributions:
                 mab_distribution("ucb", state, ucb_config)[0],
                 mab_distribution("ucb", _state_with(config, [0.2, 0.9, 0.4], [7, 7, 7]),
                                  ucb_config)[0])
+
+
+@pytest.mark.parametrize("K", [2, 3, 5])
+def test_greedy_table_rows_are_the_filled_and_scattered_rows(K):
+    # Each greedy kind's rows come from one cached (K, K) table; a row is the
+    # fill-and-scatter row bit for bit, clipped for ipwz_greedy, for one or C
+    # contexts per trajectory.
+    best = stream(K).integers(K, size=(6, 4))
+    for pi_min in (0.005, 0.05, 1.0 / K):
+        explore = {
+            "eps_greedy_mab": PolicyConfig(kind="eps_greedy_mab", pi_min=pi_min).epsilon_for(K) / K,
+            "eps_greedy_mab epsilon": 0.3 / K,
+            "ucb_mab": pi_min,
+            "ucb_mab forced": 0.0,
+            "linucb": pi_min,
+        }
+        for kind, each in explore.items():
+            for rows in (best[:, 0], best):
+                got, want = _greedy_rows(rows, K, each), reference_greedy_rows(rows, K, each)
+                assert got.tobytes() == want.tobytes() and got.shape == want.shape, kind
+        eps = PolicyConfig(kind="ipwz_greedy", pi_min=pi_min).epsilon_for(K)
+        for rows in (best[:, 0], best):
+            got = _greedy_rows(rows, K, eps / K, pi_min)
+            want = reference_clip_simplex(reference_greedy_rows(rows, K, eps / K).reshape(-1, K),
+                                          pi_min).reshape(got.shape)
+            assert got.tobytes() == want.tobytes(), ("ipwz_greedy", pi_min)
+        got[...] = 0.0  # a fresh array: the shared table is not written through it
+        assert not np.all(_greedy_rows(rows, K, eps / K, pi_min) == 0.0)
 
 
 class TestBoltzmann:
@@ -334,6 +403,25 @@ class TestUpdateState:
             update_state(config, state, one_round(x, arm, prob, 0.0))
         assert state.counts.sum() == state.t == 50
 
+    @pytest.mark.parametrize("kind", ["eps_greedy_mab", "ucb_mab", "ts_mab"])
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_kept_means_are_sums_over_counts(self, kind, K):
+        # The MAB kinds set the pulled entries of ``means`` each round; after
+        # every round of a block it equals sums / counts, zero where unpulled.
+        config = PolicyConfig(kind=kind, pi_min=0.05)
+        B, rng = 4, stream(K, 5)
+        state = init_state(config, K, 1, block=B)
+        for t in range(120):
+            probs = action_distribution(config, state, np.zeros((B, 1)))
+            arms = np.minimum((rng.random((B, 1)) > probs.cumsum(axis=1)).sum(axis=1), K - 1)
+            ys = rng.normal(size=B) * 10.0 ** rng.integers(-3, 4, size=B)
+            update_state(config, state, Transition(np.zeros((B, 1)), arms,
+                                                   probs[np.arange(B), arms], ys))
+            want = np.divide(state.sums, state.counts, out=np.zeros_like(state.sums),
+                             where=state.counts > 0)
+            assert state.means.tobytes() == want.tobytes(), f"round {t}"
+        assert (state.counts > 0).all()
+
     def test_arm_out_of_range(self):
         config = PolicyConfig(kind="random")
         state = init_state(config, 2, 1)
@@ -344,7 +432,7 @@ class TestUpdateState:
         with pytest.raises(ValueError):
             update_state(config, block, Transition(np.zeros((2, 1)), np.array([0, -1]),
                                                    np.full(2, 0.5), np.zeros(2)))
-        assert block.counts.sum() == block.t == 0
+        assert block.t == 0
 
     def test_refuses_a_non_contiguous_state(self):
         # The flat view of a non-contiguous array would be a copy, and a
