@@ -81,9 +81,10 @@ from .rng import PURPOSE_ENV, PURPOSE_POLICY, stream, whole_number
 MAX_WORKERS_ENV_VAR = "BANDITLAB_MAX_WORKERS"
 
 # Most replications one worker advances in lockstep. On boltzmann_ridge at
-# T = 10^4 (2-vCPU Xeon) a replication's trajectory took 31 / 17 / 13 ms in
-# blocks of 32 / 64 / 128 (670 ms alone), while the block's arrays took 37 /
-# 74 / 147 MB; inference adds about 2 ms a replication.
+# T = 10^4 (fig3c, 2-vCPU Xeon) a replication's trajectory took 6.2 / 4.0 /
+# 2.8 ms in blocks of 32 / 64 / 128 (147 ms alone), while the block's arrays
+# peaked at 31 / 62 / 123 MB (tracemalloc); inference adds about 0.15 ms a
+# replication.
 BLOCK_CAP = 64
 
 CADR_REGRESSIONS = ("zero", "online_linear")

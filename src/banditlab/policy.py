@@ -554,10 +554,10 @@ def update_state(config: PolicyConfig, state: PolicyState,
     if state.counts is not None:
         counts = state.counts.take(flat) + 1
         state.counts.put(flat, counts)
-    if state.sums is not None:
-        sums = state.sums.take(flat) + ys
-        state.sums.put(flat, sums)
-        state.means.put(flat, sums / counts)  # the pulled entries of sums / counts
+        if state.sums is not None:
+            sums = state.sums.take(flat) + ys
+            state.sums.put(flat, sums)
+            state.means.put(flat, sums / counts)  # the pulled entries of sums / counts
 
     if state.ridge_gram is not None:
         grams, moments = _by_row(state.ridge_gram), _by_row(state.ridge_moment)
