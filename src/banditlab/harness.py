@@ -23,16 +23,20 @@ lone trajectory, so a log does not depend on the block it ran in;
 ``run_trajectory`` is a block of one, as is every policy state outside the
 engine, and a zero horizon gives an empty log by the same path.
 ``replicate`` splits the R replications of a looped policy into contiguous
-blocks of at most ``BLOCK_CAP``, as many as a multiple of the worker count,
-and maps them over the process pool; inference, CADR, diagnostics (read from
-the final block state) and failure isolation stay per replication. The
-``random`` policy needs no step loop and keeps one replication per task. The
-pool receives the config and theta* bound into one ``functools.partial``,
-which it pickles once per chunk of tasks, not once per task.
+blocks of at most ``BLOCK_CAP``, as many as a multiple of the worker count
+(the ``random`` policy needs no step loop and makes each replication its own
+block). A task is a run of consecutive blocks, about four per worker;
+``replicate`` maps the tasks over the process pool, or runs the same tasks
+in turn with one worker. Inference, CADR, diagnostics (read from the final
+block state) and failure isolation stay per replication. The pool receives
+the config and theta* bound into one ``functools.partial``, pickled once per
+task.
 
 Each replication's estimates form one record, a dict of named arrays built by
-``_analyse``; ``replicate`` folds the successful records by one rule, dicts
-key by key and arrays on a new leading replication axis, into the
+``_analyse``. A task folds its successful records by one rule, dicts key by
+key and arrays on a new leading replication axis, and returns that one folded
+record with its replications' diagnostics and failures; ``replicate`` joins
+the tasks' folds in task order, which is replication order, into the
 ``ReplicationSummary``. A new per-replication quantity is one more record
 entry.
 
@@ -64,7 +68,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .env import EnvironmentSpec, oracle_target, sample_rounds, support
+from .env import EnvironmentSpec, distinct_rows, oracle_target, sample_rounds, support
 from .estimator import (BanditLog, NoDataForArm, ScoreTarget, SingularDesign, TargetPolicy,
                         check_covariance)
 from .inference import estimate_report, norm_ppf, ope_value, two_sided_z
@@ -279,13 +283,6 @@ def run_trajectory(env: EnvironmentSpec, policy: PolicyConfig,
 # --- replication engine ---------------------------------------------------------
 
 
-class _RepResult(NamedTuple):
-    rep: int
-    diag_probs: np.ndarray | None   # (n_ctx, K); a failed replication has it too
-    record: dict | None             # ``_analyse``'s named arrays; None on failure
-    error: str | None = None
-
-
 def _covers(cis: dict, levels, value: float) -> np.ndarray:
     """(L,) bool: does each level's (lo, hi) interval contain ``value``?"""
     return np.array([cis[float(level)][0] <= value <= cis[float(level)][1]
@@ -329,40 +326,50 @@ def _analyse(config: ExperimentConfig, log: BanditLog, thetas_star: np.ndarray,
             "values": values, "value_covered": value_covered, "value_floored": value_floored}
 
 
-def _replicate_block(config: ExperimentConfig, reps: range, thetas_star: np.ndarray,
-                     v_star: float | None) -> list[_RepResult]:
-    """Simulate the replications ``reps`` as one lockstep block, then analyse each alone.
+def _replicate_block(config: ExperimentConfig, blocks: list[range], thetas_star: np.ndarray,
+                     v_star: float | None) -> tuple:
+    """Run one task, a run of consecutive replication blocks, into one folded record.
 
-    When CADR is requested on a finite context support, the block also records
-    each replication's behavior policy at the support's distinct contexts, so
-    CADR needs no replay of the policy.
+    Each block is simulated as one lockstep block, in order, and each of its
+    replications is analysed alone. Returns (the ``_stack`` of the successful
+    records, or None if none succeeded; the last-step distributions
+    (n, n_ctx, K) of all n replications, failed ones too, or None without
+    diagnostic contexts; the failures as (rep, message)), each in replication
+    order. When CADR is requested on a finite context support, each block also
+    records its replications' behavior policy at the support's distinct
+    contexts, so CADR needs no replay of the policy.
     """
     sup = support(config.env) if config.cadr_regressions else None
-    probes = None if sup is None else np.unique(np.array([x for _, _, x in sup]), axis=0)
-    logs, state, table = _run_block(config.env, config.policy, config.target, config.horizon,
-                                    config.seed, [(rep,) for rep in reps], probes=probes)
-    diag = [None] * len(reps)
-    if config.diagnostic_contexts:
-        # Last-step distributions at each diagnostic context: (B, n_ctx, K).
-        points = np.array(config.diagnostic_contexts, dtype=float)
-        diag = action_distribution(config.policy, state, np.tile(points, (len(reps), 1, 1)))
-    results = []
-    for i, (rep, log, probs) in enumerate(zip(reps, logs, diag)):
-        behavior = None if table is None else BehaviorTable(probes, table[i])
-        try:
-            record = _analyse(config, log, thetas_star, v_star, behavior)
-        except (NoDataForArm, SingularDesign) as exc:
-            results.append(_RepResult(rep, probs, None, str(exc)))
-        else:
-            results.append(_RepResult(rep, probs, record))
-    return results
+    probes = None if sup is None else distinct_rows(np.array([x for _, _, x in sup]))
+    points = np.array(config.diagnostic_contexts, dtype=float)
+    records, diags, failures = [], [], []
+    for reps in blocks:
+        logs, state, table = _run_block(config.env, config.policy, config.target,
+                                        config.horizon, config.seed, [(rep,) for rep in reps],
+                                        probes=probes)
+        if config.diagnostic_contexts:
+            # Last-step distributions at each diagnostic context: (B, n_ctx, K).
+            diags.append(action_distribution(config.policy, state,
+                                             np.tile(points, (len(reps), 1, 1))))
+        for i, (rep, log) in enumerate(zip(reps, logs)):
+            behavior = None if table is None else BehaviorTable(probes, table[i])
+            try:
+                records.append(_analyse(config, log, thetas_star, v_star, behavior))
+            except (NoDataForArm, SingularDesign) as exc:
+                failures.append((rep, str(exc)))
+    return (_stack(records) if records else None,
+            np.concatenate(diags) if diags else None, failures)
 
 
-def _stack(records: list):
-    """Fold per-replication records: dicts key by key, arrays on a new leading axis."""
+def _stack(records: list, join=np.stack):
+    """Fold records key by key (dicts) with ``join`` on their arrays.
+
+    ``np.stack`` folds per-replication records on a new leading axis;
+    ``np.concatenate`` joins folds along their replication axis.
+    """
     if isinstance(records[0], dict):
-        return {key: _stack([r[key] for r in records]) for key in records[0]}
-    return np.stack(records)
+        return {key: _stack([r[key] for r in records], join) for key in records[0]}
+    return join(records)
 
 
 def _coverage(hits: np.ndarray) -> dict:
@@ -431,9 +438,11 @@ def _blocks(R: int, workers: int, cap: int) -> list[range]:
 def replicate(config: ExperimentConfig) -> ReplicationSummary:
     """Run R independent replications and aggregate coverage against theta*.
 
-    Each name in ``config.cadr_regressions`` ("zero", "online_linear") adds a
-    CADR estimate of the target-policy value per replication, computed on the
-    same log as the IPW-Z value.
+    The replications run as tasks, each a run of consecutive blocks that
+    returns one folded record (``_replicate_block``); the summary joins the
+    folds in task order. Each name in ``config.cadr_regressions`` ("zero",
+    "online_linear") adds a CADR estimate of the target-policy value per
+    replication, computed on the same log as the IPW-Z value.
     """
     thetas_star = oracle_thetas(config.env, config.target,
                                 n_oracle=config.n_oracle, seed=config.seed)
@@ -442,26 +451,27 @@ def replicate(config: ExperimentConfig) -> ReplicationSummary:
     R = config.replications
     workers = _resolve_workers(config.workers)
     blocks = _blocks(R, workers, 1 if config.policy.kind == "random" else BLOCK_CAP)
+    per_task = max(1, len(blocks) // (workers * 4))
+    tasks = [blocks[i:i + per_task] for i in range(0, len(blocks), per_task)]
     run = partial(_replicate_block, config, thetas_star=thetas_star, v_star=v_star)
     if workers > 1:
-        # The pool pickles ``run``, config included, once per chunk of blocks.
+        # The pool pickles ``run``, config included, once per task.
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(run, blocks,
-                                 chunksize=max(1, len(blocks) // (workers * 4))))
+            folds = list(pool.map(run, tasks))
     else:
-        done = [run(block) for block in blocks]
-    results = [r for block in done for r in block]
-    results.sort(key=lambda r: r.rep)  # deterministic fold regardless of pool order
+        folds = [run(task) for task in tasks]
 
-    failures = [(r.rep, r.error) for r in results if r.error is not None]
+    failures = [failure for _, _, task_failures in folds for failure in task_failures]
     if len(failures) > FAILURE_TOLERANCE * R:
         raise RuntimeError(
             f"{len(failures)} of {R} replications failed (tolerance "
             f"{FAILURE_TOLERANCE:.0%}); first: rep {failures[0][0]}: {failures[0][1]}")
-    diag = _stack([r.diag_probs for r in results]) if config.diagnostic_contexts else None
-    return ReplicationSummary(config=config, thetas_star=thetas_star, v_star=v_star,
-                              last_step_probs=diag, failures=failures,
-                              **_stack([r.record for r in results if r.error is None]))
+    diag = (np.concatenate([d for _, d, _ in folds]) if config.diagnostic_contexts
+            else None)
+    return ReplicationSummary(
+        config=config, thetas_star=thetas_star, v_star=v_star, last_step_probs=diag,
+        failures=failures,
+        **_stack([r for r, _, _ in folds if r is not None], join=np.concatenate))
 
 
 # --- diagnostics ----------------------------------------------------------------
@@ -595,7 +605,7 @@ def cadr_ope(
     if behavior_table is not None:
         contexts, cells = behavior_table.contexts, _cells(X, behavior_table.contexts)
     else:
-        contexts, cells = np.unique(X, axis=0, return_inverse=True)
+        contexts, cells = distinct_rows(X, return_inverse=True)
         replay = init_state(behavior_policy, K, d, target=behavior_target)
     w = 1.0 / pi
 

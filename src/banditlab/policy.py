@@ -546,10 +546,15 @@ def update_state(config: PolicyConfig, state: PolicyState,
     every gather is one ``take`` and every scatter one flat assignment.
     """
     X, arms, probs, ys = transition
+    B = state.block
+    if not len(X) == len(arms) == len(probs) == len(ys) == B:
+        raise ValueError(
+            f"a block of {B} needs one transition row per trajectory, got contexts "
+            f"{len(X)}, arms {len(arms)}, propensities {len(probs)}, outcomes {len(ys)}")
     arm_list = arms.tolist()  # Python's min/max beat two numpy reductions on small blocks
     if min(arm_list) < 0 or max(arm_list) >= state.num_arms:
         raise ValueError(f"arms {arm_list} out of range for K={state.num_arms}")
-    flat = row_offsets(state.block, state.num_arms) + arms
+    flat = row_offsets(B, state.num_arms) + arms
     state.t += 1
     if state.counts is not None:
         counts = state.counts.take(flat) + 1

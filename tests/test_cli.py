@@ -626,6 +626,36 @@ def test_cli_runs_with_scipy_import_blocked(tmp_path):
     assert json.loads(done.stdout.strip().splitlines()[-1]) == []
 
 
+_NO_MA_SCRIPT = """
+import sys
+from banditlab import cli
+
+tiny = ["--set", "replications=2", "--set", "horizon=40", "--workers", "1"]
+nc_hard1, fig4, out = sys.argv[1:]
+assert cli.main(["coverage", "--config", nc_hard1, "--out", out + "/cov", *tiny]) == 0
+assert cli.main(["compare-ope", "--config", fig4, "--out", out + "/cmp", *tiny,
+                 "--set", 'cadr_regressions=["zero","online_linear"]']) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_cli_runs_without_importing_numpy_ma(tmp_path):
+    # The first call of np.unique in a process imports numpy.ma, several
+    # milliseconds of every pool worker's first block; a fresh process running
+    # coverage on nc_hard1 and a two-regression CADR comparison on fig4 (each
+    # with a finite support, so both probe the policy at distinct contexts)
+    # never loads it. Other tests import numpy.ma, hence the subprocess.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_MA_SCRIPT,
+         str(CONFIGS / "fig3c_nc_hard1_boltzmann_gamma10.json"),
+         str(CONFIGS / "fig4_ope_nonconv_boltzmann.json"), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "False"
+
+
 def test_benchmark_ready_markers_are_called(tmp_path, monkeypatch):
     # perfbench/shim.py ends a command's set-up at the first call of one of
     # these module attributes and falls back to the start of main without

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from banditlab.env import (
+    ENVIRONMENT_NAMES,
     InvalidParameterError,
     UnknownEnvironmentError,
     build_environment,
+    distinct_rows,
     implied_sigma_e,
     oracle_target,
     sample_rounds,
@@ -100,6 +104,42 @@ def test_env_params_deterministic_in_seed():
     c = build_environment("nc_gaussian", seed=43)
     np.testing.assert_array_equal(a.true_params, b.true_params)
     assert not np.allclose(a.true_params, c.true_params)
+
+
+def _assert_distinct_rows_are_numpy_unique(X):
+    want_rows, want_inverse = np.unique(X, axis=0, return_inverse=True)
+    got_rows, got_inverse = distinct_rows(X, return_inverse=True)
+    assert got_rows.dtype == want_rows.dtype and got_rows.shape == want_rows.shape
+    assert got_rows.tobytes() == want_rows.tobytes()
+    assert got_inverse.dtype == want_inverse.dtype and got_inverse.shape == want_inverse.shape
+    np.testing.assert_array_equal(got_inverse, want_inverse)
+    assert distinct_rows(X).tobytes() == want_rows.tobytes()
+
+
+# A small grid, so that drawn rows repeat and tie on leading columns.
+_GRID = st.sampled_from([-2.0, -0.5, 0.0, 1.0, 3.5])
+
+
+@given(st.integers(1, 3).flatmap(lambda d: st.lists(
+    st.lists(_GRID, min_size=d, max_size=d), min_size=1, max_size=12)))
+def test_distinct_rows_is_numpy_unique(rows):
+    _assert_distinct_rows_are_numpy_unique(np.array(rows))
+
+
+def test_distinct_rows_of_one_row():
+    _assert_distinct_rows_are_numpy_unique(np.array([[1.5, -2.0]]))
+
+
+@pytest.mark.parametrize("name", ENVIRONMENT_NAMES)
+def test_distinct_rows_on_shipped_environments(name):
+    env = build_environment(name)
+    sup = support(env)
+    if sup is not None:
+        _assert_distinct_rows_are_numpy_unique(np.array([x for _, _, x in sup]))
+        if env.has_latent:
+            _assert_distinct_rows_are_numpy_unique(np.array([s for _, s, _ in sup]))
+    if env.noise_law is not None and env.noise_law.kind == "table":
+        _assert_distinct_rows_are_numpy_unique(env.noise_law.given)
 
 
 @pytest.mark.parametrize("name", ["nc_hard1", "nc_hard2"])

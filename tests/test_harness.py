@@ -13,12 +13,15 @@ from hypothesis import strategies as st
 
 from banditlab.cli import build_experiment
 from banditlab.env import EnvironmentSpec, RewardModel, build_environment, support
-from banditlab.estimator import ScoreTarget, TargetPolicy, read_log_csv, write_log_csv
+from banditlab.estimator import (NoDataForArm, ScoreTarget, SingularDesign, TargetPolicy,
+                                 read_log_csv, write_log_csv)
 from banditlab.harness import (
     BehaviorTable,
     ExperimentConfig,
+    _analyse,
     _replicate_block,
     _run_block,
+    _stack,
     cadr_ope,
     convergence_diagnostic,
     oracle_thetas,
@@ -187,13 +190,69 @@ def test_unpickled_config_gives_the_same_records():
     thetas_star = oracle_thetas(config.env, config.target, n_oracle=config.n_oracle,
                                 seed=config.seed)
     v_star = float(thetas_star.sum())
-    want = _replicate_block(config, range(4), thetas_star, v_star)
-    got = _replicate_block(pickle.loads(pickle.dumps(config)), range(4), thetas_star, v_star)
-    assert [r.rep for r in got] == [r.rep for r in want] == [0, 1, 2, 3]
-    for g, w in zip(got, want):
-        assert g.error is w.error is None
-        _assert_bits_equal(g.diag_probs, w.diag_probs, f"rep {w.rep}: diag_probs")
-        _assert_bits_equal(g.record, w.record, f"rep {w.rep}: record")
+    blocks = [range(0, 2), range(2, 4)]
+    want = _replicate_block(config, blocks, thetas_star, v_star)
+    got = _replicate_block(pickle.loads(pickle.dumps(config)), blocks, thetas_star, v_star)
+    assert got[2] == want[2] == []
+    _assert_bits_equal(got[1], want[1], "diag_probs")
+    _assert_bits_equal(got[0], want[0], "record")
+    assert want[0]["theta_hat"].shape[0] == want[1].shape[0] == 4
+
+
+def _replication_by_replication(config: ExperimentConfig):
+    """A summary's record, last-step distributions and failures, built one
+    replication at a time (a block of one each) and folded with ``_stack``."""
+    thetas_star = oracle_thetas(config.env, config.target, n_oracle=config.n_oracle,
+                                seed=config.seed)
+    v_star = float(thetas_star.sum())
+    sup = support(config.env)
+    probes = None if sup is None else np.unique(np.array([x for _, _, x in sup]), axis=0)
+    points = np.array(config.diagnostic_contexts, dtype=float)
+    records, diags, failures = [], [], []
+    for rep in range(config.replications):
+        (log,), state, table = _run_block(config.env, config.policy, config.target,
+                                          config.horizon, config.seed, [(rep,)], probes=probes)
+        diags.append(action_distribution(config.policy, state, points[None])[0])
+        behavior = None if table is None else BehaviorTable(probes, table[0])
+        try:
+            records.append(_analyse(config, log, thetas_star, v_star, behavior))
+        except (NoDataForArm, SingularDesign) as exc:
+            failures.append((rep, str(exc)))
+    return _stack(records), _stack(diags), failures
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", ["random_nc_gaussian", "ridge_nc_hard1_blocks_of_one"])
+def test_task_folds_join_to_the_per_replication_fold(monkeypatch, case, workers):
+    # 20 blocks of one replication each: 5 per task on one worker, 2 per task
+    # on two. The tasks' folded records, joined, are the per-replication fold.
+    import banditlab.harness as harness
+
+    regressions = ("zero", "online_linear")
+    if case == "random_nc_gaussian":
+        # Replication 10 leaves an arm unpulled and fails; the continuous
+        # contexts make CADR replay the policy at the log's distinct contexts.
+        config = ExperimentConfig(
+            env=build_environment("nc_gaussian", {"num_arms": 4}, seed=1),
+            policy=PolicyConfig(kind="random"), target=OPE_UNIFORM, horizon=12,
+            replications=20, seed=31, levels=(0.95,), diagnostic_contexts=((0.0, 0.0),),
+            cadr_regressions=regressions, workers=workers)
+    else:
+        monkeypatch.setattr(harness, "BLOCK_CAP", 1)
+        config = ExperimentConfig(
+            env=build_environment("nc_hard1"),
+            policy=PolicyConfig(kind="boltzmann_ridge", gamma=5.0, pi_min=0.05),
+            target=OPE_UNIFORM, horizon=60, replications=20, seed=47, levels=(0.5, 0.95),
+            diagnostic_contexts=((1.0,), (-2.0,)), cadr_regressions=regressions,
+            workers=workers)
+    record, diag, failures = _replication_by_replication(config)
+    summary = replicate(config)
+    for name in ("theta_hat", "sigma_diag", "std_errors", "covered", "values",
+                 "value_covered", "value_floored"):
+        _assert_bits_equal(getattr(summary, name), record[name], name)
+    _assert_bits_equal(summary.last_step_probs, diag, "last_step_probs")
+    assert summary.failures == failures
+    assert [rep for rep, _ in failures] == ([10] if case == "random_nc_gaussian" else [])
 
 
 class TestReplicate:

@@ -1,5 +1,7 @@
 """Policy zoo: clipping, distribution construction, state updates."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from banditlab.policy import (
     POLICY_KINDS,
     InfeasibleClipError,
     PolicyConfig,
+    PolicyState,
     Transition,
     _greedy_rows,
     _ts_quadrature,
@@ -433,6 +436,19 @@ class TestUpdateState:
             update_state(config, block, Transition(np.zeros((2, 1)), np.array([0, -1]),
                                                    np.full(2, 0.5), np.zeros(2)))
         assert block.t == 0
+
+    def test_refuses_a_transition_with_too_few_rows(self):
+        # One row for a block of three would broadcast into every row.
+        config = PolicyConfig(kind="boltzmann_ridge")
+        state = init_state(config, 2, 1, block=3)
+        before = {f.name: np.copy(getattr(state, f.name)) for f in fields(PolicyState)
+                  if isinstance(getattr(state, f.name), np.ndarray)}
+        with pytest.raises(ValueError, match=r"block of 3 .* contexts 1, arms 1, "
+                                             r"propensities 1, outcomes 1"):
+            update_state(config, state, one_round([2.0], 0, 0.9, 3.0))
+        assert state.t == 0
+        for name, array in before.items():
+            np.testing.assert_array_equal(getattr(state, name), array, err_msg=name)
 
     def test_refuses_a_non_contiguous_state(self):
         # The flat view of a non-contiguous array would be a copy, and a
