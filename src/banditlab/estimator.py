@@ -237,8 +237,13 @@ def score_g(target: ScoreTarget, arm: np.ndarray, x: np.ndarray, y: np.ndarray,
     Z = target.regressors(x)
     if theta.shape != Z.shape:
         raise ValueError("theta dimension must match the score dimension")
-    c = target.outcome_scale(arm, num_arms)
-    zz = Z[:, :, None] * Z[:, None, :] - _shift(target, Z.shape[-1])
+    return _score_rows(Z, target.outcome_scale(arm, num_arms), _shift(target, Z.shape[-1]),
+                       y, theta)
+
+
+def _score_rows(Z: np.ndarray, c, S, y: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """``score_g`` from its pieces: regressor rows Z, c_a per row (or 1.0) and S."""
+    zz = Z[:, :, None] * Z[:, None, :] - S
     return Z * (c * y)[:, None] - np.matmul(zz, theta[:, :, None])[:, :, 0]
 
 

@@ -13,11 +13,12 @@ order, so serial, process-parallel and blocked execution give identical
 summaries.
 
 The block engine (``_run_block``) simulates B trajectories in lockstep. Each
-pre-draws its rounds and action uniforms from its own streams; then every
-round makes one row-wise ``action_distribution`` call on the (B, ...) block
-state (at the B drawn contexts, or at all C probe contexts as one (B, C, d)
-call), draws B arms by inverse CDF, records each drawn arm's probability as
-its realized propensity, and makes one row-wise ``update_state``. A log holds
+pre-draws its rounds and action uniforms from its own streams; the block binds
+its policy kind's round once (``policy.bind_round``), and every round makes
+one row-wise ``distribution`` call on the (B, ...) block state (at the B drawn
+contexts, or at all C probe contexts as one (B, C, d) call), draws B arms by
+inverse CDF, records each drawn arm's probability as its realized propensity,
+and makes one row-wise ``fold`` of the round's transitions. A log holds
 exactly the columns of its CSV. The policy computes each row exactly as for a
 lone trajectory, so a log does not depend on the block it ran in;
 ``run_trajectory`` is a block of one, as is every policy state outside the
@@ -50,8 +51,9 @@ finite context support the block engine records every replication's policy at
 the support's distinct contexts each round (the round's own distribution is
 its context's row), and CADR reads g_t from that table; on continuous
 contexts, or on a log read back from disk, CADR replays the policy from the
-log. Either way its step variances come from prefix sums per (context, arm),
-not from a rescan of the past.
+log, with the policy's round bound once per replay. Either way its step
+variances come from prefix sums per (context, arm), not from a rescan of the
+past.
 """
 
 from __future__ import annotations
@@ -72,21 +74,14 @@ from .env import EnvironmentSpec, distinct_rows, oracle_target, sample_rounds, s
 from .estimator import (BanditLog, NoDataForArm, ScoreTarget, SingularDesign, TargetPolicy,
                         check_covariance)
 from .inference import estimate_report, norm_ppf, ope_value, two_sided_z
-from .policy import (
-    PolicyConfig,
-    Transition,
-    action_distribution,
-    init_state,
-    row_offsets,
-    update_state,
-)
+from .policy import PolicyConfig, action_distribution, bind_round, init_state, row_offsets
 from .rng import PURPOSE_ENV, PURPOSE_POLICY, stream, whole_number
 
 MAX_WORKERS_ENV_VAR = "BANDITLAB_MAX_WORKERS"
 
 # Most replications one worker advances in lockstep. On boltzmann_ridge at
-# T = 10^4 (fig3c, 2-vCPU Xeon) a replication's trajectory took 6.2 / 4.0 /
-# 2.8 ms in blocks of 32 / 64 / 128 (147 ms alone), while the block's arrays
+# T = 10^4 (fig3c, 2-vCPU AMD EPYC) a replication's trajectory took 5.6 / 3.5 /
+# 2.5 ms in blocks of 32 / 64 / 128 (127 ms alone), while the block's arrays
 # peaked at 31 / 62 / 123 MB (tracemalloc); inference adds about 0.15 ms a
 # replication.
 BLOCK_CAP = 64
@@ -204,12 +199,12 @@ def _run_block(env: EnvironmentSpec, policy: PolicyConfig, target: ScoreTarget |
 
     Returns (logs, final block state, probe table). Each trajectory pre-draws
     its rounds and uniforms from its own streams, so its log does not depend
-    on the block it runs in. The looped kinds then make one block-wide
-    distribution call and one block-wide update per round; ``random``, whose
-    state holds no statistics, draws every arm at once and gathers each
-    trajectory's outcomes once, with flat indices t * K + arm. The drawn
-    arms' probabilities and outcomes fill (B, T) arrays (a list of B outcome
-    rows for ``random``), and log b takes their row b. Given (C, d)
+    on the block it runs in. The looped kinds then bind their round once and
+    make one block-wide distribution call and one block-wide fold per round;
+    ``random``, whose state holds no statistics, draws every arm at once and
+    gathers each trajectory's outcomes once, with flat indices t * K + arm.
+    The drawn arms' probabilities and outcomes fill (B, T) arrays (a list of B
+    outcome rows for ``random``), and log b takes their row b. Given (C, d)
     ``probes``, the table (B, T, C, K) holds each trajectory's round-t
     distribution at every probe context, filled by the round's one call on
     the (B, C, d) grid of probes; otherwise it is None. The probes must cover
@@ -236,6 +231,7 @@ def _run_block(env: EnvironmentSpec, policy: PolicyConfig, target: ScoreTarget |
         potentials = np.stack([r.potentials for r, _ in draws], axis=1)  # (T, B, K)
         uniforms = np.stack([u for _, u in draws], axis=1)               # (T, B)
         offsets = row_offsets(B, K)
+        distribution, fold = bind_round(policy, state)
         arms = np.empty((B, horizon), dtype=np.int64)
         propensities = np.empty((B, horizon))
         outcomes = np.empty((B, horizon))
@@ -248,9 +244,9 @@ def _run_block(env: EnvironmentSpec, policy: PolicyConfig, target: ScoreTarget |
         for t in range(horizon):
             x = contexts[t]
             if probes is None:
-                probs = action_distribution(policy, state, x)
+                probs = distribution(x)
             else:
-                table[:, t] = dist = action_distribution(policy, state, grid)
+                table[:, t] = dist = distribution(grid)
                 probs = dist.reshape(-1, K).take(cells[t], axis=0)
             # The searchsorted(cumsum(probs), u, side="right") of each row: partial
             # sums never decrease, so counting the first K - 1 caps the arm at K - 1.
@@ -264,7 +260,7 @@ def _run_block(env: EnvironmentSpec, policy: PolicyConfig, target: ScoreTarget |
             arms[:, t] = arm
             propensities[:, t] = prob = probs.take(flat)
             outcomes[:, t] = y = potentials[t].take(flat)
-            update_state(policy, state, Transition(x, arm, prob, y))
+            fold(x, arm, prob, y, flat)
 
     logs = [BanditLog(contexts=rounds.contexts, arms=arms[b], propensities=propensities[b],
                       outcomes=outcomes[b], num_arms=K, latents=rounds.latents)
@@ -606,7 +602,8 @@ def cadr_ope(
         contexts, cells = behavior_table.contexts, _cells(X, behavior_table.contexts)
     else:
         contexts, cells = distinct_rows(X, return_inverse=True)
-        replay = init_state(behavior_policy, K, d, target=behavior_target)
+        replay = bind_round(behavior_policy,
+                            init_state(behavior_policy, K, d, target=behavior_target))
     w = 1.0 / pi
 
     def policy_at(t0, t1):
@@ -615,9 +612,8 @@ def cadr_ope(
             return behavior_table.probs[t0:t1]
         out = np.empty((t1 - t0, len(contexts), K))
         for t in range(t0, t1):
-            out[t - t0] = action_distribution(behavior_policy, replay, contexts)
-            update_state(behavior_policy, replay,
-                         Transition(X[t:t + 1], A[t:t + 1], pi[t:t + 1], Y[t:t + 1]))
+            out[t - t0] = replay.distribution(contexts)
+            replay.fold(X[t:t + 1], A[t:t + 1], pi[t:t + 1], Y[t:t + 1])
         return out
 
     # Per-row terms of w D' and w D'^2: w, w r, w r Y, w r^2, w r^2 Y, w r^2 Y^2.

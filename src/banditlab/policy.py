@@ -16,6 +16,16 @@ would be for that row alone (elementwise arithmetic, or one BLAS call per
 context through a stacked ``np.matmul``), so a row's result does not depend
 on the block it runs in, nor on the other contexts evaluated with it.
 
+That implementation is the kind's round, bound to one block state by
+``bind_round``: a ``Round(distribution, fold)`` whose closures hold what no
+round changes (the flat (B * K, ...) views of the state arrays, the row
+offsets, the greedy tables, epsilon, the Thompson prior terms, the UCB tables
+and the target's regressor rule, c_a vector and Sigma_e). The block engine
+binds once per block and a CADR replay once per replay; ``action_distribution``
+and ``update_state`` bind for one call. Binding checks that the arrays it
+views are C-contiguous; every fold checks its row counts and arm range, and
+raises if a state array was replaced after binding.
+
 Clipped policies floor every action probability at ``pi_min`` via the exact
 L2 projection onto the constrained simplex (``clip_simplex``), keeping
 inverse propensity weights bounded.
@@ -26,12 +36,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .estimator import ScoreTarget, check_covariance, score_g
+from .estimator import ScoreTarget, _score_rows, _shift, check_covariance
 
 POLICY_KINDS = (
     "random", "eps_greedy_mab", "ucb_mab", "ts_mab",
@@ -159,9 +169,7 @@ def init_state(config: PolicyConfig, num_arms: int, context_dim: int,
     Validates the K-dependent config constraints, and that a noisy_context
     target's Sigma_e is d x d for the kinds that hold the target.
     """
-    if num_arms * config.pi_min > 1.0 + 1e-12:
-        raise InfeasibleClipError(
-            f"K * pi_min = {num_arms * config.pi_min:.4f} > 1 is infeasible")
+    _check_floor(num_arms, config.pi_min)
     B, K, d = block, num_arms, context_dim
     state = PolicyState(num_arms=K, context_dim=d,
                         sgd_clip_count=np.zeros(B, dtype=np.int64),
@@ -223,6 +231,11 @@ def _by_row(a: np.ndarray) -> np.ndarray:
 # --- clipping -----------------------------------------------------------------
 
 
+def _check_floor(num_arms: int, pi_min: float) -> None:
+    if num_arms * pi_min > 1.0 + 1e-12:
+        raise InfeasibleClipError(f"K * pi_min = {num_arms * pi_min:.4f} > 1 is infeasible")
+
+
 @lru_cache(maxsize=None)
 def _clip_ladder(num_arms: int, pi_min: float) -> tuple[np.ndarray, np.ndarray]:
     """The sizes m = 1..K of a candidate unclipped set, and the floor mass (K - m) * pi_min.
@@ -242,25 +255,39 @@ def clip_simplex(P: np.ndarray, pi_min: float) -> np.ndarray:
     q(nu) = sum_a max(p_a - nu, pi_min) = 1; q is piecewise linear in nu, so
     the root is found exactly by sorting, with no iteration (at K = 2 the
     sort is a max and a min). Rows that are already feasible come back
-    unchanged, and the result has P's shape.
+    unchanged, and the result is a new array of P's shape.
     """
     P = np.asarray(P, dtype=float)
-    shape, K = P.shape, P.shape[-1]
-    if K * pi_min > 1.0 + 1e-12:
-        raise InfeasibleClipError(f"K * pi_min = {K * pi_min:.4f} > 1 is infeasible")
-    # Every clipped round runs this test: ufunc reductions give ndarray.sum / min /
-    # max / any / all bit for bit without their Python wrappers.
-    excess = (np.add.reduce(P, axis=-1) - 1.0).reshape(-1)     # row sum less one
-    off = np.abs(excess)
-    if (np.minimum.reduce(P, axis=None, initial=math.inf) >= pi_min
-            and np.maximum.reduce(off, initial=0.0) <= 1e-12):
-        return P.copy()
-    P = P.reshape(-1, K)
-    lo = np.minimum.reduce(P, axis=1)
+    _check_floor(P.shape[-1], pi_min)
+    rows = P.reshape(-1, P.shape[-1])
+    out = _clip_rows(rows, pi_min)
+    return (out.copy() if out is rows else out).reshape(P.shape)
+
+
+def _clip_rows(P: np.ndarray, pi_min: float) -> np.ndarray:
+    """``clip_simplex`` on an (n, K) array whose K * pi_min <= 1 is checked already.
+
+    Returns P itself when every row is feasible, else a new array.
+    """
+    K = P.shape[1]
     if K == 2:
-        # The sorted path below at K = 2, from each row's larger entry hi and
-        # smaller entry lo: the same candidate roots and tests, so the same bits.
-        hi = np.maximum.reduce(P, axis=1)
+        # The sorted path below at K = 2, read off the two columns: each row's
+        # larger entry hi and smaller entry lo, the same candidate roots and
+        # tests, so the same bits.
+        first, second = P[:, 0], P[:, 1]
+        excess = (first + second) - 1.0         # row sum less one
+        lo = np.minimum(first, second)
+    else:
+        excess = np.add.reduce(P, axis=1) - 1.0
+        lo = np.minimum.reduce(P, axis=1)
+    # Every clipped round runs this test: ufunc reductions give ndarray.min /
+    # max / any / all bit for bit without their Python wrappers.
+    off = np.abs(excess)
+    if (np.minimum.reduce(lo, initial=math.inf) >= pi_min
+            and np.maximum.reduce(off, initial=0.0) <= 1e-12):
+        return P
+    if K == 2:
+        hi = np.maximum(first, second)
         nu_one = (hi + pi_min) - 1.0             # lo clipped
         nu_two = excess / 2                      # ((hi + lo) - 1.0) / 2: neither clipped
         two = lo - nu_two >= pi_min - 1e-15
@@ -281,8 +308,15 @@ def clip_simplex(P: np.ndarray, pi_min: float) -> np.ndarray:
         out[~any_valid] = pi_min
     ok = (off <= 1e-12) & (lo >= pi_min)
     if np.logical_or.reduce(ok):
-        out[ok] = P[ok]
-    return out.reshape(shape)
+        np.copyto(out, P, where=ok[:, None])
+    return out
+
+
+def _clip(P: np.ndarray, pi_min: float) -> np.ndarray:
+    """``_clip_rows`` over the last axis of a (B, K) or (B, C, K) array."""
+    if P.ndim == 2:
+        return _clip_rows(P, pi_min)
+    return _clip_rows(P.reshape(-1, P.shape[-1]), pi_min).reshape(P.shape)
 
 
 # --- Thompson sampling optimal-arm probabilities -------------------------------
@@ -347,6 +381,8 @@ def _per_row(a: np.ndarray, contexts: np.ndarray) -> np.ndarray:
 
     So row b of ``a`` broadcasts against row b's contexts, (B, d) or (B, C, d).
     """
+    if contexts.ndim == 2:
+        return a
     return a.reshape(a.shape[:1] + (1,) * (contexts.ndim - 2) + a.shape[1:])
 
 
@@ -374,33 +410,49 @@ def _greedy_table(num_arms: int, explore_each: float, pi_min: float | None) -> n
     return table
 
 
-def _greedy_rows(best: np.ndarray, num_arms: int, explore_each: float,
-                 pi_min: float | None = None) -> np.ndarray:
-    """One distribution per entry of ``best``: its row of ``_greedy_table``."""
-    return _greedy_table(num_arms, explore_each, pi_min).take(best, axis=0)
+def _mab_rows(kind: str, config: PolicyConfig, state: PolicyState):
+    """The (B, K) rows of a context-free MAB kind, bound to ``state``: a function of no arguments."""
+    K, B = state.num_arms, state.block
+    counts, means = state.counts, state.means
+    if kind == "eps_greedy":
+        table = _greedy_table(K, config.epsilon_for(K) / K, None)
+        return lambda: table.take(means.argmax(axis=1), axis=0)
+    if kind == "ucb":
+        forced, table = _greedy_table(K, 0.0, None), _greedy_table(K, config.pi_min, None)
+
+        def ucb_rows():
+            t = state.t
+            if t < K:  # forced initialization: rounds 1..K pull each arm once
+                return forced.take(np.full(B, t), axis=0)
+            radius = 2.0 * math.log(t + 1)  # squared radius 2 log t at round t
+            index = np.where(counts > 0, means + np.sqrt(radius / np.maximum(counts, 1)), np.inf)
+            return table.take(index.argmax(axis=1), axis=0)
+
+        return ucb_rows
+    mu0, s0, s2 = config.ts_prior
+    prior_precision, prior_mean, pi_min = 1.0 / s0, mu0 / s0, config.pi_min
+    _check_floor(K, pi_min)
+
+    def ts_rows():
+        post_var = 1.0 / (prior_precision + counts / s2)
+        post_mean = post_var * (prior_mean + counts * means / s2)
+        return _clip_rows(ts_optimal_prob(post_mean, post_var), pi_min)
+
+    return ts_rows
 
 
 def mab_distribution(kind: str, state: PolicyState, config: PolicyConfig) -> np.ndarray:
     """Distributions of the context-free multi-armed bandit algorithms; one row per trajectory."""
-    K = state.num_arms
-    if kind == "eps_greedy":
-        eps = config.epsilon_for(K)
-        return _greedy_rows(state.means.argmax(axis=1), K, eps / K)
-    if kind == "ucb":
-        if state.t < K:  # forced initialization: rounds 1..K pull each arm once
-            return _greedy_rows(np.full(state.block, state.t), K, 0.0)
-        radius = 2.0 * math.log(state.t + 1)  # squared radius 2 log t at round t
-        index = np.where(state.counts > 0,
-                         state.means + np.sqrt(radius / np.maximum(state.counts, 1)),
-                         np.inf)
-        return _greedy_rows(index.argmax(axis=1), K, config.pi_min)
-    if kind == "ts":
-        mu0, s0, s2 = config.ts_prior
-        precision = 1.0 / s0 + state.counts / s2
-        post_var = 1.0 / precision
-        post_mean = post_var * (mu0 / s0 + state.counts * state.means / s2)
-        return clip_simplex(ts_optimal_prob(post_mean, post_var), config.pi_min)
-    raise ValueError(f"unknown MAB kind {kind!r}")
+    if kind not in ("eps_greedy", "ucb", "ts"):
+        raise ValueError(f"unknown MAB kind {kind!r}")
+    return _mab_rows(kind, config, state)()
+
+
+def _boltzmann(beta: np.ndarray, gamma: float, pi_min: float, contexts: np.ndarray) -> np.ndarray:
+    scores = _apply(beta, contexts) / gamma
+    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+    expd = np.exp(scores)
+    return _clip(expd / np.add.reduce(expd, axis=-1, keepdims=True), pi_min)
 
 
 def boltzmann_distribution(beta: np.ndarray, contexts: np.ndarray,
@@ -410,10 +462,15 @@ def boltzmann_distribution(beta: np.ndarray, contexts: np.ndarray,
     Row-wise over ``beta`` (B, K, d) and ``contexts`` (B, d) or (B, C, d),
     by ``action_distribution``'s shape rule.
     """
-    scores = _apply(beta, contexts) / gamma
-    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
-    expd = np.exp(scores)
-    return clip_simplex(expd / np.add.reduce(expd, axis=-1, keepdims=True), pi_min)
+    _check_floor(beta.shape[1], pi_min)
+    return _boltzmann(beta, gamma, pi_min, contexts)
+
+
+def _linucb(gram_inv: np.ndarray, beta: np.ndarray, alpha: float, table: np.ndarray,
+            contexts: np.ndarray) -> np.ndarray:
+    widths = np.sqrt(np.einsum("b...i,baij,b...j->b...a", contexts, gram_inv, contexts))
+    index = _apply(beta, contexts) + alpha * widths
+    return table.take(index.argmax(axis=-1), axis=0)
 
 
 def linucb_distribution(state: PolicyState, contexts: np.ndarray,
@@ -422,59 +479,11 @@ def linucb_distribution(state: PolicyState, contexts: np.ndarray,
 
     Row-wise like ``boltzmann_distribution``.
     """
-    widths = np.sqrt(np.einsum("b...i,baij,b...j->b...a",
-                               contexts, state.ridge_gram_inv, contexts))
-    index = _apply(state.ridge_beta, contexts) + alpha * widths
-    return _greedy_rows(index.argmax(axis=-1), state.num_arms, pi_min)
+    return _linucb(state.ridge_gram_inv, state.ridge_beta, alpha,
+                   _greedy_table(state.num_arms, pi_min, None), contexts)
 
 
-def _ipwz_distribution(config: PolicyConfig, state: PolicyState,
-                       contexts: np.ndarray) -> np.ndarray:
-    """Uniform until every arm's estimate is ready, then clipped eps-greedy on them."""
-    K = state.num_arms
-    ready = state.ipw_ready
-    if not ready.any():
-        return np.full(contexts.shape[:-1] + (K,), 1.0 / K)
-    eps = config.epsilon_for(K)
-    best = _apply(state.ipw_theta, state.target.regressors(contexts)).argmax(axis=-1)
-    greedy = _greedy_rows(best, K, eps / K, config.pi_min)
-    if ready.all():
-        return greedy
-    return np.where(_per_row(ready, contexts)[..., None], greedy, 1.0 / K)
-
-
-def action_distribution(config: PolicyConfig, state: PolicyState,
-                        context: np.ndarray) -> np.ndarray:
-    """The policy's action distribution at ``context`` given the current state.
-
-    Shape rule: axis 0 of ``context`` is the block axis and its last axis is
-    the context dimension d. ``context`` (B, d) gives (B, K), one context per
-    trajectory; (B, C, d) gives (B, C, K), C contexts evaluated under each
-    trajectory's state. Entry (b, c) equals the (B, d) call at the contexts
-    ``context[:, c]`` bit for bit. A block of one broadcasts over axis 0, so
-    it evaluates any number of contexts. The context-free MAB kinds return a
-    read-only broadcast of their (B, K) rows.
-    """
-    kind = config.kind
-    shape = context.shape[:-1] + (state.num_arms,)
-    if kind == "random":
-        return np.full(shape, 1.0 / state.num_arms)
-    if kind.endswith("_mab"):
-        probs = mab_distribution(kind.removesuffix("_mab"), state, config)
-        return probs if probs.shape == shape else np.broadcast_to(_per_row(probs, context), shape)
-    if kind == "boltzmann_ridge":
-        return boltzmann_distribution(state.ridge_beta, context, config.gamma, config.pi_min)
-    if kind == "boltzmann_sgd":
-        return boltzmann_distribution(state.sgd_beta, state.target.regressors(context),
-                                      config.gamma, config.pi_min)
-    if kind == "linucb":
-        return linucb_distribution(state, context, config.linucb_alpha, config.pi_min)
-    if kind == "ipwz_greedy":
-        return _ipwz_distribution(config, state, context)
-    raise ValueError(f"unknown policy kind {kind!r}")
-
-
-# --- state updates --------------------------------------------------------------
+# --- update kernels -------------------------------------------------------------
 
 
 def _solve_small(G: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -523,19 +532,213 @@ def _well_conditioned(G: np.ndarray, threshold: float = 1e12) -> np.ndarray:
     return ok & np.array([_cond_below(g, threshold) for g in G], dtype=bool)
 
 
-def _refresh_ipwz(state: PolicyState, flat: np.ndarray) -> None:
-    """Re-solve each row's pulled-arm IPW-Z estimate (``flat``: b * K + arm); flag readiness."""
-    target = state.target
-    gram = (_by_row(state.ipw_gram).take(flat, axis=0)
-            - state.ipw_weight.take(flat)[:, None, None] * target.shift)
-    ok = _well_conditioned(gram)
-    state.ipw_ok.put(flat, ok)
-    if ok.any():
-        solved = flat[ok]
-        _by_row(state.ipw_theta)[solved] = _solve_small(
-            gram[ok], _by_row(state.ipw_moment).take(solved, axis=0))
+def _score_pieces(target: ScoreTarget, num_arms: int, width: int):
+    """A target's score pieces, fixed for a block: its regressor rule, its c_a per
+    arm (None when every c_a is 1) and S, checked against ``width`` columns."""
+    scale = target.target_policy.vector(num_arms) if target.family == "ope" else None
+    return target.regressors, scale, _shift(target, width)
+
+
+# --- bound rounds -----------------------------------------------------------------
+# Each kind's binder resolves everything a block's rounds share (flat views,
+# tables, prior terms, the target's score pieces) and returns
+# (distribution, update, names): the distribution at (B, d) or (B, C, d)
+# contexts, the kind's fold of one transition per row given flat indices
+# b * K + arm (None when it keeps no statistics), and the names of the state
+# fields the two hold, which they read and write in place.
+
+
+def _bind_random(config: PolicyConfig, state: PolicyState):
+    K = state.num_arms
+
+    def distribution(contexts):
+        return np.full(contexts.shape[:-1] + (K,), 1.0 / K)
+
+    return distribution, None, ()
+
+
+def _bind_mab(config: PolicyConfig, state: PolicyState):
+    rows = _mab_rows(config.kind.removesuffix("_mab"), config, state)
+    K, counts, sums, means = state.num_arms, state.counts, state.sums, state.means
+
+    def distribution(contexts):
+        probs, shape = rows(), contexts.shape[:-1] + (K,)
+        return probs if probs.shape == shape else np.broadcast_to(_per_row(probs, contexts), shape)
+
+    def update(flat, x, arm, prob, y):
+        pulls = counts.take(flat) + 1
+        counts.put(flat, pulls)
+        total = sums.take(flat) + y
+        sums.put(flat, total)
+        means.put(flat, total / pulls)  # the pulled entries of sums / counts
+
+    return distribution, update, ("counts", "sums", "means")
+
+
+def _bind_ridge(config: PolicyConfig, state: PolicyState):
+    grams, moments = _by_row(state.ridge_gram), _by_row(state.ridge_moment)
+    betas = _by_row(state.ridge_beta)
+    names = ("ridge_gram", "ridge_moment", "ridge_beta")
+    if config.kind == "linucb":
+        inverses = _by_row(state.ridge_gram_inv)
+        names += ("ridge_gram_inv",)
+        distribution = partial(_linucb, state.ridge_gram_inv, state.ridge_beta,
+                               config.linucb_alpha,
+                               _greedy_table(state.num_arms, config.pi_min, None))
+    else:
+        inverses = None
+        _check_floor(state.num_arms, config.pi_min)
+        distribution = partial(_boltzmann, state.ridge_beta, config.gamma, config.pi_min)
+
+    def update(flat, x, arm, prob, y):
+        gram = grams.take(flat, axis=0) + x[:, :, None] * x[:, None, :]
+        moment = moments.take(flat, axis=0) + x * y[:, None]
+        grams[flat] = gram
+        moments[flat] = moment
+        if inverses is not None:
+            inverses[flat] = _inv_small(gram)
+        betas[flat] = _solve_small(gram, moment)
+
+    return distribution, update, names
+
+
+def _bind_sgd(config: PolicyConfig, state: PolicyState):
+    beta_all, clip_counts = state.sgd_beta, state.sgd_clip_count
+    if beta_all.shape[-1] != state.target.theta_dim(state.context_dim):
+        raise ValueError("theta dimension must match the score dimension")
+    regressors, scale, shift = _score_pieces(state.target, state.num_arms, beta_all.shape[-1])
+    betas = _by_row(beta_all)
+    gamma, pi_min = config.gamma, config.pi_min
+    _check_floor(state.num_arms, pi_min)
+
+    def distribution(contexts):
+        return _boltzmann(beta_all, gamma, pi_min, regressors(contexts))
+
+    def update(flat, x, arm, prob, y):
+        rate = 0.5 * state.t ** (-2.0 / 3.0)  # sum eta_t = inf, sum eta_t^2 < inf
+        beta = betas.take(flat, axis=0)
+        beta = beta + rate * _score_rows(regressors(x), 1.0 if scale is None else scale[arm],
+                                         shift, y, beta)
+        # One dot per row, as np.linalg.norm computes it for one vector.
+        norm = np.sqrt(np.matmul(beta[:, None, :], beta[:, :, None])[:, 0, 0])
+        clipped = norm > SGD_COEF_RADIUS
+        if np.logical_or.reduce(clipped):
+            beta[clipped] *= (SGD_COEF_RADIUS / norm[clipped])[:, None]
+            clip_counts[clipped] += 1
+        betas[flat] = beta
+
+    return distribution, update, ("sgd_beta", "sgd_clip_count")
+
+
+def _bind_ipwz(config: PolicyConfig, state: PolicyState):
+    """Uniform until every arm's estimate is ready, then clipped eps-greedy on them."""
+    K, target = state.num_arms, state.target
+    theta_all = state.ipw_theta
+    regressors, scale, shift = _score_pieces(target, K, theta_all.shape[-1])
     need = target.theta_dim(state.context_dim)
-    state.ipw_ready[:] = np.all(state.counts >= need, axis=1) & state.ipw_ok.all(axis=1)
+    counts, weights, solved_ok, ready = (state.counts, state.ipw_weight, state.ipw_ok,
+                                         state.ipw_ready)
+    grams, moments, thetas = _by_row(state.ipw_gram), _by_row(state.ipw_moment), _by_row(theta_all)
+    table = _greedy_table(K, config.epsilon_for(K) / K, config.pi_min)
+
+    def distribution(contexts):
+        if not np.logical_or.reduce(ready):
+            return np.full(contexts.shape[:-1] + (K,), 1.0 / K)
+        greedy = table.take(_apply(theta_all, regressors(contexts)).argmax(axis=-1), axis=0)
+        if np.logical_and.reduce(ready):
+            return greedy
+        return np.where(_per_row(ready, contexts)[..., None], greedy, 1.0 / K)
+
+    def update(flat, x, arm, prob, y):
+        counts.put(flat, counts.take(flat) + 1)
+        w = 1.0 / prob
+        Z = regressors(x)
+        c = 1.0 if scale is None else scale[arm]
+        weights.put(flat, weights.take(flat) + w)
+        grams[flat] = grams.take(flat, axis=0) + w[:, None, None] * (Z[:, :, None] * Z[:, None, :])
+        moments[flat] = moments.take(flat, axis=0) + w[:, None] * Z * (c * y)[:, None]
+        # Re-solve each row's pulled-arm estimate, then flag readiness.
+        gram = grams.take(flat, axis=0) - weights.take(flat)[:, None, None] * shift
+        ok = _well_conditioned(gram)
+        solved_ok.put(flat, ok)
+        if np.logical_or.reduce(ok):
+            solved = flat[ok]
+            thetas[solved] = _solve_small(gram[ok], moments.take(solved, axis=0))
+        ready[:] = (np.logical_and.reduce(counts >= need, axis=1)
+                    & np.logical_and.reduce(solved_ok, axis=1))
+
+    return distribution, update, ("counts", "ipw_weight", "ipw_gram", "ipw_moment",
+                                  "ipw_theta", "ipw_ok", "ipw_ready")
+
+
+_BINDERS = {
+    "random": _bind_random,
+    "eps_greedy_mab": _bind_mab, "ucb_mab": _bind_mab, "ts_mab": _bind_mab,
+    "boltzmann_ridge": _bind_ridge, "linucb": _bind_ridge,
+    "boltzmann_sgd": _bind_sgd,
+    "ipwz_greedy": _bind_ipwz,
+}
+
+
+class Round(NamedTuple):
+    """A policy kind's round bound to one block state (see ``bind_round``)."""
+
+    distribution: Callable[[np.ndarray], np.ndarray]
+    fold: Callable[..., None]
+
+
+def bind_round(config: PolicyConfig, state: PolicyState) -> Round:
+    """The policy's round on ``state``, with everything fixed for the block resolved once.
+
+    ``distribution(contexts)`` is ``action_distribution`` at the state as it
+    stands. ``fold(x, arm, prob, y, flat=None)`` is ``update_state`` on one
+    transition per trajectory; ``flat`` is ``row_offsets(B, K) + arm``,
+    computed when not given. Binding checks that every state array the
+    round scatters into through a flat view is C-contiguous; each fold
+    checks the transition's row counts and arm range, and raises if a state
+    array the round holds was replaced since binding, before it changes
+    anything.
+    """
+    binder = _BINDERS.get(config.kind)
+    if binder is None:
+        raise ValueError(f"unknown policy kind {config.kind!r}")
+    distribution, update, names = binder(config, state)
+    held = tuple((name, getattr(state, name)) for name in names)
+    B, K = state.block, state.num_arms
+    offsets = row_offsets(B, K)
+
+    def fold(x, arm, prob, y, flat=None):
+        if not len(x) == len(arm) == len(prob) == len(y) == B:
+            raise ValueError(
+                f"a block of {B} needs one transition row per trajectory, got contexts "
+                f"{len(x)}, arms {len(arm)}, propensities {len(prob)}, outcomes {len(y)}")
+        arm_list = arm.tolist()  # Python's min/max beat two numpy reductions on small blocks
+        if min(arm_list) < 0 or max(arm_list) >= K:
+            raise ValueError(f"arms {arm_list} out of range for K={K}")
+        for name, array in held:
+            if getattr(state, name) is not array:
+                raise ValueError(f"state.{name} was replaced after the round was bound; "
+                                 f"bind the round again")
+        state.t += 1
+        if update is not None:
+            update(offsets + arm if flat is None else flat, x, arm, prob, y)
+
+    return Round(distribution, fold)
+
+
+def action_distribution(config: PolicyConfig, state: PolicyState,
+                        context: np.ndarray) -> np.ndarray:
+    """The policy's action distribution at ``context`` given the current state.
+
+    Shape rule: axis 0 of ``context`` is the block axis and its last axis is
+    the context dimension d. ``context`` (B, d) gives (B, K), one context per
+    trajectory; (B, C, d) gives (B, C, K), C contexts evaluated under each
+    trajectory's state. Entry (b, c) equals the (B, d) call at the contexts
+    ``context[:, c]`` bit for bit. A block of one broadcasts over axis 0, so
+    it evaluates any number of contexts. The context-free MAB kinds return a
+    read-only broadcast of their (B, K) rows.
+    """
+    return bind_round(config, state).distribution(context)
 
 
 def update_state(config: PolicyConfig, state: PolicyState,
@@ -545,57 +748,5 @@ def update_state(config: PolicyConfig, state: PolicyState,
     Row b's pulled arm is entry b * K + arm of each (B, K, ...) statistic, so
     every gather is one ``take`` and every scatter one flat assignment.
     """
-    X, arms, probs, ys = transition
-    B = state.block
-    if not len(X) == len(arms) == len(probs) == len(ys) == B:
-        raise ValueError(
-            f"a block of {B} needs one transition row per trajectory, got contexts "
-            f"{len(X)}, arms {len(arms)}, propensities {len(probs)}, outcomes {len(ys)}")
-    arm_list = arms.tolist()  # Python's min/max beat two numpy reductions on small blocks
-    if min(arm_list) < 0 or max(arm_list) >= state.num_arms:
-        raise ValueError(f"arms {arm_list} out of range for K={state.num_arms}")
-    flat = row_offsets(B, state.num_arms) + arms
-    state.t += 1
-    if state.counts is not None:
-        counts = state.counts.take(flat) + 1
-        state.counts.put(flat, counts)
-        if state.sums is not None:
-            sums = state.sums.take(flat) + ys
-            state.sums.put(flat, sums)
-            state.means.put(flat, sums / counts)  # the pulled entries of sums / counts
-
-    if state.ridge_gram is not None:
-        grams, moments = _by_row(state.ridge_gram), _by_row(state.ridge_moment)
-        gram = grams.take(flat, axis=0) + X[:, :, None] * X[:, None, :]
-        moment = moments.take(flat, axis=0) + X * ys[:, None]
-        grams[flat] = gram
-        moments[flat] = moment
-        if state.ridge_gram_inv is not None:
-            _by_row(state.ridge_gram_inv)[flat] = _inv_small(gram)
-        _by_row(state.ridge_beta)[flat] = _solve_small(gram, moment)
-
-    if config.kind == "boltzmann_sgd":
-        rate = 0.5 * state.t ** (-2.0 / 3.0)  # sum eta_t = inf, sum eta_t^2 < inf
-        betas = _by_row(state.sgd_beta)
-        beta = betas.take(flat, axis=0)
-        beta = beta + rate * score_g(state.target, arms, X, ys, beta, num_arms=state.num_arms)
-        # One dot per row, as np.linalg.norm computes it for one vector.
-        norm = np.sqrt(np.matmul(beta[:, None, :], beta[:, :, None])[:, 0, 0])
-        clipped = norm > SGD_COEF_RADIUS
-        if clipped.any():
-            beta[clipped] *= (SGD_COEF_RADIUS / norm[clipped])[:, None]
-            state.sgd_clip_count[clipped] += 1
-        betas[flat] = beta
-
-    if config.kind == "ipwz_greedy":
-        w = 1.0 / probs
-        target = state.target
-        Z = target.regressors(X)
-        c = target.outcome_scale(arms, state.num_arms)
-        state.ipw_weight.put(flat, state.ipw_weight.take(flat) + w)
-        grams, moments = _by_row(state.ipw_gram), _by_row(state.ipw_moment)
-        grams[flat] = grams.take(flat, axis=0) + w[:, None, None] * (Z[:, :, None] * Z[:, None, :])
-        moments[flat] = moments.take(flat, axis=0) + w[:, None] * Z * (c * ys)[:, None]
-        _refresh_ipwz(state, flat)
-
+    bind_round(config, state).fold(*transition)
     return state

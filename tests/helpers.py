@@ -20,7 +20,9 @@ first written, gathering the arm's rows by boolean mask and building and
 checking the design once for the solve and again for the sandwich: the bit
 oracle for the one-pass ``estimate_report``.
 ``assert_logs_equal`` compares every field of two logs, so no field can be
-left out of a comparison. The single-draw helpers (``sample_round``,
+left out of a comparison. ``run_block_digest`` is the SHA-256 of everything a
+lockstep block leaves behind (logs, final state, probe table), so a rewrite of
+the round can be checked against the bits of an earlier version. The single-draw helpers (``sample_round``,
 ``select_action``) exist only for tests; the package itself draws rounds and
 actions in batches.
 """
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import itertools
 import math
 from typing import NamedTuple
@@ -278,6 +281,31 @@ def assert_logs_equal(a: BanditLog, b: BanditLog, what: str = "") -> None:
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), where
         else:
             assert x == y, where
+
+
+def run_block_digest(logs, state: PolicyState, table) -> str:
+    """SHA-256 of ``_run_block``'s logs, every array field of its final state, and its table.
+
+    Each array enters with its name, dtype and shape, so no two layouts collide.
+    """
+    digest = hashlib.sha256()
+
+    def add(name, array):
+        if array is not None:
+            array = np.ascontiguousarray(array)
+            digest.update(f"{name}:{array.dtype.str}:{array.shape}".encode())
+            digest.update(array.tobytes())
+
+    for b, log in enumerate(logs):
+        for f in dataclasses.fields(BanditLog):
+            if isinstance(getattr(log, f.name), np.ndarray):
+                add(f"log{b}.{f.name}", getattr(log, f.name))
+    for f in dataclasses.fields(PolicyState):
+        if isinstance(getattr(state, f.name), np.ndarray):
+            add(f"state.{f.name}", getattr(state, f.name))
+    digest.update(f"state.t:{state.t}".encode())
+    add("table", table)
+    return digest.hexdigest()
 
 
 def reference_write_log_csv(log: BanditLog, path) -> None:

@@ -1,5 +1,6 @@
 """Trajectory runner, replication engine, diagnostics, CADR baseline."""
 
+import hashlib
 import json
 import pickle
 from dataclasses import fields, replace
@@ -7,12 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import assert_logs_equal, one_round, reference_cadr_loop
+from helpers import assert_logs_equal, one_round, reference_cadr_loop, run_block_digest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banditlab.cli import build_experiment
-from banditlab.env import EnvironmentSpec, RewardModel, build_environment, support
+from banditlab.env import EnvironmentSpec, RewardModel, build_environment, distinct_rows, support
 from banditlab.estimator import (NoDataForArm, ScoreTarget, SingularDesign, TargetPolicy,
                                  read_log_csv, write_log_csv)
 from banditlab.harness import (
@@ -35,6 +36,7 @@ from banditlab.policy import (
     PolicyConfig,
     PolicyState,
     action_distribution,
+    bind_round,
     init_state,
     update_state,
 )
@@ -679,11 +681,16 @@ def test_probed_block_makes_one_policy_call_per_round(monkeypatch, kind):
     assert len(probes) > 1
     shapes = []
 
-    def counting(config, state, context):
-        shapes.append(context.shape)
-        return action_distribution(config, state, context)
+    def counting(config, state):
+        bound = bind_round(config, state)
 
-    monkeypatch.setattr(harness, "action_distribution", counting)
+        def distribution(context):
+            shapes.append(context.shape)
+            return bound.distribution(context)
+
+        return bound._replace(distribution=distribution)
+
+    monkeypatch.setattr(harness, "bind_round", counting)
     policy = PolicyConfig(kind=kind, pi_min=0.05, gamma=2.0)
     _run_block(env, policy, OPE_UNIFORM, 60, 9, [(0,), (1,), (2,)], probes=probes)
     assert shapes == [(3, len(probes), env.context_dim)] * 60
@@ -700,6 +707,47 @@ def _cadr_env(name: str, K: int, points: list) -> EnvironmentSpec:
     theta = 1.0 + np.arange(K, dtype=float)[:, None]
     return replace(env, num_arms=K, reward=RewardModel("linear_latent", theta),
                    true_params=theta)
+
+
+# SHA-256 of the logs, final states and probe tables of a block of three at a
+# fixed seed, under a noisy_context and an ope target (see ``_pinned_digest``),
+# taken from the per-round ``action_distribution`` / ``update_state`` engine
+# that preceded the bound rounds. A rewrite of the round must keep these bits.
+PINNED_BLOCK_DIGESTS = {
+    ("random", 2): "a584a5f69f8b792b33f01a072a07279f4d724359b6f9c0c1d88b24b4f11d2875",
+    ("random", 3): "7f53b9f33ad8addbf529822a2e7a4339a3c140572f4e158a358c718ce0d3ffba",
+    ("eps_greedy_mab", 2): "dbd92f51f009cd6e58a4dffb6d77691f5b7588862d80f0036a1592fec5bd0153",
+    ("eps_greedy_mab", 3): "5bd8c7fc15d1cb94f179721bdfe0e1ed652d039aeaf0d43c8ae877d369ecbd41",
+    ("ucb_mab", 2): "777d6508a0e6e80a2bff8e0af274763ce1f0298539bba1ca1bbf56f6db05b156",
+    ("ucb_mab", 3): "3431476ecbe2ffd73536e91978121cd2d1949f2a2caecb187fb92e7446bdc076",
+    ("ts_mab", 2): "145c1e2da63c6066277550112cb6726451244e44cef54a32c60fa66b9058d32f",
+    ("ts_mab", 3): "e09c0d63cf1165d36fc71b6ba7750c70189dcd3c978fe27ca93494476c8bd0c1",
+    ("boltzmann_ridge", 2): "de0c6a87dab0615342c076a463768042fc4c0ebed2cdb04ba39953b0d2a15c86",
+    ("boltzmann_ridge", 3): "30643cf2751552b0932ad92c0d7728ef8b7ac24c0f53126fa683696b813dfb4d",
+    ("boltzmann_sgd", 2): "64b186ecacd64d678b641f729c0be7d974cb0df3bca7e1e864c4c1c88aa13061",
+    ("boltzmann_sgd", 3): "dd04a370aa55a55ac9cdbbecbd5b0fb80b3f15e5919885a9a021551c8d3f4e46",
+    ("ipwz_greedy", 2): "183891c2f89342c5c491aa4b827d011d9cc7081488b488364a0165af27362d5b",
+    ("ipwz_greedy", 3): "0d49c58134fbd22d45fe446e30d1d7b40212bc1caf3d2d4714402eda9c3cc0c8",
+    ("linucb", 2): "9ccd8f8485b295f678f1582a98589823185894054b028920ec3997ee6d286eb6",
+    ("linucb", 3): "ecd3e50fe9f183d5cf55a06ee3aac98689a7e15fe8245c2d23c51ac2775392d1",
+}
+
+
+def _pinned_digest(kind: str, K: int) -> str:
+    env = _cadr_env("nc_hard1", K, [])
+    probes = distinct_rows(np.array([x for _, _, x in support(env)]))
+    # Settings away from round numbers, so that no reassociation is exact.
+    policy = PolicyConfig(kind=kind, pi_min=0.05, gamma=3.0, ts_prior=(0.3, 2.0, 0.7),
+                          ridge_lambda=0.7, linucb_alpha=1.3)
+    parts = [run_block_digest(*_run_block(env, policy, target, 150, 2026, [(0,), (1,), (2,)],
+                                          probes=probes))
+             for target in (ScoreTarget("noisy_context", sigma_e=[[2.0]]), OPE_UNIFORM)]
+    return hashlib.sha256("".join(parts).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("kind, K", list(PINNED_BLOCK_DIGESTS))
+def test_block_bits_are_pinned(kind, K):
+    assert _pinned_digest(kind, K) == PINNED_BLOCK_DIGESTS[kind, K]
 
 
 @pytest.mark.parametrize("kind", POLICY_KINDS)

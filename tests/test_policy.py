@@ -18,9 +18,10 @@ from banditlab.policy import (
     PolicyConfig,
     PolicyState,
     Transition,
-    _greedy_rows,
+    _greedy_table,
     _ts_quadrature,
     action_distribution,
+    bind_round,
     boltzmann_distribution,
     clip_simplex,
     init_state,
@@ -276,16 +277,17 @@ def test_greedy_table_rows_are_the_filled_and_scattered_rows(K):
         }
         for kind, each in explore.items():
             for rows in (best[:, 0], best):
-                got, want = _greedy_rows(rows, K, each), reference_greedy_rows(rows, K, each)
+                got = _greedy_table(K, each, None).take(rows, axis=0)
+                want = reference_greedy_rows(rows, K, each)
                 assert got.tobytes() == want.tobytes() and got.shape == want.shape, kind
         eps = PolicyConfig(kind="ipwz_greedy", pi_min=pi_min).epsilon_for(K)
         for rows in (best[:, 0], best):
-            got = _greedy_rows(rows, K, eps / K, pi_min)
+            got = _greedy_table(K, eps / K, pi_min).take(rows, axis=0)
             want = reference_clip_simplex(reference_greedy_rows(rows, K, eps / K).reshape(-1, K),
                                           pi_min).reshape(got.shape)
             assert got.tobytes() == want.tobytes(), ("ipwz_greedy", pi_min)
         got[...] = 0.0  # a fresh array: the shared table is not written through it
-        assert not np.all(_greedy_rows(rows, K, eps / K, pi_min) == 0.0)
+        assert not np.all(_greedy_table(K, eps / K, pi_min) == 0.0)
 
 
 class TestBoltzmann:
@@ -459,6 +461,41 @@ class TestUpdateState:
         with pytest.raises(ValueError, match="C-contiguous"):
             update_state(config, state, Transition(np.ones((3, 2)), np.array([0, 1, 0]),
                                                    np.full(3, 0.5), np.ones(3)))
+
+    @pytest.mark.parametrize("kind, field", [
+        ("eps_greedy_mab", "counts"), ("ts_mab", "means"), ("boltzmann_ridge", "ridge_beta"),
+        ("linucb", "ridge_gram_inv"), ("boltzmann_sgd", "sgd_beta"), ("ipwz_greedy", "ipw_gram"),
+        ("ipwz_greedy", "ipw_ready")])
+    def test_bound_round_refuses_a_replaced_state_array(self, kind, field):
+        # A bound round scatters through views taken when it was bound; after
+        # a state array is replaced they would miss it, so the fold raises
+        # before it changes anything, and a round bound afresh folds.
+        config = PolicyConfig(kind=kind, pi_min=0.05)
+        state = init_state(config, 2, 2, target=ScoreTarget(family="misspec_linear"), block=3)
+        bound = bind_round(config, state)
+        transition = Transition(np.ones((3, 2)), np.array([0, 1, 0]), np.full(3, 0.5), np.ones(3))
+        bound.fold(*transition)
+        setattr(state, field, getattr(state, field).copy())
+        before = {f.name: np.copy(getattr(state, f.name)) for f in fields(PolicyState)
+                  if isinstance(getattr(state, f.name), np.ndarray)}
+        with pytest.raises(ValueError, match=f"state.{field} was replaced"):
+            bound.fold(*transition)
+        assert state.t == 1
+        for name, array in before.items():
+            np.testing.assert_array_equal(getattr(state, name), array, err_msg=name)
+        bind_round(config, state).fold(*transition)
+        assert state.t == 2
+
+    @pytest.mark.parametrize("kind, field", [
+        ("boltzmann_ridge", "ridge_gram"), ("linucb", "ridge_gram_inv"),
+        ("boltzmann_sgd", "sgd_beta"), ("ipwz_greedy", "ipw_moment")])
+    def test_binding_refuses_a_non_contiguous_state(self, kind, field):
+        # Contiguity is checked once, when the round is bound.
+        config = PolicyConfig(kind=kind, pi_min=0.05)
+        state = init_state(config, 2, 2, target=ScoreTarget(family="misspec_linear"), block=3)
+        setattr(state, field, np.asfortranarray(getattr(state, field)))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            bind_round(config, state)
 
     def test_ipwz_refresh_has_no_lag(self):
         target = ScoreTarget(family="misspec_linear")
