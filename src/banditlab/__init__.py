@@ -47,17 +47,11 @@ from .inference import (
     variance_estimated_sigma,
 )
 from .policy import (
+    Policy,
     PolicyConfig,
-    PolicyState,
-    Transition,
-    action_distribution,
-    boltzmann_distribution,
     clip_simplex,
-    init_state,
-    linucb_distribution,
-    mab_distribution,
+    new_policy,
     ts_optimal_prob,
-    update_state,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -144,7 +144,7 @@ def parse_target(doc: dict, where: str = "target") -> ScoreTarget:
         _check_keys(tp_doc, "target.target_policy")
         target_policy = TargetPolicy(
             kind=tp_doc.get("kind", "uniform"),
-            probs=None if tp_doc.get("probs") is None else np.asarray(tp_doc["probs"], dtype=float),
+            probs=tp_doc.get("probs"),
             arm=tp_doc.get("arm"),
         )
     return ScoreTarget(family=family, sigma_e=doc.get("sigma_e"), target_policy=target_policy)

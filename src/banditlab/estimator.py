@@ -31,6 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .rng import whole_number
+
 FAMILIES = ("misspec_linear", "noisy_context", "ope")
 
 MAX_CONDITION = 1e12
@@ -89,18 +91,27 @@ class TargetPolicy:
     def __post_init__(self):
         if self.kind not in ("uniform", "constant", "point_mass"):
             raise ValueError(f"unknown target policy kind {self.kind!r}")
+        for name, kind in (("probs", "constant"), ("arm", "point_mass")):
+            if getattr(self, name) is not None and self.kind != kind:
+                raise ValueError(
+                    f"target_policy.{name} is not used by a {self.kind} target policy")
         if self.kind == "constant":
             if self.probs is None:
-                raise ValueError("constant target policy requires probs")
-            p = np.asarray(self.probs, dtype=float)
+                raise ValueError("a constant target policy requires target_policy.probs")
+            try:
+                p = np.asarray(self.probs, dtype=float)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"target_policy.probs must be numbers, got {self.probs!r}") from None
             if p.ndim != 1 or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
-                raise ValueError("target policy probs must lie on the simplex")
+                raise ValueError("target_policy.probs must lie on the simplex")
             object.__setattr__(self, "probs", p)
         if self.kind == "point_mass":
             if self.arm is None:
-                raise ValueError("point_mass target policy requires arm")
+                raise ValueError("a point_mass target policy requires target_policy.arm")
+            object.__setattr__(self, "arm", whole_number(self.arm, "target_policy.arm"))
             if self.arm < 0:
-                raise ValueError(f"point_mass arm {self.arm} is negative")
+                raise ValueError(f"target_policy.arm: point_mass arm {self.arm} is negative")
 
     def vector(self, num_arms: int) -> np.ndarray:
         """Probability over arms (identical at every context)."""
@@ -108,10 +119,12 @@ class TargetPolicy:
             return np.full(num_arms, 1.0 / num_arms)
         if self.kind == "constant":
             if len(self.probs) != num_arms:
-                raise ValueError("target policy probs length != num_arms")
+                raise ValueError(f"target_policy.probs has {len(self.probs)} entries, "
+                                 f"but there are {num_arms} arms")
             return np.asarray(self.probs, dtype=float)
         if self.arm >= num_arms:
-            raise ValueError(f"point_mass arm {self.arm} is out of range for {num_arms} arms")
+            raise ValueError(f"target_policy.arm: point_mass arm {self.arm} is out of range "
+                             f"for {num_arms} arms")
         out = np.zeros(num_arms)
         out[self.arm] = 1.0
         return out

@@ -2,9 +2,9 @@
 
 ``run_trajectory`` executes the data-collection protocol: observe a context,
 sample an action from the behavior policy, record the realized propensity and
-the chosen arm's outcome, fold the transition into the policy state. Only the
-chosen arm's potential outcome ever enters the log, so unconfoundedness holds
-by construction.
+the chosen arm's outcome, fold the transition into the policy's statistics.
+Only the chosen arm's potential outcome ever enters the log, so
+unconfoundedness holds by construction.
 
 ``replicate`` runs R independent trajectories on split random substreams and
 aggregates estimator coverage against ground truth from ``oracle_target``.
@@ -13,25 +13,25 @@ order, so serial, process-parallel and blocked execution give identical
 summaries.
 
 The block engine (``_run_block``) simulates B trajectories in lockstep. Each
-pre-draws its rounds and action uniforms from its own streams; the block binds
-its policy kind's round once (``policy.bind_round``), and every round makes
-one row-wise ``distribution`` call on the (B, ...) block state (at the B drawn
+pre-draws its rounds and action uniforms from its own streams; the block makes
+its policy once (``policy.new_policy``), and every round makes one row-wise
+``distribution`` call on the block's (B, ...) statistics (at the B drawn
 contexts, or at all C probe contexts as one (B, C, d) call), draws B arms by
 inverse CDF, records each drawn arm's probability as its realized propensity,
 and makes one row-wise ``fold`` of the round's transitions. A log holds
 exactly the columns of its CSV. The policy computes each row exactly as for a
 lone trajectory, so a log does not depend on the block it ran in;
-``run_trajectory`` is a block of one, as is every policy state outside the
-engine, and a zero horizon gives an empty log by the same path.
+``run_trajectory`` is a block of one, as is every policy outside the engine,
+and a zero horizon gives an empty log by the same path.
 ``replicate`` splits the R replications of a looped policy into contiguous
 blocks of at most ``BLOCK_CAP``, as many as a multiple of the worker count
 (the ``random`` policy needs no step loop and makes each replication its own
 block). A task is a run of consecutive blocks, about four per worker;
 ``replicate`` maps the tasks over the process pool, or runs the same tasks
-in turn with one worker. Inference, CADR, diagnostics (read from the final
-block state) and failure isolation stay per replication. The pool receives
-the config and theta* bound into one ``functools.partial``, pickled once per
-task.
+in turn with one worker. Inference, CADR, diagnostics (the block policy's
+last-step ``distribution``) and failure isolation stay per replication. The
+pool receives the config and theta* bound into one ``functools.partial``,
+pickled once per task.
 
 Each replication's estimates form one record, a dict of named arrays built by
 ``_analyse``. A task folds its successful records by one rule, dicts key by
@@ -51,7 +51,7 @@ finite context support the block engine records every replication's policy at
 the support's distinct contexts each round (the round's own distribution is
 its context's row), and CADR reads g_t from that table; on continuous
 contexts, or on a log read back from disk, CADR replays the policy from the
-log, with the policy's round bound once per replay. Either way its step
+log, with one ``new_policy`` per replay. Either way its step
 variances come from prefix sums per (context, arm), not from a rescan of the
 past.
 """
@@ -74,7 +74,7 @@ from .env import EnvironmentSpec, distinct_rows, oracle_target, sample_rounds, s
 from .estimator import (BanditLog, NoDataForArm, ScoreTarget, SingularDesign, TargetPolicy,
                         check_covariance)
 from .inference import estimate_report, norm_ppf, ope_value, two_sided_z
-from .policy import PolicyConfig, action_distribution, bind_round, init_state, row_offsets
+from .policy import PolicyConfig, new_policy, row_offsets
 from .rng import PURPOSE_ENV, PURPOSE_POLICY, stream, whole_number
 
 MAX_WORKERS_ENV_VAR = "BANDITLAB_MAX_WORKERS"
@@ -132,12 +132,14 @@ class ExperimentConfig:
         object.__setattr__(self, "levels", check_levels(self.levels))
         _resolve_workers(self.workers)
         K, pi_min = self.env.num_arms, self.policy.pi_min
-        if K * pi_min > 1.0 + 1e-12:  # init_state's test, made before any output
+        if K * pi_min > 1.0 + 1e-12:  # new_policy's test, made before any output
             raise ValueError(f"env.num_arms * policy.pi_min must be at most 1, "
                              f"got {K} * {pi_min!r} = {K * pi_min!r}")
         d = self.env.context_dim
         if self.target.family == "noisy_context":
             check_covariance(self.target.sigma_e, "target.sigma_e", dim=d)
+        if self.target.target_policy is not None:
+            self.target.target_policy.vector(K)
         if not isinstance(self.diagnostic_contexts, (list, tuple)):
             raise ValueError(f"diagnostics.contexts must be a list of contexts, "
                              f"got {self.diagnostic_contexts!r}")
@@ -145,8 +147,14 @@ class ExperimentConfig:
             tuple(np.atleast_1d(c).tolist()) for c in self.diagnostic_contexts))
         sup = support(self.env)
         xs = None if sup is None else np.array([x for _, _, x in sup])
-        for ctx in self.diagnostic_contexts:
-            ctx = np.asarray(ctx, dtype=float)
+        for raw in self.diagnostic_contexts:
+            try:
+                ctx = np.asarray(raw, dtype=float)
+            except (TypeError, ValueError):
+                ctx = None
+            if ctx is None or not np.isfinite(ctx).all():
+                raise ValueError(f"diagnostics.contexts must be contexts of finite numbers, "
+                                 f"got {list(raw)!r}")
             if ctx.shape != (d,):
                 raise ValueError(f"diagnostic context {ctx.tolist()} has shape {ctx.shape}, "
                                  f"but the environment's context dimension is {d}")
@@ -197,11 +205,11 @@ def _run_block(env: EnvironmentSpec, policy: PolicyConfig, target: ScoreTarget |
                horizon: int, seed: int, paths: list[tuple], probes: np.ndarray | None = None):
     """Run one trajectory per stream path in lockstep.
 
-    Returns (logs, final block state, probe table). Each trajectory pre-draws
-    its rounds and uniforms from its own streams, so its log does not depend
-    on the block it runs in. The looped kinds then bind their round once and
-    make one block-wide distribution call and one block-wide fold per round;
-    ``random``, whose state holds no statistics, draws every arm at once and
+    Returns (logs, the block's policy after the last round, probe table). Each
+    trajectory pre-draws its rounds and uniforms from its own streams, so its
+    log does not depend on the block it runs in. The looped kinds then make
+    one block-wide distribution call and one block-wide fold per round;
+    ``random``, whose policy keeps no statistics, draws every arm at once and
     gathers each trajectory's outcomes once, with flat indices t * K + arm.
     The drawn arms' probabilities and outcomes fill (B, T) arrays (a list of B
     outcome rows for ``random``), and log b takes their row b. Given (C, d)
@@ -214,7 +222,7 @@ def _run_block(env: EnvironmentSpec, policy: PolicyConfig, target: ScoreTarget |
     b * K + arm.
     """
     K, d, B = env.num_arms, env.context_dim, len(paths)
-    state = init_state(policy, K, d, target=target, block=B)
+    block_policy = new_policy(policy, K, d, target=target, block=B)
     table = None if probes is None else np.full((B, horizon, len(probes), K), 1.0 / K)
     draws = [(sample_rounds(env, stream(seed, *path, PURPOSE_ENV), horizon),
               stream(seed, *path, PURPOSE_POLICY).random(horizon)) for path in paths]
@@ -224,14 +232,14 @@ def _run_block(env: EnvironmentSpec, policy: PolicyConfig, target: ScoreTarget |
         propensities = np.full((B, horizon), 1.0 / K)
         outcomes = [rounds.potentials.take(arm + np.arange(0, horizon * K, K))
                     for (rounds, _), arm in zip(draws, arms)]
-        state.t = horizon
+        block_policy.t = horizon
     else:
         # Round-major copies, so that each round's B rows are contiguous.
         contexts = np.stack([r.contexts for r, _ in draws], axis=1)      # (T, B, d)
         potentials = np.stack([r.potentials for r, _ in draws], axis=1)  # (T, B, K)
         uniforms = np.stack([u for _, u in draws], axis=1)               # (T, B)
         offsets = row_offsets(B, K)
-        distribution, fold = bind_round(policy, state)
+        distribution, fold = block_policy.distribution, block_policy.fold
         arms = np.empty((B, horizon), dtype=np.int64)
         propensities = np.empty((B, horizon))
         outcomes = np.empty((B, horizon))
@@ -265,7 +273,7 @@ def _run_block(env: EnvironmentSpec, policy: PolicyConfig, target: ScoreTarget |
     logs = [BanditLog(contexts=rounds.contexts, arms=arms[b], propensities=propensities[b],
                       outcomes=outcomes[b], num_arms=K, latents=rounds.latents)
             for b, (rounds, _) in enumerate(draws)]
-    return logs, state, table
+    return logs, block_policy, table
 
 
 def run_trajectory(env: EnvironmentSpec, policy: PolicyConfig,
@@ -340,13 +348,12 @@ def _replicate_block(config: ExperimentConfig, blocks: list[range], thetas_star:
     points = np.array(config.diagnostic_contexts, dtype=float)
     records, diags, failures = [], [], []
     for reps in blocks:
-        logs, state, table = _run_block(config.env, config.policy, config.target,
-                                        config.horizon, config.seed, [(rep,) for rep in reps],
-                                        probes=probes)
+        logs, policy, table = _run_block(config.env, config.policy, config.target,
+                                         config.horizon, config.seed, [(rep,) for rep in reps],
+                                         probes=probes)
         if config.diagnostic_contexts:
             # Last-step distributions at each diagnostic context: (B, n_ctx, K).
-            diags.append(action_distribution(config.policy, state,
-                                             np.tile(points, (len(reps), 1, 1))))
+            diags.append(policy.distribution(np.tile(points, (len(reps), 1, 1))))
         for i, (rep, log) in enumerate(zip(reps, logs)):
             behavior = None if table is None else BehaviorTable(probes, table[i])
             try:
@@ -602,8 +609,7 @@ def cadr_ope(
         contexts, cells = behavior_table.contexts, _cells(X, behavior_table.contexts)
     else:
         contexts, cells = distinct_rows(X, return_inverse=True)
-        replay = bind_round(behavior_policy,
-                            init_state(behavior_policy, K, d, target=behavior_target))
+        replay = new_policy(behavior_policy, K, d, target=behavior_target)
     w = 1.0 / pi
 
     def policy_at(t0, t1):

@@ -3,28 +3,25 @@
 Every policy here is a summary-statistic policy: the action distribution at
 round t is a fixed function of the current context and a finite-dimensional
 statistic of the past (arm counts and means, ridge or SGD coefficients, or
-incremental IPW-Z estimates). Distribution construction is pure; state lives
-in a mutable ``PolicyState`` owned by a block of B trajectories that advance
-in lockstep. A lone trajectory is a block of one.
+incremental IPW-Z estimates). ``new_policy`` makes the ``Policy`` of a block
+of B trajectories that advance in lockstep; a lone trajectory is a block of
+one. The policy owns its statistics, (B, ...) arrays named in the read-only
+mapping ``Policy.stats``, and its round: ``distribution`` and ``fold``.
 
-Each policy kind has one implementation, written row-wise: its distribution
-maps a block state and B contexts (B, d), or C contexts per row (B, C, d), to
-one distribution per context, and its update folds B transitions into the
-block state through flat indices b * K + arm. A block of one broadcasts over
-any number of contexts. Every per-row reduction is computed exactly as it
-would be for that row alone (elementwise arithmetic, or one BLAS call per
-context through a stacked ``np.matmul``), so a row's result does not depend
-on the block it runs in, nor on the other contexts evaluated with it.
-
-That implementation is the kind's round, bound to one block state by
-``bind_round``: a ``Round(distribution, fold)`` whose closures hold what no
-round changes (the flat (B * K, ...) views of the state arrays, the row
-offsets, the greedy tables, epsilon, the Thompson prior terms, the UCB tables
-and the target's regressor rule, c_a vector and Sigma_e). The block engine
-binds once per block and a CADR replay once per replay; ``action_distribution``
-and ``update_state`` bind for one call. Binding checks that the arrays it
-views are C-contiguous; every fold checks its row counts and arm range, and
-raises if a state array was replaced after binding.
+Each policy kind is one function here, written row-wise. It allocates the
+kind's statistics and returns its round: a distribution that maps B contexts
+(B, d), or C contexts per row (B, C, d), to one distribution per context, and
+an update that folds B transitions into the statistics through flat indices
+b * K + arm. Its closures hold what no round changes (the flat (B * K, ...)
+views of the statistics, the greedy tables, epsilon, the Thompson prior
+terms, the UCB tables and the target's regressor rule, c_a vector and
+Sigma_e). A block of one broadcasts over any number of contexts. Every
+per-row reduction is computed exactly as it would be for that row alone
+(elementwise arithmetic, or one BLAS call per context through a stacked
+``np.matmul``), so a row's result does not depend on the block it runs in,
+nor on the other contexts evaluated with it. The arrays are allocated
+C-contiguous and no mapping entry can be rebound, so every flat view stays a
+view of its statistic; each fold checks its row counts and arm range.
 
 Clipped policies floor every action probability at ``pi_min`` via the exact
 L2 projection onto the constrained simplex (``clip_simplex``), keeping
@@ -37,11 +34,11 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, NamedTuple
+from types import MappingProxyType
 
 import numpy as np
 
-from .estimator import ScoreTarget, _score_rows, _shift, check_covariance
+from .estimator import ScoreTarget, _score_rows, check_covariance
 
 POLICY_KINDS = (
     "random", "eps_greedy_mab", "ucb_mab", "ts_mab",
@@ -49,7 +46,7 @@ POLICY_KINDS = (
 )
 
 # Hard L2 cap on SGD coefficients; a numerical safeguard that should never
-# bind for the three supported scores (state.sgd_clip_count records if it does).
+# bind for the three supported scores (stats["sgd_clip_count"] records if it does).
 SGD_COEF_RADIUS = 1e3
 
 
@@ -114,94 +111,36 @@ class PolicyConfig:
         return self.epsilon
 
 
-@dataclass
-class PolicyState:
-    """Mutable summary statistics of a block of B trajectories advanced in lockstep.
+class Policy:
+    """The policy of a block of B trajectories advanced in lockstep; made by ``new_policy``.
 
-    Every per-trajectory field has a leading axis of length B; the round
-    counter ``t`` is shared. A lone trajectory is a block of one. Each kind
-    keeps only the statistics its distribution reads; the others stay None.
+    ``stats`` maps the name of each statistic the kind keeps to its (B, ...)
+    array, row b for trajectory b. Every kind also reports ``sgd_clip_count``
+    (steps the SGD coefficient cap bound) and ``ipw_ready`` (every arm's IPW-Z
+    estimate is usable), zero where it keeps no such thing. The mapping is
+    read-only; ``fold`` changes its arrays in place. ``t`` counts the rounds
+    folded. A lone trajectory is a block of one.
+
+    ``distribution(contexts)`` is the action distribution at the statistics as
+    they stand. Axis 0 of ``contexts`` is the block axis and its last axis the
+    context dimension d: (B, d) gives (B, K), one context per trajectory;
+    (B, C, d) gives (B, C, K), C contexts evaluated under each trajectory's
+    statistics, entry (b, c) equal to the (B, d) call at ``contexts[:, c]``
+    bit for bit. A block of one broadcasts over axis 0, so it evaluates any
+    number of contexts. The context-free MAB kinds return a read-only
+    broadcast of their (B, K) rows.
+
+    ``fold(x, arm, prob, y, flat=None)`` folds one observed round per
+    trajectory: contexts (B, d), then arms, realized propensities and outcomes
+    (B,). ``flat`` is ``row_offsets(B, K) + arm``, computed when not given.
+    Each fold checks the row counts and the arm range before it changes
+    anything.
     """
 
-    num_arms: int
-    context_dim: int
-    t: int = 0
-    counts: np.ndarray = None           # (B, K) pulls per arm: the MAB kinds and ipwz_greedy
-    sums: np.ndarray = None             # (B, K) outcome sums per arm: the MAB kinds
-    means: np.ndarray = None            # (B, K) sums / counts, zero before the first pull: MAB
-    # Ridge sufficient statistics and their solved coefficients.
-    ridge_gram: np.ndarray = None       # (B, K, d, d) lambda*I + sum x x'
-    ridge_moment: np.ndarray = None     # (B, K, d) sum x y
-    ridge_beta: np.ndarray = None       # (B, K, d)
-    ridge_gram_inv: np.ndarray = None   # (B, K, d, d), LinUCB's confidence widths only
-    # SGD coefficients.
-    sgd_beta: np.ndarray = None         # (B, K, d_theta)
-    sgd_clip_count: np.ndarray = None   # (B,) steps the coefficient cap bound; every kind
-    # Incremental inverse-propensity-weighted sufficient statistics.
-    # In the score's terms (estimator module docstring), z = regressors(x).
-    ipw_weight: np.ndarray = None       # (B, K) sum of weights
-    ipw_gram: np.ndarray = None         # (B, K, d_theta, d_theta) sum w z z'
-    ipw_moment: np.ndarray = None       # (B, K, d_theta) sum w z c_a y
-    ipw_theta: np.ndarray = None        # (B, K, d_theta) current estimates
-    ipw_ok: np.ndarray = None           # (B, K) per-arm solve succeeded
-    ipw_ready: np.ndarray = None        # (B,) every arm's estimate is usable; every kind
-    target: ScoreTarget | None = None
+    __slots__ = ("num_arms", "block", "t", "stats", "distribution", "fold")
 
-    @property
-    def block(self) -> int:
-        """Number of trajectories B in the block."""
-        return self.sgd_clip_count.shape[0]
-
-
-class Transition(NamedTuple):
-    """One observed round per trajectory of a block: contexts (B, d), the rest (B,)."""
-
-    context: np.ndarray
-    arm: np.ndarray
-    realized_prob: np.ndarray
-    outcome: np.ndarray
-
-
-def init_state(config: PolicyConfig, num_arms: int, context_dim: int,
-               target: ScoreTarget | None = None, block: int = 1) -> PolicyState:
-    """Fresh state for ``block`` trajectories in lockstep.
-
-    Validates the K-dependent config constraints, and that a noisy_context
-    target's Sigma_e is d x d for the kinds that hold the target.
-    """
-    _check_floor(num_arms, config.pi_min)
-    B, K, d = block, num_arms, context_dim
-    state = PolicyState(num_arms=K, context_dim=d,
-                        sgd_clip_count=np.zeros(B, dtype=np.int64),
-                        ipw_ready=np.zeros(B, dtype=bool))
-    if config.kind.endswith("_mab") or config.kind == "ipwz_greedy":
-        state.counts = np.zeros((B, K), dtype=np.int64)
-    if config.kind.endswith("_mab"):
-        state.sums = np.zeros((B, K))
-        state.means = np.zeros((B, K))
-    if config.kind in ("boltzmann_ridge", "linucb"):
-        lam = config.ridge_lambda
-        state.ridge_gram = np.tile(lam * np.eye(d), (B, K, 1, 1))
-        state.ridge_moment = np.zeros((B, K, d))
-        state.ridge_beta = np.zeros((B, K, d))
-    if config.kind == "linucb":
-        state.ridge_gram_inv = np.tile(np.eye(d) / config.ridge_lambda, (B, K, 1, 1))
-    if config.kind in ("boltzmann_sgd", "ipwz_greedy"):
-        if target is None:
-            raise ValueError(f"{config.kind} requires a ScoreTarget")
-        if target.family == "noisy_context":
-            check_covariance(target.sigma_e, "sigma_e", dim=d)
-        state.target = target
-    if config.kind == "boltzmann_sgd":
-        state.sgd_beta = np.zeros((B, K, target.theta_dim(d)))
-    if config.kind == "ipwz_greedy":
-        dt = target.theta_dim(d)
-        state.ipw_weight = np.zeros((B, K))
-        state.ipw_gram = np.zeros((B, K, dt, dt))
-        state.ipw_moment = np.zeros((B, K, dt))
-        state.ipw_theta = np.zeros((B, K, dt))
-        state.ipw_ok = np.zeros((B, K), dtype=bool)
-    return state
+    def __init__(self, num_arms: int, block: int):
+        self.num_arms, self.block, self.t = num_arms, block, 0
 
 
 # --- flat indices -------------------------------------------------------------
@@ -218,13 +157,7 @@ def row_offsets(rows: int, width: int) -> np.ndarray:
 
 
 def _by_row(a: np.ndarray) -> np.ndarray:
-    """The (B * K, ...) view of a (B, K, ...) state array.
-
-    Raises on a non-contiguous array, whose reshape would be a copy that a
-    scatter silently misses.
-    """
-    if not a.flags.c_contiguous:
-        raise ValueError("state arrays must be C-contiguous to scatter through a flat view")
+    """The (B * K, ...) view of a C-contiguous (B, K, ...) array."""
     return a.reshape((-1,) + a.shape[2:])
 
 
@@ -357,7 +290,8 @@ def ts_optimal_prob(post_means: np.ndarray, post_vars: np.ndarray) -> np.ndarray
     the other), so a row sums to 1 within rounding. Three or more arms take
     ``_ts_quadrature``: within 2e-15 of 30-digit quadrature on random rows of
     3 to 5 arms (means in [-5, 5], variances 1e-12 to 10), and row sums within
-    2e-12 of 1 for up to 16 equal arms. One (K,) pair gives one (K,) row.
+    2e-12 of 1 for up to 16 equal arms. A lone arm is best with probability
+    1. One (K,) pair gives one (K,) row.
     """
     means = np.asarray(post_means, dtype=float)
     variances = np.asarray(post_vars, dtype=float)
@@ -365,6 +299,8 @@ def ts_optimal_prob(post_means: np.ndarray, post_vars: np.ndarray) -> np.ndarray
         return ts_optimal_prob(means[None], variances[None])[0]
     if np.logical_or.reduce(variances <= 0, axis=None):
         raise ValueError("posterior variances must be positive")
+    if means.shape[1] == 1:
+        return np.ones(means.shape)
     if means.shape[1] != 2:
         return _ts_quadrature(means, np.sqrt(variances))
     # x = z / sqrt(2) with z = (m_0 - m_1) / sqrt(v_0 + v_1); Phi(z) = erfc(-x) / 2.
@@ -410,44 +346,6 @@ def _greedy_table(num_arms: int, explore_each: float, pi_min: float | None) -> n
     return table
 
 
-def _mab_rows(kind: str, config: PolicyConfig, state: PolicyState):
-    """The (B, K) rows of a context-free MAB kind, bound to ``state``: a function of no arguments."""
-    K, B = state.num_arms, state.block
-    counts, means = state.counts, state.means
-    if kind == "eps_greedy":
-        table = _greedy_table(K, config.epsilon_for(K) / K, None)
-        return lambda: table.take(means.argmax(axis=1), axis=0)
-    if kind == "ucb":
-        forced, table = _greedy_table(K, 0.0, None), _greedy_table(K, config.pi_min, None)
-
-        def ucb_rows():
-            t = state.t
-            if t < K:  # forced initialization: rounds 1..K pull each arm once
-                return forced.take(np.full(B, t), axis=0)
-            radius = 2.0 * math.log(t + 1)  # squared radius 2 log t at round t
-            index = np.where(counts > 0, means + np.sqrt(radius / np.maximum(counts, 1)), np.inf)
-            return table.take(index.argmax(axis=1), axis=0)
-
-        return ucb_rows
-    mu0, s0, s2 = config.ts_prior
-    prior_precision, prior_mean, pi_min = 1.0 / s0, mu0 / s0, config.pi_min
-    _check_floor(K, pi_min)
-
-    def ts_rows():
-        post_var = 1.0 / (prior_precision + counts / s2)
-        post_mean = post_var * (prior_mean + counts * means / s2)
-        return _clip_rows(ts_optimal_prob(post_mean, post_var), pi_min)
-
-    return ts_rows
-
-
-def mab_distribution(kind: str, state: PolicyState, config: PolicyConfig) -> np.ndarray:
-    """Distributions of the context-free multi-armed bandit algorithms; one row per trajectory."""
-    if kind not in ("eps_greedy", "ucb", "ts"):
-        raise ValueError(f"unknown MAB kind {kind!r}")
-    return _mab_rows(kind, config, state)()
-
-
 def _boltzmann(beta: np.ndarray, gamma: float, pi_min: float, contexts: np.ndarray) -> np.ndarray:
     scores = _apply(beta, contexts) / gamma
     scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
@@ -455,32 +353,11 @@ def _boltzmann(beta: np.ndarray, gamma: float, pi_min: float, contexts: np.ndarr
     return _clip(expd / np.add.reduce(expd, axis=-1, keepdims=True), pi_min)
 
 
-def boltzmann_distribution(beta: np.ndarray, contexts: np.ndarray,
-                           gamma: float, pi_min: float) -> np.ndarray:
-    """Clipped softmax of the working-model action values <beta_a, x> / gamma.
-
-    Row-wise over ``beta`` (B, K, d) and ``contexts`` (B, d) or (B, C, d),
-    by ``action_distribution``'s shape rule.
-    """
-    _check_floor(beta.shape[1], pi_min)
-    return _boltzmann(beta, gamma, pi_min, contexts)
-
-
 def _linucb(gram_inv: np.ndarray, beta: np.ndarray, alpha: float, table: np.ndarray,
             contexts: np.ndarray) -> np.ndarray:
     widths = np.sqrt(np.einsum("b...i,baij,b...j->b...a", contexts, gram_inv, contexts))
     index = _apply(beta, contexts) + alpha * widths
     return table.take(index.argmax(axis=-1), axis=0)
-
-
-def linucb_distribution(state: PolicyState, contexts: np.ndarray,
-                        alpha: float, pi_min: float) -> np.ndarray:
-    """Optimism index over per-arm ridge fits; argmax gets the lion's share.
-
-    Row-wise like ``boltzmann_distribution``.
-    """
-    return _linucb(state.ridge_gram_inv, state.ridge_beta, alpha,
-                   _greedy_table(state.num_arms, pi_min, None), contexts)
 
 
 # --- update kernels -------------------------------------------------------------
@@ -532,34 +409,68 @@ def _well_conditioned(G: np.ndarray, threshold: float = 1e12) -> np.ndarray:
     return ok & np.array([_cond_below(g, threshold) for g in G], dtype=bool)
 
 
-def _score_pieces(target: ScoreTarget, num_arms: int, width: int):
+def _score_pieces(kind: str, target: ScoreTarget | None, num_arms: int, context_dim: int):
     """A target's score pieces, fixed for a block: its regressor rule, its c_a per
-    arm (None when every c_a is 1) and S, checked against ``width`` columns."""
+    arm (None when every c_a is 1), S, and the coefficient width d_theta.
+
+    Checks that there is a target, and that a noisy_context target's Sigma_e is d x d.
+    """
+    if target is None:
+        raise ValueError(f"{kind} requires a ScoreTarget")
+    if target.family == "noisy_context":
+        check_covariance(target.sigma_e, "sigma_e", dim=context_dim)
     scale = target.target_policy.vector(num_arms) if target.family == "ope" else None
-    return target.regressors, scale, _shift(target, width)
+    return target.regressors, scale, target.shift, target.theta_dim(context_dim)
 
 
-# --- bound rounds -----------------------------------------------------------------
-# Each kind's binder resolves everything a block's rounds share (flat views,
-# tables, prior terms, the target's score pieces) and returns
-# (distribution, update, names): the distribution at (B, d) or (B, C, d)
-# contexts, the kind's fold of one transition per row given flat indices
-# b * K + arm (None when it keeps no statistics), and the names of the state
-# fields the two hold, which they read and write in place.
+# --- policy kinds -------------------------------------------------------------
+# Each kind's function allocates the statistics of ``policy`` (whose num_arms
+# and block are set; its closures read t as the rounds pass) and returns
+# (stats, distribution, update): the statistics by name, the distribution at
+# (B, d) or (B, C, d) contexts, and the kind's fold of one transition per row
+# given flat indices b * K + arm (None when it keeps no statistics). Its
+# closures hold what no round changes: flat views, tables, prior terms and the
+# target's score pieces.
 
 
-def _bind_random(config: PolicyConfig, state: PolicyState):
-    K = state.num_arms
+def _random(config: PolicyConfig, policy: Policy, context_dim: int, target):
+    K = policy.num_arms
 
     def distribution(contexts):
         return np.full(contexts.shape[:-1] + (K,), 1.0 / K)
 
-    return distribution, None, ()
+    return {}, distribution, None
 
 
-def _bind_mab(config: PolicyConfig, state: PolicyState):
-    rows = _mab_rows(config.kind.removesuffix("_mab"), config, state)
-    K, counts, sums, means = state.num_arms, state.counts, state.sums, state.means
+def _mab(config: PolicyConfig, policy: Policy, context_dim: int, target):
+    """The context-free multi-armed bandit kinds: pulls, outcome sums and means per arm."""
+    K, B = policy.num_arms, policy.block
+    counts = np.zeros((B, K), dtype=np.int64)
+    sums = np.zeros((B, K))
+    means = np.zeros((B, K))  # sums / counts, zero before the first pull
+    if config.kind == "eps_greedy_mab":
+        table = _greedy_table(K, config.epsilon_for(K) / K, None)
+
+        def rows():
+            return table.take(means.argmax(axis=1), axis=0)
+    elif config.kind == "ucb_mab":
+        forced, table = _greedy_table(K, 0.0, None), _greedy_table(K, config.pi_min, None)
+
+        def rows():
+            t = policy.t
+            if t < K:  # forced initialization: rounds 1..K pull each arm once
+                return forced.take(np.full(B, t), axis=0)
+            radius = 2.0 * math.log(t + 1)  # squared radius 2 log t at round t
+            index = np.where(counts > 0, means + np.sqrt(radius / np.maximum(counts, 1)), np.inf)
+            return table.take(index.argmax(axis=1), axis=0)
+    else:
+        mu0, s0, s2 = config.ts_prior
+        prior_precision, prior_mean, pi_min = 1.0 / s0, mu0 / s0, config.pi_min
+
+        def rows():
+            post_var = 1.0 / (prior_precision + counts / s2)
+            post_mean = post_var * (prior_mean + counts * means / s2)
+            return _clip_rows(ts_optimal_prob(post_mean, post_var), pi_min)
 
     def distribution(contexts):
         probs, shape = rows(), contexts.shape[:-1] + (K,)
@@ -572,23 +483,25 @@ def _bind_mab(config: PolicyConfig, state: PolicyState):
         sums.put(flat, total)
         means.put(flat, total / pulls)  # the pulled entries of sums / counts
 
-    return distribution, update, ("counts", "sums", "means")
+    return {"counts": counts, "sums": sums, "means": means}, distribution, update
 
 
-def _bind_ridge(config: PolicyConfig, state: PolicyState):
-    grams, moments = _by_row(state.ridge_gram), _by_row(state.ridge_moment)
-    betas = _by_row(state.ridge_beta)
-    names = ("ridge_gram", "ridge_moment", "ridge_beta")
+def _ridge(config: PolicyConfig, policy: Policy, context_dim: int, target):
+    """boltzmann_ridge and linucb: per-arm ridge fits, and LinUCB's Gram inverses."""
+    K, B, d, lam = policy.num_arms, policy.block, context_dim, config.ridge_lambda
+    stats = {"ridge_gram": np.tile(lam * np.eye(d), (B, K, 1, 1)),  # lambda*I + sum x x'
+             "ridge_moment": np.zeros((B, K, d)),                   # sum x y
+             "ridge_beta": np.zeros((B, K, d))}
+    grams, moments, betas = (_by_row(stats[name])
+                             for name in ("ridge_gram", "ridge_moment", "ridge_beta"))
     if config.kind == "linucb":
-        inverses = _by_row(state.ridge_gram_inv)
-        names += ("ridge_gram_inv",)
-        distribution = partial(_linucb, state.ridge_gram_inv, state.ridge_beta,
-                               config.linucb_alpha,
-                               _greedy_table(state.num_arms, config.pi_min, None))
+        stats["ridge_gram_inv"] = np.tile(np.eye(d) / lam, (B, K, 1, 1))  # confidence widths
+        inverses = _by_row(stats["ridge_gram_inv"])
+        distribution = partial(_linucb, stats["ridge_gram_inv"], stats["ridge_beta"],
+                               config.linucb_alpha, _greedy_table(K, config.pi_min, None))
     else:
         inverses = None
-        _check_floor(state.num_arms, config.pi_min)
-        distribution = partial(_boltzmann, state.ridge_beta, config.gamma, config.pi_min)
+        distribution = partial(_boltzmann, stats["ridge_beta"], config.gamma, config.pi_min)
 
     def update(flat, x, arm, prob, y):
         gram = grams.take(flat, axis=0) + x[:, :, None] * x[:, None, :]
@@ -599,23 +512,23 @@ def _bind_ridge(config: PolicyConfig, state: PolicyState):
             inverses[flat] = _inv_small(gram)
         betas[flat] = _solve_small(gram, moment)
 
-    return distribution, update, names
+    return stats, distribution, update
 
 
-def _bind_sgd(config: PolicyConfig, state: PolicyState):
-    beta_all, clip_counts = state.sgd_beta, state.sgd_clip_count
-    if beta_all.shape[-1] != state.target.theta_dim(state.context_dim):
-        raise ValueError("theta dimension must match the score dimension")
-    regressors, scale, shift = _score_pieces(state.target, state.num_arms, beta_all.shape[-1])
+def _sgd(config: PolicyConfig, policy: Policy, context_dim: int, target):
+    """boltzmann_sgd: per-arm coefficients, one SGD step on the pulled arm's score a round."""
+    regressors, scale, shift, width = _score_pieces(config.kind, target, policy.num_arms,
+                                                    context_dim)
+    beta_all = np.zeros((policy.block, policy.num_arms, width))
+    clip_counts = np.zeros(policy.block, dtype=np.int64)
     betas = _by_row(beta_all)
     gamma, pi_min = config.gamma, config.pi_min
-    _check_floor(state.num_arms, pi_min)
 
     def distribution(contexts):
         return _boltzmann(beta_all, gamma, pi_min, regressors(contexts))
 
     def update(flat, x, arm, prob, y):
-        rate = 0.5 * state.t ** (-2.0 / 3.0)  # sum eta_t = inf, sum eta_t^2 < inf
+        rate = 0.5 * policy.t ** (-2.0 / 3.0)  # sum eta_t = inf, sum eta_t^2 < inf
         beta = betas.take(flat, axis=0)
         beta = beta + rate * _score_rows(regressors(x), 1.0 if scale is None else scale[arm],
                                          shift, y, beta)
@@ -627,18 +540,28 @@ def _bind_sgd(config: PolicyConfig, state: PolicyState):
             clip_counts[clipped] += 1
         betas[flat] = beta
 
-    return distribution, update, ("sgd_beta", "sgd_clip_count")
+    return {"sgd_beta": beta_all, "sgd_clip_count": clip_counts}, distribution, update
 
 
-def _bind_ipwz(config: PolicyConfig, state: PolicyState):
-    """Uniform until every arm's estimate is ready, then clipped eps-greedy on them."""
-    K, target = state.num_arms, state.target
-    theta_all = state.ipw_theta
-    regressors, scale, shift = _score_pieces(target, K, theta_all.shape[-1])
-    need = target.theta_dim(state.context_dim)
-    counts, weights, solved_ok, ready = (state.counts, state.ipw_weight, state.ipw_ok,
-                                         state.ipw_ready)
-    grams, moments, thetas = _by_row(state.ipw_gram), _by_row(state.ipw_moment), _by_row(theta_all)
+def _ipwz(config: PolicyConfig, policy: Policy, context_dim: int, target):
+    """Uniform until every arm's estimate is ready, then clipped eps-greedy on them.
+
+    It keeps incremental inverse-propensity-weighted sufficient statistics; in
+    the score's terms (estimator module docstring), z = regressors(x).
+    """
+    K, B = policy.num_arms, policy.block
+    regressors, scale, shift, width = _score_pieces(config.kind, target, K, context_dim)
+    stats = {"counts": np.zeros((B, K), dtype=np.int64),      # pulls per arm
+             "ipw_weight": np.zeros((B, K)),                  # sum of weights
+             "ipw_gram": np.zeros((B, K, width, width)),      # sum w z z'
+             "ipw_moment": np.zeros((B, K, width)),           # sum w z c_a y
+             "ipw_theta": np.zeros((B, K, width)),            # current estimates
+             "ipw_ok": np.zeros((B, K), dtype=bool),          # per-arm solve succeeded
+             "ipw_ready": np.zeros(B, dtype=bool)}            # every arm's estimate is usable
+    counts, weights, solved_ok, ready, theta_all = (
+        stats[name] for name in ("counts", "ipw_weight", "ipw_ok", "ipw_ready", "ipw_theta"))
+    grams, moments, thetas = (_by_row(stats[name])
+                              for name in ("ipw_gram", "ipw_moment", "ipw_theta"))
     table = _greedy_table(K, config.epsilon_for(K) / K, config.pi_min)
 
     def distribution(contexts):
@@ -664,89 +587,47 @@ def _bind_ipwz(config: PolicyConfig, state: PolicyState):
         if np.logical_or.reduce(ok):
             solved = flat[ok]
             thetas[solved] = _solve_small(gram[ok], moments.take(solved, axis=0))
-        ready[:] = (np.logical_and.reduce(counts >= need, axis=1)
+        ready[:] = (np.logical_and.reduce(counts >= width, axis=1)
                     & np.logical_and.reduce(solved_ok, axis=1))
 
-    return distribution, update, ("counts", "ipw_weight", "ipw_gram", "ipw_moment",
-                                  "ipw_theta", "ipw_ok", "ipw_ready")
+    return stats, distribution, update
 
 
-_BINDERS = {
-    "random": _bind_random,
-    "eps_greedy_mab": _bind_mab, "ucb_mab": _bind_mab, "ts_mab": _bind_mab,
-    "boltzmann_ridge": _bind_ridge, "linucb": _bind_ridge,
-    "boltzmann_sgd": _bind_sgd,
-    "ipwz_greedy": _bind_ipwz,
+_KINDS = {
+    "random": _random,
+    "eps_greedy_mab": _mab, "ucb_mab": _mab, "ts_mab": _mab,
+    "boltzmann_ridge": _ridge, "linucb": _ridge,
+    "boltzmann_sgd": _sgd,
+    "ipwz_greedy": _ipwz,
 }
 
 
-class Round(NamedTuple):
-    """A policy kind's round bound to one block state (see ``bind_round``)."""
+def new_policy(config: PolicyConfig, num_arms: int, context_dim: int,
+               target: ScoreTarget | None = None, block: int = 1) -> Policy:
+    """A fresh ``Policy`` of ``config``'s kind for ``block`` trajectories in lockstep.
 
-    distribution: Callable[[np.ndarray], np.ndarray]
-    fold: Callable[..., None]
-
-
-def bind_round(config: PolicyConfig, state: PolicyState) -> Round:
-    """The policy's round on ``state``, with everything fixed for the block resolved once.
-
-    ``distribution(contexts)`` is ``action_distribution`` at the state as it
-    stands. ``fold(x, arm, prob, y, flat=None)`` is ``update_state`` on one
-    transition per trajectory; ``flat`` is ``row_offsets(B, K) + arm``,
-    computed when not given. Binding checks that every state array the
-    round scatters into through a flat view is C-contiguous; each fold
-    checks the transition's row counts and arm range, and raises if a state
-    array the round holds was replaced since binding, before it changes
-    anything.
+    Validates the K-dependent config constraints, and that a noisy_context
+    target's Sigma_e is d x d for the kinds that hold the target.
     """
-    binder = _BINDERS.get(config.kind)
-    if binder is None:
-        raise ValueError(f"unknown policy kind {config.kind!r}")
-    distribution, update, names = binder(config, state)
-    held = tuple((name, getattr(state, name)) for name in names)
-    B, K = state.block, state.num_arms
-    offsets = row_offsets(B, K)
+    _check_floor(num_arms, config.pi_min)
+    policy = Policy(num_arms, block)
+    stats, policy.distribution, update = _KINDS[config.kind](config, policy, context_dim, target)
+    stats.setdefault("sgd_clip_count", np.zeros(block, dtype=np.int64))
+    stats.setdefault("ipw_ready", np.zeros(block, dtype=bool))
+    policy.stats = MappingProxyType(stats)
+    offsets = row_offsets(block, num_arms)
 
     def fold(x, arm, prob, y, flat=None):
-        if not len(x) == len(arm) == len(prob) == len(y) == B:
+        if not len(x) == len(arm) == len(prob) == len(y) == block:
             raise ValueError(
-                f"a block of {B} needs one transition row per trajectory, got contexts "
+                f"a block of {block} needs one transition row per trajectory, got contexts "
                 f"{len(x)}, arms {len(arm)}, propensities {len(prob)}, outcomes {len(y)}")
         arm_list = arm.tolist()  # Python's min/max beat two numpy reductions on small blocks
-        if min(arm_list) < 0 or max(arm_list) >= K:
-            raise ValueError(f"arms {arm_list} out of range for K={K}")
-        for name, array in held:
-            if getattr(state, name) is not array:
-                raise ValueError(f"state.{name} was replaced after the round was bound; "
-                                 f"bind the round again")
-        state.t += 1
+        if min(arm_list) < 0 or max(arm_list) >= num_arms:
+            raise ValueError(f"arms {arm_list} out of range for K={num_arms}")
+        policy.t += 1
         if update is not None:
             update(offsets + arm if flat is None else flat, x, arm, prob, y)
 
-    return Round(distribution, fold)
-
-
-def action_distribution(config: PolicyConfig, state: PolicyState,
-                        context: np.ndarray) -> np.ndarray:
-    """The policy's action distribution at ``context`` given the current state.
-
-    Shape rule: axis 0 of ``context`` is the block axis and its last axis is
-    the context dimension d. ``context`` (B, d) gives (B, K), one context per
-    trajectory; (B, C, d) gives (B, C, K), C contexts evaluated under each
-    trajectory's state. Entry (b, c) equals the (B, d) call at the contexts
-    ``context[:, c]`` bit for bit. A block of one broadcasts over axis 0, so
-    it evaluates any number of contexts. The context-free MAB kinds return a
-    read-only broadcast of their (B, K) rows.
-    """
-    return bind_round(config, state).distribution(context)
-
-
-def update_state(config: PolicyConfig, state: PolicyState,
-                 transition: Transition) -> PolicyState:
-    """Fold one transition per trajectory into the block's summary statistics (in place).
-
-    Row b's pulled arm is entry b * K + arm of each (B, K, ...) statistic, so
-    every gather is one ``take`` and every scatter one flat assignment.
-    """
-    bind_round(config, state).fold(*transition)
-    return state
+    policy.fold = fold
+    return policy

@@ -3,9 +3,10 @@
 These deliberately avoid the code paths they check: the simplex projection
 is solved by exhaustive active-set enumeration (an exact brute-force QP for
 small K), scores are recomputed from their definitions, and the martingale
-check draws fresh rounds against a frozen policy state. ``reference_cadr_loop``
+check draws fresh rounds against a frozen policy. ``reference_cadr_loop``
 is CADR as its definition reads: a loop over steps that replays the behavior
-policy and rescans every past row. ``reference_write_log_csv`` is the log
+policy (one ``new_policy``, its ``distribution`` and ``fold`` each step) and
+rescans every past row. ``reference_write_log_csv`` is the log
 writer as a ``csv.writer`` loop, one row at a time: the byte oracle for the
 chunked writer. ``reference_clip_simplex`` is the simplex projection as first
 written, with a row-wise feasibility mask: the bit oracle for the faster one.
@@ -21,10 +22,11 @@ checking the design once for the solve and again for the sandwich: the bit
 oracle for the one-pass ``estimate_report``.
 ``assert_logs_equal`` compares every field of two logs, so no field can be
 left out of a comparison. ``run_block_digest`` is the SHA-256 of everything a
-lockstep block leaves behind (logs, final state, probe table), so a rewrite of
-the round can be checked against the bits of an earlier version. The single-draw helpers (``sample_round``,
-``select_action``) exist only for tests; the package itself draws rounds and
-actions in batches.
+lockstep block leaves behind (logs, the final ``Policy.stats`` and ``t``,
+probe table), so a rewrite of the round can be checked against the bits of
+an earlier version. The single-draw helpers (``sample_round``,
+``select_action``, ``one_round``) exist only for tests; the package itself
+draws rounds and actions in batches.
 """
 
 from __future__ import annotations
@@ -55,13 +57,10 @@ from banditlab.inference import EstimateReport, confidence_intervals, two_sided_
 from banditlab.policy import (
     _TS_NODES,
     InfeasibleClipError,
+    Policy,
     PolicyConfig,
-    PolicyState,
-    Transition,
-    action_distribution,
-    init_state,
     _leggauss,
-    update_state,
+    new_policy,
 )
 from banditlab.rng import stream
 
@@ -82,19 +81,19 @@ def sample_round(env: EnvironmentSpec, rng: np.random.Generator) -> RoundDraw:
     )
 
 
-def select_action(config: PolicyConfig, state: PolicyState, context: np.ndarray,
+def select_action(policy: Policy, context: np.ndarray,
                   rng: np.random.Generator) -> tuple[int, float, np.ndarray]:
-    """Sample an arm for a block-of-one state: (arm, realized probability, distribution)."""
-    probs = action_distribution(config, state, context[None])[0]
+    """Sample an arm for a block-of-one policy: (arm, realized probability, distribution)."""
+    probs = policy.distribution(context[None])[0]
     arm = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-    arm = min(arm, state.num_arms - 1)
+    arm = min(arm, policy.num_arms - 1)
     return arm, float(probs[arm]), probs
 
 
-def one_round(context, arm: int, prob: float, outcome: float) -> Transition:
-    """One observed round as the ``Transition`` of a block of one."""
-    return Transition(np.asarray(context, dtype=float)[None], np.array([arm]),
-                      np.array([prob]), np.array([outcome]))
+def one_round(context, arm: int, prob: float, outcome: float) -> tuple:
+    """One observed round as the ``fold`` arguments of a block of one: (x, arm, prob, y)."""
+    return (np.asarray(context, dtype=float)[None], np.array([arm]),
+            np.array([prob]), np.array([outcome]))
 
 
 def qp_project(v: np.ndarray, pi_min: float) -> np.ndarray:
@@ -144,13 +143,13 @@ def martingale_zscores(env: EnvironmentSpec, policy: PolicyConfig,
                        seed: int = 0) -> np.ndarray:
     """|mean| / stderr of the weighted score at theta* over fresh draws.
 
-    Freezes the policy state after a warmup trajectory, then draws fresh
+    Freezes the policy after a warmup trajectory, then draws fresh
     (X, A ~ pi_t, Y(arm)) triples and evaluates w * g at the true parameter;
     under the martingale property each coordinate's mean is 0.
     """
-    _, state, _ = _run_block(env, policy, target, warmup, seed, [()])
+    _, frozen, _ = _run_block(env, policy, target, warmup, seed, [()])
     batch = sample_rounds(env, stream(seed, 101), n_draws)
-    dists = action_distribution(policy, state, batch.contexts)
+    dists = frozen.distribution(batch.contexts)
     u = stream(seed, 102).random(n_draws)
     arms = (u[:, None] > np.cumsum(dists, axis=1)).sum(axis=1)
     arms = np.minimum(arms, env.num_arms - 1)
@@ -215,7 +214,7 @@ def reference_cadr_loop(log: BanditLog, target_policy: TargetPolicy, regression:
     gstar_realized = gstar_vec[A]
     ratio_star = gstar_realized / pi  # g*(A_s|X_s) / g_s(A_s|X_s)
 
-    replay_state = init_state(behavior_policy, K, d, target=behavior_target)
+    replay = new_policy(behavior_policy, K, d, target=behavior_target)
     uniq_X, uniq_inv = np.unique(X, axis=0, return_inverse=True)
 
     # Recursive ridge accumulators for the online_linear regression.
@@ -241,7 +240,7 @@ def reference_cadr_loop(log: BanditLog, target_policy: TargetPolicy, regression:
         if t < CADR_BURN_IN:
             sigma_t = 1.0
         else:
-            g_t = action_distribution(behavior_policy, replay_state, uniq_X)
+            g_t = replay.distribution(uniq_X)
             wts = g_t[uniq_inv[:t], A[:t]] / pi[:t]
             m1 = float(wts @ dprime[:t]) / t
             m2 = float(wts @ (dprime[:t] ** 2)) / t
@@ -258,8 +257,7 @@ def reference_cadr_loop(log: BanditLog, target_policy: TargetPolicy, regression:
             reg_gram[a] += np.outer(X[t], X[t])
             reg_moment[a] += X[t] * Y[t]
             reg_beta[a] = np.linalg.solve(reg_gram[a], reg_moment[a])
-        update_state(behavior_policy, replay_state,
-                     Transition(X[t:t + 1], A[t:t + 1], pi[t:t + 1], Y[t:t + 1]))
+        replay.fold(X[t:t + 1], A[t:t + 1], pi[t:t + 1], Y[t:t + 1])
 
     gamma = 1.0 / float(inv_sigma.mean())
     psi = gamma * float(own_scores.mean())
@@ -283,8 +281,16 @@ def assert_logs_equal(a: BanditLog, b: BanditLog, what: str = "") -> None:
             assert x == y, where
 
 
-def run_block_digest(logs, state: PolicyState, table) -> str:
-    """SHA-256 of ``_run_block``'s logs, every array field of its final state, and its table.
+# Every name a policy's ``stats`` may hold, in the order ``run_block_digest``
+# hashes them: the fields of the per-block state record the pinned digests
+# were taken from, in that record's order.
+STATS_ORDER = ("counts", "sums", "means", "ridge_gram", "ridge_moment", "ridge_beta",
+               "ridge_gram_inv", "sgd_beta", "sgd_clip_count", "ipw_weight", "ipw_gram",
+               "ipw_moment", "ipw_theta", "ipw_ok", "ipw_ready")
+
+
+def run_block_digest(logs, policy: Policy, table) -> str:
+    """SHA-256 of ``_run_block``'s logs, every statistic of its final policy, and its table.
 
     Each array enters with its name, dtype and shape, so no two layouts collide.
     """
@@ -300,10 +306,10 @@ def run_block_digest(logs, state: PolicyState, table) -> str:
         for f in dataclasses.fields(BanditLog):
             if isinstance(getattr(log, f.name), np.ndarray):
                 add(f"log{b}.{f.name}", getattr(log, f.name))
-    for f in dataclasses.fields(PolicyState):
-        if isinstance(getattr(state, f.name), np.ndarray):
-            add(f"state.{f.name}", getattr(state, f.name))
-    digest.update(f"state.t:{state.t}".encode())
+    assert set(policy.stats) <= set(STATS_ORDER), sorted(policy.stats)
+    for name in STATS_ORDER:
+        add(f"state.{name}", policy.stats.get(name))
+    digest.update(f"state.t:{policy.t}".encode())
     add("table", table)
     return digest.hexdigest()
 

@@ -20,11 +20,9 @@ from banditlab.harness import (
 )
 from banditlab.policy import (
     PolicyConfig,
-    Transition,
     clip_simplex,
-    init_state,
+    new_policy,
     ts_optimal_prob,
-    update_state,
 )
 from banditlab.rng import stream
 
@@ -141,7 +139,7 @@ def test_criterion_06_ridge_recursive_batch_equivalence():
     rng = stream(606)
     config = PolicyConfig(kind="boltzmann_ridge", ridge_lambda=1.0)
     d, K = 2, 2
-    state = init_state(config, K, d)
+    policy = new_policy(config, K, d)
     grams = [np.eye(d) for _ in range(K)]
     moments = [np.zeros(d) for _ in range(K)]
     worst = 0.0
@@ -149,13 +147,12 @@ def test_criterion_06_ridge_recursive_batch_equivalence():
         x = rng.normal(size=d)
         arm = int(rng.integers(K))
         y = float(x.sum() + rng.normal())
-        update_state(config, state, Transition(x[None], np.array([arm]), np.array([0.5]),
-                                               np.array([y])))
+        policy.fold(x[None], np.array([arm]), np.array([0.5]), np.array([y]))
         grams[arm] += np.outer(x, x)
         moments[arm] += x * y
         for a in range(K):
             batch = np.linalg.solve(grams[a], moments[a])
-            worst = max(worst, float(np.max(np.abs(batch - state.ridge_beta[0, a]))))
+            worst = max(worst, float(np.max(np.abs(batch - policy.stats["ridge_beta"][0, a]))))
     ok = worst < 1e-10
     _report(6, "ridge recursive/batch equivalence", ok,
             f"max discrepancy over 1000 steps {worst:.2e} < 1e-10")

@@ -11,6 +11,7 @@ import pytest
 
 from banditlab.cli import ConfigError, apply_overrides, build_experiment, load_config, main
 from banditlab.estimator import read_log_csv
+from banditlab.policy import POLICY_KINDS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -171,6 +172,37 @@ def test_point_mass_arm_out_of_range_exits_one(tmp_path, capsys, arm):
     rc = main(["coverage", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "point_mass arm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target_policy, key", [
+    ({"kind": "point_mass", "arm": True}, "target_policy.arm"),
+    ({"kind": "point_mass", "arm": 1.5}, "target_policy.arm"),
+    ({"kind": "point_mass", "arm": 2}, "target_policy.arm"),
+    ({"kind": "constant", "probs": [0.2, 0.3, 0.5]}, "target_policy.probs"),
+    ({"kind": "uniform", "probs": [1, 2]}, "target_policy.probs"),
+    ({"kind": "constant", "probs": ["a", "b"]}, "target_policy.probs"),
+], ids=["arm_bool", "arm_fraction", "arm_beyond_k", "probs_beyond_k", "probs_unused",
+        "probs_strings"])
+def test_target_policy_checked_against_k_before_output(tmp_path, capsys, target_policy, key):
+    # A bool arm would index the whole vector, a fractional one fail at run
+    # time; an arm or probs that do not fit K must fail before --out exists.
+    cfg = _tiny_config(tmp_path, target={"family": "ope", "target_policy": target_policy})
+    out = tmp_path / "out"
+    assert main(["coverage", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", POLICY_KINDS)
+def test_every_kind_runs_with_one_arm(tmp_path, kind):
+    # A lone arm is pulled with probability 1, Thompson sampling included.
+    out = tmp_path / "out"
+    assert main(["coverage", "--config", str(CONFIGS / "fig2a_nc_gaussian_random.json"),
+                 "--out", str(out), "--set", "env.params.num_arms=1",
+                 "--set", f"policy.kind={kind}", "--set", "replications=4",
+                 "--set", "horizon=200", "--set", "n_oracle=10000"]) == 0
+    assert (out / "coverage.csv").exists()
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
@@ -432,6 +464,8 @@ def test_coverage_never_runs_cadr(tmp_path, monkeypatch):
     ("seed=1.5", "seed"), ("replications=true", "replications"), ("horizon=2.7", "horizon"),
     ("workers=1.9", "workers"), ("n_oracle=1000.9", "n_oracle"), ("env.seed=1.5", "env.seed"),
     ("levels=0.95", "levels"), ("diagnostics.contexts=5", "diagnostics.contexts"),
+    ('diagnostics.contexts=[["a"]]', "diagnostics.contexts"),
+    ("diagnostics.contexts=[[null]]", "diagnostics.contexts"),
     ('cadr_regressions="garbage"', "cadr_regressions"),
     ("seed=-1", "seed"), ("env.seed=-2", "env.seed"), ("n_oracle=0", "n_oracle"),
     ('policy.gamma="hot"', "policy.gamma"), ("policy.ridge_lambda=[1]", "policy.ridge_lambda"),

@@ -3,7 +3,7 @@
 import hashlib
 import json
 import pickle
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,15 +31,7 @@ from banditlab.harness import (
     run_trajectory,
 )
 from banditlab.inference import norm_ppf, ope_value
-from banditlab.policy import (
-    POLICY_KINDS,
-    PolicyConfig,
-    PolicyState,
-    action_distribution,
-    bind_round,
-    init_state,
-    update_state,
-)
+from banditlab.policy import POLICY_KINDS, PolicyConfig, new_policy
 
 MISSPEC = ScoreTarget(family="misspec_linear")
 OPE_UNIFORM = ScoreTarget(family="ope", target_policy=TargetPolicy(kind="uniform"))
@@ -130,17 +122,12 @@ def _block_cases():
                                    id=f"{env_name}-{kind}-{family}")
 
 
-def _assert_states_equal(got: PolicyState, i: int, want: PolicyState, what: str):
-    """Row ``i`` of block state ``got`` equals the block-of-one state ``want``."""
-    for f in fields(PolicyState):
-        if f.name == "target":
-            continue
-        a, b = getattr(got, f.name), getattr(want, f.name)
-        assert (a is None) == (b is None), f"{what}: {f.name}"
-        if isinstance(a, np.ndarray):
-            a, b = a[i], b[0]
-        if a is not None:
-            np.testing.assert_array_equal(a, b, err_msg=f"{what}: {f.name}")
+def _assert_states_equal(got, i: int, want, what: str):
+    """Row ``i`` of block policy ``got``'s statistics equals block-of-one policy ``want``'s."""
+    assert (got.t, got.num_arms) == (want.t, want.num_arms), what
+    assert list(got.stats) == list(want.stats), what
+    for name, array in want.stats.items():
+        np.testing.assert_array_equal(got.stats[name][i], array[0], err_msg=f"{what}: {name}")
 
 
 @pytest.mark.parametrize("env_name, kind, target", _block_cases())
@@ -156,12 +143,12 @@ def test_block_layout_invariance(env_name, kind, target):
     for size in (1, 3, R):
         for start in range(0, R, size):
             reps = range(start, min(start + size, R))
-            logs, state, _ = _run_block(env, policy, target, T, seed, [(rep,) for rep in reps])
+            logs, block, _ = _run_block(env, policy, target, T, seed, [(rep,) for rep in reps])
             for i, rep in enumerate(reps):
-                (want_log,), want_state, _ = reference[rep]
+                (want_log,), want_policy, _ = reference[rep]
                 what = f"block of {size}, rep {rep}"
                 assert_logs_equal(logs[i], want_log, what)
-                _assert_states_equal(state, i, want_state, what)
+                _assert_states_equal(block, i, want_policy, what)
 
 
 
@@ -212,9 +199,9 @@ def _replication_by_replication(config: ExperimentConfig):
     points = np.array(config.diagnostic_contexts, dtype=float)
     records, diags, failures = [], [], []
     for rep in range(config.replications):
-        (log,), state, table = _run_block(config.env, config.policy, config.target,
-                                          config.horizon, config.seed, [(rep,)], probes=probes)
-        diags.append(action_distribution(config.policy, state, points[None])[0])
+        (log,), policy, table = _run_block(config.env, config.policy, config.target,
+                                           config.horizon, config.seed, [(rep,)], probes=probes)
+        diags.append(policy.distribution(points[None])[0])
         behavior = None if table is None else BehaviorTable(probes, table[0])
         try:
             records.append(_analyse(config, log, thetas_star, v_star, behavior))
@@ -651,23 +638,21 @@ def test_probe_table_is_the_replayed_policy(kind):
     policy = PolicyConfig(kind=kind, pi_min=0.05, gamma=2.0)
     probes = np.unique(np.array([x for _, _, x in support(env)]), axis=0)
     paths = [(rep,) for rep in range(3)]
-    logs, state, table = _run_block(env, policy, OPE_UNIFORM, 80, 39, paths, probes=probes)
-    plain_logs, plain_state, none = _run_block(env, policy, OPE_UNIFORM, 80, 39, paths)
+    logs, block, table = _run_block(env, policy, OPE_UNIFORM, 80, 39, paths, probes=probes)
+    plain_logs, plain_block, none = _run_block(env, policy, OPE_UNIFORM, 80, 39, paths)
     assert none is None and table.shape == (3, 80, len(probes), env.num_arms)
-    assert state.t == plain_state.t
-    for f in fields(PolicyState):
-        if isinstance(getattr(state, f.name), np.ndarray):
-            np.testing.assert_array_equal(getattr(state, f.name), getattr(plain_state, f.name),
-                                          err_msg=f.name)
+    assert block.t == plain_block.t
+    assert list(block.stats) == list(plain_block.stats)
+    for name, array in block.stats.items():
+        np.testing.assert_array_equal(array, plain_block.stats[name], err_msg=name)
     for i, (log, plain) in enumerate(zip(logs, plain_logs)):
         assert_logs_equal(log, plain, f"rep {i}")
-        replay = init_state(policy, env.num_arms, env.context_dim, target=OPE_UNIFORM)
+        replay = new_policy(policy, env.num_arms, env.context_dim, target=OPE_UNIFORM)
         for t in range(log.horizon):
-            np.testing.assert_array_equal(table[i, t],
-                                          action_distribution(policy, replay, probes),
+            np.testing.assert_array_equal(table[i, t], replay.distribution(probes),
                                           err_msg=f"{kind} rep {i} round {t}")
-            update_state(policy, replay, one_round(log.contexts[t], log.arms[t],
-                                                   log.propensities[t], log.outcomes[t]))
+            replay.fold(*one_round(log.contexts[t], log.arms[t],
+                                   log.propensities[t], log.outcomes[t]))
 
 
 @pytest.mark.parametrize("kind", ["boltzmann_ridge", "ts_mab"])
@@ -681,16 +666,18 @@ def test_probed_block_makes_one_policy_call_per_round(monkeypatch, kind):
     assert len(probes) > 1
     shapes = []
 
-    def counting(config, state):
-        bound = bind_round(config, state)
+    def counting(*args, **kw):
+        made = new_policy(*args, **kw)
+        distribution = made.distribution
 
-        def distribution(context):
+        def counted(context):
             shapes.append(context.shape)
-            return bound.distribution(context)
+            return distribution(context)
 
-        return bound._replace(distribution=distribution)
+        made.distribution = counted
+        return made
 
-    monkeypatch.setattr(harness, "bind_round", counting)
+    monkeypatch.setattr(harness, "new_policy", counting)
     policy = PolicyConfig(kind=kind, pi_min=0.05, gamma=2.0)
     _run_block(env, policy, OPE_UNIFORM, 60, 9, [(0,), (1,), (2,)], probes=probes)
     assert shapes == [(3, len(probes), env.context_dim)] * 60
@@ -709,10 +696,11 @@ def _cadr_env(name: str, K: int, points: list) -> EnvironmentSpec:
                    true_params=theta)
 
 
-# SHA-256 of the logs, final states and probe tables of a block of three at a
-# fixed seed, under a noisy_context and an ope target (see ``_pinned_digest``),
-# taken from the per-round ``action_distribution`` / ``update_state`` engine
-# that preceded the bound rounds. A rewrite of the round must keep these bits.
+# SHA-256 of the logs, final statistics and probe tables of a block of three at
+# a fixed seed, under a noisy_context and an ope target (see ``_pinned_digest``),
+# taken from the per-round engine that preceded the block-wide rounds, which
+# evaluated a fresh distribution and applied one update per call. A rewrite of
+# the round must keep these bits.
 PINNED_BLOCK_DIGESTS = {
     ("random", 2): "a584a5f69f8b792b33f01a072a07279f4d724359b6f9c0c1d88b24b4f11d2875",
     ("random", 3): "7f53b9f33ad8addbf529822a2e7a4339a3c140572f4e158a358c718ce0d3ffba",

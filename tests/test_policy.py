@@ -1,7 +1,5 @@
 """Policy zoo: clipping, distribution construction, state updates."""
 
-from dataclasses import fields
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,19 +14,11 @@ from banditlab.policy import (
     POLICY_KINDS,
     InfeasibleClipError,
     PolicyConfig,
-    PolicyState,
-    Transition,
     _greedy_table,
     _ts_quadrature,
-    action_distribution,
-    bind_round,
-    boltzmann_distribution,
     clip_simplex,
-    init_state,
-    linucb_distribution,
-    mab_distribution,
+    new_policy,
     ts_optimal_prob,
-    update_state,
 )
 from banditlab.rng import stream
 
@@ -196,6 +186,10 @@ class TestTsOptimalProb:
         three = ts_optimal_prob(np.append(means, -50.0), np.append(variances, 1.0))
         np.testing.assert_allclose(three, [ndtr(z), ndtr(-z), 0.0], rtol=0, atol=1e-12)
 
+    def test_lone_arm_is_best_with_probability_one(self):
+        np.testing.assert_array_equal(ts_optimal_prob([[0.3]], [[1.0]]), [[1.0]])
+        np.testing.assert_array_equal(ts_optimal_prob(np.array([-2.0]), np.array([1e-12])), [1.0])
+
     def test_nonpositive_variance_rejected(self):
         with pytest.raises(ValueError):
             ts_optimal_prob(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
@@ -211,54 +205,58 @@ class TestTsOptimalProb:
             np.testing.assert_allclose(ts_optimal_prob(means, variances), mc, atol=0.01)
 
 
-def _state_with(config, means, counts, d=1, target=None):
-    state = init_state(config, len(means), d, target=target)
-    state.counts = np.asarray(counts, dtype=np.int64)[None]
-    state.sums = np.asarray(means, dtype=float) * state.counts
-    state.means = np.divide(state.sums, state.counts, out=np.zeros_like(state.sums),
-                            where=state.counts > 0)
-    state.t = int(state.counts.sum())
-    return state
+def _policy_with(config, means, counts, d=1, target=None):
+    """A block-of-one MAB policy whose statistics hold ``counts`` pulls at ``means``."""
+    policy = new_policy(config, len(means), d, target=target)
+    stats = policy.stats
+    stats["counts"][:] = np.asarray(counts, dtype=np.int64)[None]
+    stats["sums"][:] = np.asarray(means, dtype=float) * stats["counts"]
+    np.divide(stats["sums"], stats["counts"], out=stats["means"], where=stats["counts"] > 0)
+    policy.t = int(stats["counts"].sum())
+    return policy
+
+
+def _rows(policy):
+    """A context-free block-of-one policy's one distribution."""
+    return policy.distribution(np.zeros((1, 1)))[0]
 
 
 class TestMabDistributions:
     def test_eps_greedy_example(self):
         config = PolicyConfig(kind="eps_greedy_mab", epsilon=0.2)
-        state = _state_with(config, [1.0, 0.5], [5, 5])
-        np.testing.assert_allclose(mab_distribution("eps_greedy", state, config)[0], [0.9, 0.1])
+        policy = _policy_with(config, [1.0, 0.5], [5, 5])
+        np.testing.assert_allclose(_rows(policy), [0.9, 0.1])
 
     def test_ucb_hand_index(self):
         config = PolicyConfig(kind="ucb_mab", pi_min=0.05)
-        state = _state_with(config, [1.0, 0.5], [100, 1])  # t = 101, so round 102
-        dist = mab_distribution("ucb", state, config)[0]
+        policy = _policy_with(config, [1.0, 0.5], [100, 1])  # t = 101, so round 102
+        dist = _rows(policy)
         # radius 2 log 102 = 9.25: indices (1 + sqrt(0.0925), 0.5 + sqrt(9.25)) -> arm 2 wins
         np.testing.assert_allclose(dist, [0.05, 0.95])
 
     def test_ucb_forced_initialization(self):
         config = PolicyConfig(kind="ucb_mab", pi_min=0.05)
-        state = init_state(config, 3, 1)
-        np.testing.assert_array_equal(mab_distribution("ucb", state, config)[0], [1, 0, 0])
-        state.t = 1
-        np.testing.assert_array_equal(mab_distribution("ucb", state, config)[0], [0, 1, 0])
+        policy = new_policy(config, 3, 1)
+        np.testing.assert_array_equal(_rows(policy), [1, 0, 0])
+        policy.t = 1
+        np.testing.assert_array_equal(_rows(policy), [0, 1, 0])
 
     def test_ts_symmetric(self):
         config = PolicyConfig(kind="ts_mab", pi_min=0.05)
-        state = init_state(config, 2, 1)
-        np.testing.assert_allclose(mab_distribution("ts", state, config)[0], [0.5, 0.5], atol=1e-6)
+        policy = new_policy(config, 2, 1)
+        np.testing.assert_allclose(_rows(policy), [0.5, 0.5], atol=1e-6)
 
     def test_argmax_invariance_to_common_shift(self):
         config = PolicyConfig(kind="eps_greedy_mab", epsilon=0.3)
         ucb_config = PolicyConfig(kind="ucb_mab", pi_min=0.1)
         for shift in (0.0, 5.0, -11.0):
-            state = _state_with(config, np.array([0.2, 0.9, 0.4]) + shift, [7, 7, 7])
+            shifted = np.array([0.2, 0.9, 0.4]) + shift
             np.testing.assert_allclose(
-                mab_distribution("eps_greedy", state, config)[0],
-                mab_distribution("eps_greedy", _state_with(config, [0.2, 0.9, 0.4], [7, 7, 7]),
-                                 config)[0])
+                _rows(_policy_with(config, shifted, [7, 7, 7])),
+                _rows(_policy_with(config, [0.2, 0.9, 0.4], [7, 7, 7])))
             np.testing.assert_allclose(
-                mab_distribution("ucb", state, ucb_config)[0],
-                mab_distribution("ucb", _state_with(config, [0.2, 0.9, 0.4], [7, 7, 7]),
-                                 ucb_config)[0])
+                _rows(_policy_with(ucb_config, shifted, [7, 7, 7])),
+                _rows(_policy_with(ucb_config, [0.2, 0.9, 0.4], [7, 7, 7])))
 
 
 @pytest.mark.parametrize("K", [2, 3, 5])
@@ -290,53 +288,62 @@ def test_greedy_table_rows_are_the_filled_and_scattered_rows(K):
         assert not np.all(_greedy_table(K, eps / K, pi_min) == 0.0)
 
 
+def _boltzmann_probs(beta, contexts, gamma, pi_min):
+    """A boltzmann_ridge policy's distribution with its coefficients set to ``beta`` (1, K, d)."""
+    config = PolicyConfig(kind="boltzmann_ridge", gamma=gamma, pi_min=pi_min)
+    policy = new_policy(config, beta.shape[1], beta.shape[2])
+    policy.stats["ridge_beta"][:] = beta
+    return policy.distribution(contexts)
+
+
 class TestBoltzmann:
     def test_equal_coefficients_uniform(self):
         beta = np.full((1, 3, 2), 0.7)
-        dist = boltzmann_distribution(beta, np.array([[1.0, -2.0]]), 5.0, 0.05)[0]
+        dist = _boltzmann_probs(beta, np.array([[1.0, -2.0]]), 5.0, 0.05)[0]
         np.testing.assert_allclose(dist, [1 / 3] * 3, atol=1e-12)
 
     def test_softmax_hand_value(self):
         gamma = 2.5
         beta = np.array([[[0.0], [gamma * np.log(3.0)]]])
-        dist = boltzmann_distribution(beta, np.array([[1.0]]), gamma, 0.2)[0]
+        dist = _boltzmann_probs(beta, np.array([[1.0]]), gamma, 0.2)[0]
         np.testing.assert_allclose(dist, [0.25, 0.75], atol=1e-12)
 
     def test_high_temperature_limit(self):
         beta = np.array([[[3.0], [-2.0]]])
-        dist = boltzmann_distribution(beta, np.array([[1.0]]), 1e9, 0.05)[0]
+        dist = _boltzmann_probs(beta, np.array([[1.0]]), 1e9, 0.05)[0]
         np.testing.assert_allclose(dist, [0.5, 0.5], atol=1e-6)
 
 
 class TestLinUCB:
     def test_tie_breaks_to_lowest_arm(self):
         config = PolicyConfig(kind="linucb", pi_min=0.05)
-        state = init_state(config, 2, 1)
-        dist = linucb_distribution(state, np.array([[1.0]]), config.linucb_alpha, config.pi_min)[0]
+        policy = new_policy(config, 2, 1)
+        dist = policy.distribution(np.array([[1.0]]))[0]
         np.testing.assert_allclose(dist, [0.95, 0.05])
 
     def test_hand_ridge_index(self):
         config = PolicyConfig(kind="linucb", ridge_lambda=1.0)
-        state = init_state(config, 2, 1)
-        update_state(config, state, one_round([2.0], 0, 0.99, 3.0))
-        assert state.ridge_beta[0, 0, 0] == pytest.approx(6.0 / 5.0)
-        index = state.ridge_beta[0, 0] @ np.array([2.0])  # alpha = 0 contribution
+        policy = new_policy(config, 2, 1)
+        policy.fold(*one_round([2.0], 0, 0.99, 3.0))
+        beta = policy.stats["ridge_beta"]
+        assert beta[0, 0, 0] == pytest.approx(6.0 / 5.0)
+        index = beta[0, 0] @ np.array([2.0])  # alpha = 0 contribution
         assert index == pytest.approx(2.4)
 
     def test_pi_min_bound(self):
         config = PolicyConfig(kind="linucb", pi_min=0.01)
-        state = init_state(config, 2, 1)
-        update_state(config, state, one_round([1.0], 0, 0.99, 1.0))
-        dist = linucb_distribution(state, np.array([[-4.0]]), 1.0, 0.01)
+        policy = new_policy(config, 2, 1)
+        policy.fold(*one_round([1.0], 0, 0.99, 1.0))
+        dist = policy.distribution(np.array([[-4.0]]))
         assert dist.min() == pytest.approx(0.01)
 
 
 class TestSelectAction:
     def test_random_policy_quarter(self):
         config = PolicyConfig(kind="random")
-        state = init_state(config, 4, 1)
+        policy = new_policy(config, 4, 1)
         for _ in range(10):
-            _, prob, dist = select_action(config, state, np.array([0.3]), stream(9))
+            _, prob, dist = select_action(policy, np.array([0.3]), stream(9))
             assert prob == 0.25
             np.testing.assert_allclose(dist, 0.25)
 
@@ -345,19 +352,19 @@ class TestSelectAction:
         target = ScoreTarget(family="misspec_linear")
         for kind in ("ts_mab", "boltzmann_ridge", "boltzmann_sgd", "ipwz_greedy", "linucb"):
             config = PolicyConfig(kind=kind, pi_min=0.07, gamma=0.5)
-            state = init_state(config, 3, 1, target=target)
+            policy = new_policy(config, 3, 1, target=target)
             for t in range(40):
                 x = rng.normal(size=1)
-                arm, prob, dist = select_action(config, state, x, rng)
+                arm, prob, dist = select_action(policy, x, rng)
                 assert prob >= 0.07 - 1e-12
                 assert abs(dist.sum() - 1.0) < 1e-12
-                update_state(config, state, one_round(x, arm, prob, float(rng.normal())))
+                policy.fold(*one_round(x, arm, prob, float(rng.normal())))
 
     def test_same_stream_same_action(self):
         config = PolicyConfig(kind="random")
-        state = init_state(config, 5, 1)
-        a1 = select_action(config, state, np.array([0.0]), stream(4, 1))
-        a2 = select_action(config, state, np.array([0.0]), stream(4, 1))
+        policy = new_policy(config, 5, 1)
+        a1 = select_action(policy, np.array([0.0]), stream(4, 1))
+        a2 = select_action(policy, np.array([0.0]), stream(4, 1))
         assert a1[0] == a2[0]
 
 
@@ -365,16 +372,16 @@ class TestUpdateState:
     def test_sgd_one_step(self):
         target = ScoreTarget(family="misspec_linear")
         config = PolicyConfig(kind="boltzmann_sgd")
-        state = init_state(config, 2, 1, target=target)
-        update_state(config, state, one_round([1.0], 0, 0.5, 2.0))  # rate 0.5 * 1^(-2/3)
-        assert state.sgd_beta[0, 0, 0] == pytest.approx(1.0)
-        assert state.sgd_beta[0, 1, 0] == 0.0  # unpulled arm untouched
+        policy = new_policy(config, 2, 1, target=target)
+        policy.fold(*one_round([1.0], 0, 0.5, 2.0))  # rate 0.5 * 1^(-2/3)
+        assert policy.stats["sgd_beta"][0, 0, 0] == pytest.approx(1.0)
+        assert policy.stats["sgd_beta"][0, 1, 0] == 0.0  # unpulled arm untouched
 
     def test_ridge_recursive_equals_batch_first_step(self):
         config = PolicyConfig(kind="boltzmann_ridge", ridge_lambda=1.0)
-        state = init_state(config, 2, 1)
-        update_state(config, state, one_round([2.0], 0, 0.9, 3.0))
-        assert state.ridge_beta[0, 0, 0] == pytest.approx(1.2)
+        policy = new_policy(config, 2, 1)
+        policy.fold(*one_round([2.0], 0, 0.9, 3.0))
+        assert policy.stats["ridge_beta"][0, 0, 0] == pytest.approx(1.2)
 
     def test_ridge_recursive_equals_batch_trajectory(self):
         # Acceptance criterion: 1000 steps, every step within 1e-10 of the
@@ -382,7 +389,7 @@ class TestUpdateState:
         rng = stream(88)
         config = PolicyConfig(kind="boltzmann_ridge", ridge_lambda=0.7)
         d, K = 2, 2
-        state = init_state(config, K, d)
+        policy = new_policy(config, K, d)
         grams = [0.7 * np.eye(d) for _ in range(K)]
         moments = [np.zeros(d) for _ in range(K)]
         worst = 0.0
@@ -390,23 +397,23 @@ class TestUpdateState:
             x = rng.normal(size=d)
             arm = int(rng.integers(K))
             y = float(rng.normal())
-            update_state(config, state, one_round(x, arm, 0.5, y))
+            policy.fold(*one_round(x, arm, 0.5, y))
             grams[arm] = grams[arm] + np.outer(x, x)
             moments[arm] = moments[arm] + x * y
             for a in range(K):
                 batch = np.linalg.solve(grams[a], moments[a])
-                worst = max(worst, float(np.max(np.abs(batch - state.ridge_beta[0, a]))))
+                worst = max(worst, float(np.max(np.abs(batch - policy.stats["ridge_beta"][0, a]))))
         assert worst < 1e-10
 
     def test_counts_sum_to_t(self):
         config = PolicyConfig(kind="eps_greedy_mab", epsilon=0.5)
-        state = init_state(config, 3, 1)
+        policy = new_policy(config, 3, 1)
         rng = stream(3)
         for t in range(50):
             x = rng.normal(size=1)
-            arm, prob, _ = select_action(config, state, x, rng)
-            update_state(config, state, one_round(x, arm, prob, 0.0))
-        assert state.counts.sum() == state.t == 50
+            arm, prob, _ = select_action(policy, x, rng)
+            policy.fold(*one_round(x, arm, prob, 0.0))
+        assert policy.stats["counts"].sum() == policy.t == 50
 
     @pytest.mark.parametrize("kind", ["eps_greedy_mab", "ucb_mab", "ts_mab"])
     @pytest.mark.parametrize("K", [2, 3])
@@ -415,108 +422,58 @@ class TestUpdateState:
         # every round of a block it equals sums / counts, zero where unpulled.
         config = PolicyConfig(kind=kind, pi_min=0.05)
         B, rng = 4, stream(K, 5)
-        state = init_state(config, K, 1, block=B)
+        policy = new_policy(config, K, 1, block=B)
+        counts, sums, means = (policy.stats[name] for name in ("counts", "sums", "means"))
         for t in range(120):
-            probs = action_distribution(config, state, np.zeros((B, 1)))
+            probs = policy.distribution(np.zeros((B, 1)))
             arms = np.minimum((rng.random((B, 1)) > probs.cumsum(axis=1)).sum(axis=1), K - 1)
             ys = rng.normal(size=B) * 10.0 ** rng.integers(-3, 4, size=B)
-            update_state(config, state, Transition(np.zeros((B, 1)), arms,
-                                                   probs[np.arange(B), arms], ys))
-            want = np.divide(state.sums, state.counts, out=np.zeros_like(state.sums),
-                             where=state.counts > 0)
-            assert state.means.tobytes() == want.tobytes(), f"round {t}"
-        assert (state.counts > 0).all()
+            policy.fold(np.zeros((B, 1)), arms, probs[np.arange(B), arms], ys)
+            want = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+            assert means.tobytes() == want.tobytes(), f"round {t}"
+        assert (counts > 0).all()
 
     def test_arm_out_of_range(self):
         config = PolicyConfig(kind="random")
-        state = init_state(config, 2, 1)
+        policy = new_policy(config, 2, 1)
         with pytest.raises(ValueError):
-            update_state(config, state, one_round([0.0], 5, 0.5, 0.0))
+            policy.fold(*one_round([0.0], 5, 0.5, 0.0))
         # A negative arm would otherwise count as the last arm.
-        block = init_state(config, 2, 1, block=2)
+        block = new_policy(config, 2, 1, block=2)
         with pytest.raises(ValueError):
-            update_state(config, block, Transition(np.zeros((2, 1)), np.array([0, -1]),
-                                                   np.full(2, 0.5), np.zeros(2)))
+            block.fold(np.zeros((2, 1)), np.array([0, -1]), np.full(2, 0.5), np.zeros(2))
         assert block.t == 0
 
     def test_refuses_a_transition_with_too_few_rows(self):
         # One row for a block of three would broadcast into every row.
         config = PolicyConfig(kind="boltzmann_ridge")
-        state = init_state(config, 2, 1, block=3)
-        before = {f.name: np.copy(getattr(state, f.name)) for f in fields(PolicyState)
-                  if isinstance(getattr(state, f.name), np.ndarray)}
+        policy = new_policy(config, 2, 1, block=3)
+        before = {name: np.copy(array) for name, array in policy.stats.items()}
         with pytest.raises(ValueError, match=r"block of 3 .* contexts 1, arms 1, "
                                              r"propensities 1, outcomes 1"):
-            update_state(config, state, one_round([2.0], 0, 0.9, 3.0))
-        assert state.t == 0
+            policy.fold(*one_round([2.0], 0, 0.9, 3.0))
+        assert policy.t == 0
         for name, array in before.items():
-            np.testing.assert_array_equal(getattr(state, name), array, err_msg=name)
-
-    def test_refuses_a_non_contiguous_state(self):
-        # The flat view of a non-contiguous array would be a copy, and a
-        # scatter into it would be lost.
-        config = PolicyConfig(kind="boltzmann_ridge")
-        state = init_state(config, 2, 2, block=3)
-        state.ridge_moment = np.asfortranarray(state.ridge_moment)
-        with pytest.raises(ValueError, match="C-contiguous"):
-            update_state(config, state, Transition(np.ones((3, 2)), np.array([0, 1, 0]),
-                                                   np.full(3, 0.5), np.ones(3)))
-
-    @pytest.mark.parametrize("kind, field", [
-        ("eps_greedy_mab", "counts"), ("ts_mab", "means"), ("boltzmann_ridge", "ridge_beta"),
-        ("linucb", "ridge_gram_inv"), ("boltzmann_sgd", "sgd_beta"), ("ipwz_greedy", "ipw_gram"),
-        ("ipwz_greedy", "ipw_ready")])
-    def test_bound_round_refuses_a_replaced_state_array(self, kind, field):
-        # A bound round scatters through views taken when it was bound; after
-        # a state array is replaced they would miss it, so the fold raises
-        # before it changes anything, and a round bound afresh folds.
-        config = PolicyConfig(kind=kind, pi_min=0.05)
-        state = init_state(config, 2, 2, target=ScoreTarget(family="misspec_linear"), block=3)
-        bound = bind_round(config, state)
-        transition = Transition(np.ones((3, 2)), np.array([0, 1, 0]), np.full(3, 0.5), np.ones(3))
-        bound.fold(*transition)
-        setattr(state, field, getattr(state, field).copy())
-        before = {f.name: np.copy(getattr(state, f.name)) for f in fields(PolicyState)
-                  if isinstance(getattr(state, f.name), np.ndarray)}
-        with pytest.raises(ValueError, match=f"state.{field} was replaced"):
-            bound.fold(*transition)
-        assert state.t == 1
-        for name, array in before.items():
-            np.testing.assert_array_equal(getattr(state, name), array, err_msg=name)
-        bind_round(config, state).fold(*transition)
-        assert state.t == 2
-
-    @pytest.mark.parametrize("kind, field", [
-        ("boltzmann_ridge", "ridge_gram"), ("linucb", "ridge_gram_inv"),
-        ("boltzmann_sgd", "sgd_beta"), ("ipwz_greedy", "ipw_moment")])
-    def test_binding_refuses_a_non_contiguous_state(self, kind, field):
-        # Contiguity is checked once, when the round is bound.
-        config = PolicyConfig(kind=kind, pi_min=0.05)
-        state = init_state(config, 2, 2, target=ScoreTarget(family="misspec_linear"), block=3)
-        setattr(state, field, np.asfortranarray(getattr(state, field)))
-        with pytest.raises(ValueError, match="C-contiguous"):
-            bind_round(config, state)
+            np.testing.assert_array_equal(policy.stats[name], array, err_msg=name)
 
     def test_ipwz_refresh_has_no_lag(self):
         target = ScoreTarget(family="misspec_linear")
         config = PolicyConfig(kind="ipwz_greedy", pi_min=0.1)
-        state = init_state(config, 2, 1, target=target)
-        update_state(config, state, one_round([1.0], 0, 0.5, 2.0))
-        update_state(config, state, one_round([1.0], 1, 0.5, -1.0))
+        policy = new_policy(config, 2, 1, target=target)
+        policy.fold(*one_round([1.0], 0, 0.5, 2.0))
+        policy.fold(*one_round([1.0], 1, 0.5, -1.0))
         # theta_a = (sum w x y) / (sum w x^2), exact from the incremental stats
-        assert state.ipw_theta[0, 0, 0] == pytest.approx(2.0)
-        assert state.ipw_theta[0, 1, 0] == pytest.approx(-1.0)
-        assert state.ipw_ready[0]
+        assert policy.stats["ipw_theta"][0, 0, 0] == pytest.approx(2.0)
+        assert policy.stats["ipw_theta"][0, 1, 0] == pytest.approx(-1.0)
+        assert policy.stats["ipw_ready"][0]
 
     def test_ipwz_uniform_fallback_before_ready(self):
         target = ScoreTarget(family="misspec_linear")
         config = PolicyConfig(kind="ipwz_greedy", pi_min=0.1)
-        state = init_state(config, 2, 1, target=target)
-        np.testing.assert_allclose(
-            action_distribution(config, state, np.array([[1.0]]))[0], [0.5, 0.5])
-        update_state(config, state, one_round([1.0], 0, 0.5, 2.0))
-        np.testing.assert_allclose(
-            action_distribution(config, state, np.array([[1.0]]))[0], [0.5, 0.5])
+        policy = new_policy(config, 2, 1, target=target)
+        np.testing.assert_allclose(policy.distribution(np.array([[1.0]]))[0], [0.5, 0.5])
+        policy.fold(*one_round([1.0], 0, 0.5, 2.0))
+        np.testing.assert_allclose(policy.distribution(np.array([[1.0]]))[0], [0.5, 0.5])
 
 
 @pytest.mark.parametrize("env_name, target", [
@@ -529,16 +486,52 @@ def test_ipwz_incremental_equals_batch(env_name, target):
     # root of the same trajectory's log.
     env = build_environment(env_name)
     config = PolicyConfig(kind="ipwz_greedy", pi_min=0.05)
-    (log,), state, _ = _run_block(env, config, target, 1500, 41, [()])
-    assert state.ipw_ok.all()
+    (log,), policy, _ = _run_block(env, config, target, 1500, 41, [()])
+    assert policy.stats["ipw_ok"].all()
     for arm in range(env.num_arms):
-        np.testing.assert_allclose(state.ipw_theta[0, arm], ipwz_solve(log, target, arm),
+        np.testing.assert_allclose(policy.stats["ipw_theta"][0, arm], ipwz_solve(log, target, arm),
                                    rtol=1e-10)
+
+
+# The statistics each kind keeps; every kind also reports sgd_clip_count and ipw_ready.
+KIND_STATS = {
+    "random": (),
+    "eps_greedy_mab": ("counts", "sums", "means"),
+    "ucb_mab": ("counts", "sums", "means"),
+    "ts_mab": ("counts", "sums", "means"),
+    "boltzmann_ridge": ("ridge_gram", "ridge_moment", "ridge_beta"),
+    "boltzmann_sgd": ("sgd_beta",),
+    "ipwz_greedy": ("counts", "ipw_weight", "ipw_gram", "ipw_moment", "ipw_theta", "ipw_ok"),
+    "linucb": ("ridge_gram", "ridge_moment", "ridge_beta", "ridge_gram_inv"),
+}
+
+
+@pytest.mark.parametrize("kind", POLICY_KINDS)
+def test_stats_are_the_kind_statistics(kind):
+    policy = new_policy(PolicyConfig(kind=kind), 2, 2,
+                        target=ScoreTarget(family="misspec_linear"), block=3)
+    assert set(policy.stats) == set(KIND_STATS[kind]) | {"sgd_clip_count", "ipw_ready"}
+    for name, array in policy.stats.items():
+        assert array.shape[0] == 3 and array.flags.c_contiguous, name
+
+
+@pytest.mark.parametrize("kind", POLICY_KINDS)
+def test_stats_entries_cannot_be_rebound(kind):
+    # The round scatters through views of the arrays it allocated: no entry
+    # can be replaced by another array, nor a new one added.
+    policy = new_policy(PolicyConfig(kind=kind), 2, 2,
+                        target=ScoreTarget(family="misspec_linear"), block=3)
+    for name, array in policy.stats.items():
+        with pytest.raises(TypeError):
+            policy.stats[name] = array.copy()
+        assert policy.stats[name] is array
+    with pytest.raises(TypeError):
+        policy.stats["counts"] = np.zeros((3, 2), dtype=np.int64)
 
 
 def test_infeasible_pi_min_at_init():
     with pytest.raises(InfeasibleClipError):
-        init_state(PolicyConfig(kind="ts_mab", pi_min=0.4), 3, 1)
+        new_policy(PolicyConfig(kind="ts_mab", pi_min=0.4), 3, 1)
 
 
 @pytest.mark.parametrize("prior", [(0.0, 1.0), (0.0, float("nan"), 1.0), 5, ("a", 1.0, 1.0),
@@ -567,7 +560,7 @@ def test_sigma_e_of_the_wrong_size_rejected_at_init(kind):
     target = ScoreTarget("noisy_context", sigma_e=[[1.0]])
     with pytest.raises(ValueError, match=r"sigma_e must be a 2x2 matrix, got shape \(1, 1\)"):
         run_trajectory(env, PolicyConfig(kind=kind, pi_min=0.1), target, 200, seed=1)
-    init_state(PolicyConfig(kind=kind, pi_min=0.1), 2, 2,
+    new_policy(PolicyConfig(kind=kind, pi_min=0.1), 2, 2,
                target=ScoreTarget("noisy_context", sigma_e=np.eye(2)))
 
 
@@ -577,14 +570,14 @@ def test_batch_distribution_matches_single():
     for kind in ("random", "eps_greedy_mab", "ucb_mab", "ts_mab", "boltzmann_ridge",
                  "boltzmann_sgd", "linucb", "ipwz_greedy"):
         config = PolicyConfig(kind=kind, pi_min=0.05, gamma=2.0)
-        state = init_state(config, 2, 2, target=target)
+        policy = new_policy(config, 2, 2, target=target)
         for _ in range(30):
             x = rng.normal(size=2)
-            arm, prob, _ = select_action(config, state, x, rng)
-            update_state(config, state, one_round(x, arm, prob, float(rng.normal())))
+            arm, prob, _ = select_action(policy, x, rng)
+            policy.fold(*one_round(x, arm, prob, float(rng.normal())))
         X = rng.normal(size=(20, 2))
-        batch = action_distribution(config, state, X)  # a block of one over 20 contexts
-        single = np.stack([action_distribution(config, state, x[None])[0] for x in X])
+        batch = policy.distribution(X)  # a block of one over 20 contexts
+        single = np.stack([policy.distribution(x[None])[0] for x in X])
         np.testing.assert_array_equal(batch, single, err_msg=kind)
 
 
@@ -599,11 +592,11 @@ def test_probe_axis_equals_per_context_calls(kind, family, d, block, C, rows, ro
     env = build_environment("nc_gaussian", {"d": d})
     target = ScoreTarget(family=family, target_policy=TargetPolicy(kind="uniform"))
     config = PolicyConfig(kind=kind, pi_min=0.05, gamma=2.0)
-    _, state, _ = _run_block(env, config, target, rounds, seed, [(b,) for b in range(block)])
+    _, policy, _ = _run_block(env, config, target, rounds, seed, [(b,) for b in range(block)])
     n = rows if block == 1 else block
     contexts = stream(seed, 1).normal(size=(n, C, d))
-    got = action_distribution(config, state, contexts)
-    want = np.stack([action_distribution(config, state, np.ascontiguousarray(contexts[:, c]))
+    got = policy.distribution(contexts)
+    want = np.stack([policy.distribution(np.ascontiguousarray(contexts[:, c]))
                      for c in range(C)], axis=1)
     assert got.shape == (n, C, env.num_arms)
     np.testing.assert_array_equal(got, want)
@@ -618,15 +611,16 @@ def test_recursive_ridge_equals_batch_on_blocks(kind, block, K, d, lam, horizon,
     # (lambda I + X_a'X_a)^{-1} X_a'Y_a of its own log (and LinUCB the inverse).
     env = build_environment("nc_gaussian", {"d": d, "num_arms": K})
     config = PolicyConfig(kind=kind, pi_min=0.05, gamma=2.0, ridge_lambda=lam)
-    logs, state, _ = _run_block(env, config, None, horizon, seed, [(b,) for b in range(block)])
+    logs, policy, _ = _run_block(env, config, None, horizon, seed, [(b,) for b in range(block)])
+    ridge_beta, ridge_gram_inv = policy.stats["ridge_beta"], policy.stats.get("ridge_gram_inv")
     for b, log in enumerate(logs):
         for a in range(K):
             X, Y = log.contexts[log.arms == a], log.outcomes[log.arms == a]
             gram = lam * np.eye(d) + X.T @ X
             beta = np.linalg.solve(gram, X.T @ Y)
-            assert np.abs(state.ridge_beta[b, a] - beta).max() <= 1e-10 * max(
+            assert np.abs(ridge_beta[b, a] - beta).max() <= 1e-10 * max(
                 1.0, np.abs(beta).max()), f"row {b} arm {a}"
             if kind == "linucb":
                 inv = np.linalg.inv(gram)
-                assert np.abs(state.ridge_gram_inv[b, a] - inv).max() <= 1e-10 * max(
+                assert np.abs(ridge_gram_inv[b, a] - inv).max() <= 1e-10 * max(
                     1.0, np.abs(inv).max()), f"row {b} arm {a}"

@@ -22,6 +22,8 @@ def test_library_sketch_runs():
     assert namespace["cis"][0.95].shape == (1, 2)
     assert namespace["scaling"] == "sqrt_T"  # n / T = 0.2: the proportional regime
     assert np.all(np.isfinite(namespace["sigma_e"]))
+    assert namespace["policy"].t == 1
+    assert namespace["beta"][0, 0, 0] == 0.35  # 0.7 / (lambda + 1^2) with lambda = 1
 
 
 def test_config_schema_example_builds():
