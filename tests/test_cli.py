@@ -1,5 +1,6 @@
 """CLI contracts: subcommands, exit codes, manifests, overrides."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -711,3 +712,159 @@ def test_benchmark_ready_markers_are_called(tmp_path, monkeypatch):
                  "--log", str(sim / "log.csv")]) == 0
     assert main(["coverage", "--config", str(cfg), "--out", str(tmp_path / "cov")]) == 0
     assert called == ["run_trajectory", "read_log_csv", "oracle_thetas"]
+
+
+# Each run: (name, command, shipped config, --set overrides), all at
+# replications=4 and horizon=600 with one worker. The last two are simulate
+# and then infer on the simulated log.
+_PINNED_RUNS = (
+    *((f"coverage {p.stem}", "coverage", p.stem, ()) for p in sorted(CONFIGS.glob("*.json"))),
+    *((f"diagnose {stem}", "diagnose", stem, ())
+      for stem in ("fig1_nonconv_linucb", "fig1_nonconv_random")),
+    ("compare-ope fig4", "compare-ope", "fig4_ope_nonconv_boltzmann",
+     ('cadr_regressions=["zero","online_linear"]',)),
+    ("mc oracle", "coverage", "fig2a_ms_polynomial_boltzmann",
+     ("target.family=noisy_context", "target.sigma_e=0.3", "n_oracle=20000")),
+    ("true-coefficient oracle", "coverage", "fig2a_nc_gaussian_random",
+     ("target.family=noisy_context", "target.sigma_e=[[1,0],[0,1]]")),
+    ("simulate fig4", "simulate", "fig4_ope_nonconv_boltzmann", ()),
+    ("infer fig4", "infer", "fig4_ope_nonconv_boltzmann", ()),
+)
+
+
+def _pinned_output_digests(tmp_path) -> dict:
+    """SHA-256 of every output file but manifest.json, per run of ``_PINNED_RUNS``."""
+    out = {}
+    for name, command, stem, sets in _PINNED_RUNS:
+        run_dir = tmp_path / name.replace(" ", "_")
+        argv = [command, "--config", str(CONFIGS / f"{stem}.json"), "--out", str(run_dir),
+                "--workers", "1", "--set", "replications=4", "--set", "horizon=600"]
+        for item in sets:
+            argv += ["--set", item]
+        if command == "infer":
+            argv += ["--log", str(tmp_path / "simulate_fig4" / "log.csv")]
+        assert main(argv) == 0, name
+        out[name] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                     for p in sorted(run_dir.iterdir()) if p.name != "manifest.json"}
+    return out
+
+
+# The digests of ``_pinned_output_digests``, taken before the per-arm
+# estimating equation was assembled in one place; a refactor of the solve,
+# the sandwich, the oracles or the policies must keep these bits.
+PINNED_OUTPUT_DIGESTS = {
+    "coverage fig1_nonconv_linucb": {
+        "coverage.csv": "c41bcdf511857f4a0f2c90783dac20f00e93b8691cf42458fffa923fc79041cb",
+        "oracle.json": "252d9e36b98d699d817d50f66aa34a17a351f29397f7826adceffe729d44930a",
+        "qq_arm0_coord0.csv": "870643fe808263bf11a45d9a358dc5199f27df2d322a352ff366d106ce303413",
+        "qq_arm1_coord0.csv": "973927dcf6b73da205e337456c2b215e10bb7a680084049f5f3bdb3e4b29c20c",
+        "replications.csv": "4645e4eb54ad86264bed7c0fffde7f8913d4c60bb2918d7fa17dc67daae89245",
+    },
+    "coverage fig1_nonconv_random": {
+        "coverage.csv": "c1bf27de1462806e679a15e011566074b13b3fae687de5a58e6ade0c131b1a8f",
+        "oracle.json": "b9ab63542e60e289d587ba09ae9e6a71903eed1b148f1f95ff0c9dc1852f343b",
+        "qq_arm0_coord0.csv": "ab19f8b666468fba710182d86a75df87e96034660a714a1bfc576c2742ad0f11",
+        "qq_arm1_coord0.csv": "1ae0a8044368fe8811aeb7ed638d89559aa337bdbf8aefb58ff161fb433bd12f",
+        "replications.csv": "e2d3af99b65866c430315c0d096681584e9d20f1c5d1e202bcdd75ee8c5dd000",
+    },
+    "coverage fig2a_ms_polynomial_boltzmann": {
+        "coverage.csv": "8c1b1f581aed368f5ca6f62218d33a8bdfb22f232fd1393401fdb987674748be",
+        "oracle.json": "c4c39755b6f76f8209e6cdf177ba53e903c6db85b83ec679116296af8cb28799",
+        "qq_arm0_coord0.csv": "0d996af4b8aa9c7a118fd6bf1967d5cb5ea8db0a91712378962b2ba273c66926",
+        "qq_arm1_coord0.csv": "9f929ee011eb952e463ebe7368f7f7f6b4dd6edd67e83c8f52acf807f8d7cf25",
+        "replications.csv": "e359a2b1f6f96f750074549d19d09443203da51a9358d3517526e7a543887b77",
+    },
+    "coverage fig2a_nc_gaussian_random": {
+        "coverage.csv": "c4f5c03c7cd8069948eed0e8deb78b9171a3fb67bff7eeaafa535a2dd574a2ab",
+        "oracle.json": "01223f65b69be389e9d71550d41811fb9c89cbf2c831992bdbd1e4ef58d9212b",
+        "qq_arm0_coord0.csv": "6c4c0d639a4e072e9c80f1229f330f6278378c4f1d4872d00e75d100600f0f93",
+        "qq_arm0_coord1.csv": "2a5b9bea14e107040cbe6bc6c6d0f859220ab0670b6fb81369f52b08cc2cc08a",
+        "qq_arm1_coord0.csv": "80efc3aab91c87cd677cfe2e1c58fc0c2800f2379228b8d697d7ab968353ce32",
+        "qq_arm1_coord1.csv": "6f1f998a87e30317b7c324f676d7d5bc62b267821cbd991da587f6f2dd7bbc72",
+        "replications.csv": "65db1573a63d2932dd73f3b17d3605fc66625611a8d802672fa9bc1150820a92",
+    },
+    "coverage fig3c_nc_hard1_boltzmann_gamma10": {
+        "coverage.csv": "f674401d227901c8eb2c3daed0e791a1b3bd2bf18bacfeaf8aa6778681502da3",
+        "oracle.json": "7efffa25ff358c6a1f4244cfcdc845ce3aee175fa2149b8aaca846b35a955c7c",
+        "qq_arm0_coord0.csv": "eef5920a5fb5a7055e5546ef09cb7ba678f8cf8d18ebd69868463b3602f9dd23",
+        "qq_arm1_coord0.csv": "7abecda630dbfabd00ee5fa2b0d2b5224e31a6461e2e29f6d78bffc704e4c7dc",
+        "replications.csv": "c918d8fb34703e1426b25199780a676dc72c60bafa5e506bc064a225d077886b",
+    },
+    "coverage fig3c_nc_hard1_boltzmann_gamma100": {
+        "coverage.csv": "f674401d227901c8eb2c3daed0e791a1b3bd2bf18bacfeaf8aa6778681502da3",
+        "oracle.json": "7efffa25ff358c6a1f4244cfcdc845ce3aee175fa2149b8aaca846b35a955c7c",
+        "qq_arm0_coord0.csv": "f2e6bfbf605ab86549bc32b80cc29e8e91253f9dfa5ad023bb87c2bc72fd898e",
+        "qq_arm1_coord0.csv": "358eee5db0dbfec52ea3af33376ca8165606bc3555b7ed109ab0d6a29cfb7982",
+        "replications.csv": "cef7a456fc3162452b4e9d0ae8f2d91e208106f023645cfa92666b480bd04847",
+    },
+    "coverage fig3d_nc_hard2_ipwz_pimin0005": {
+        "coverage.csv": "27936eab19dbb1be60b387451d0592fcb655e6a0bb2f8b1290a9ec2e2763f08c",
+        "oracle.json": "972d9b417c3d554df8ec6f4f14cfbd8f4c4f53f22dea2e61b7ee6838167c53ac",
+        "qq_arm0_coord0.csv": "96a5845cfc00e35fb4c5dd3c4578124a46eb394c911fd81c9b34494fb8efed56",
+        "qq_arm1_coord0.csv": "4fb1975b7900de29b687d0fa573a215f14b34dba079689c205b99fa38c572594",
+        "replications.csv": "81a0e62f37a7e2534867490deb2a580d24134f5f2b4a67fd8b596de21ee04e12",
+    },
+    "coverage fig3d_nc_hard2_ipwz_pimin005": {
+        "coverage.csv": "f674401d227901c8eb2c3daed0e791a1b3bd2bf18bacfeaf8aa6778681502da3",
+        "oracle.json": "972d9b417c3d554df8ec6f4f14cfbd8f4c4f53f22dea2e61b7ee6838167c53ac",
+        "qq_arm0_coord0.csv": "07f276335c45456d63c273e7ff3ba54402adc70a2a96a6aa7eec2cb178108513",
+        "qq_arm1_coord0.csv": "1f1d823b754e88f51254d81cd8d87a3f311aa51e2cef6f495d2fd089eae08f2d",
+        "replications.csv": "0c669d0e86e4dba40a65eca3431882ea62927c844652e6854773ef3302eb1be7",
+    },
+    "coverage fig4_ope_nonconv_boltzmann": {
+        "coverage.csv": "f674401d227901c8eb2c3daed0e791a1b3bd2bf18bacfeaf8aa6778681502da3",
+        "ope_coverage.csv": "d3b0eac40dd4cc14027fb90abb8cf660c2271d79e1ec9195aaae5dc481009138",
+        "oracle.json": "cd971a51ca76830460bcb94c4fd6df3fa33f590290b7d9097e0ed9e27f84ebb5",
+        "qq_arm0_coord0.csv": "f90e9d5bb4e797a23f2ae06d2fc3ef9bfd5404267ffbd8e7e47292e1ed96a276",
+        "qq_arm1_coord0.csv": "e69a9c535940446d3d4810ab4d0dbac7a4c9e7fe79c3b183d457510d8dd8935a",
+        "replications.csv": "be733e08bf5da6e3efbd60d1c9f36e5cb8e3c69c35ad3dd042b79ec39913b309",
+    },
+    "diagnose fig1_nonconv_linucb": {
+        "diagnostic_ctx0_arm0.csv":
+            "d2042902bdf762f007fb3710041ba7047e0336d002d64ec3769a0430b20fbc67",
+        "diagnostic_ctx0_arm1.csv":
+            "ab4e6c204ad75fe834ddfe4f410627175ff814b3877862c8e43b45c6efb770eb",
+        "diagnostic_summary.csv":
+            "288b1e48d7acf7150766e684c5a3234a4fafc892dc8cfa527e1605da61d07cd9",
+        "oracle.json": "252d9e36b98d699d817d50f66aa34a17a351f29397f7826adceffe729d44930a",
+    },
+    "diagnose fig1_nonconv_random": {
+        "diagnostic_ctx0_arm0.csv":
+            "8e014fe90af3f0f9586f2122e5fd6faaeb87f8f89088026ea1386962c9fe6207",
+        "diagnostic_ctx0_arm1.csv":
+            "8e014fe90af3f0f9586f2122e5fd6faaeb87f8f89088026ea1386962c9fe6207",
+        "diagnostic_summary.csv":
+            "e2d1020f54ec055678dea5ddc020b85b3d636302742766605258439c7395a439",
+        "oracle.json": "b9ab63542e60e289d587ba09ae9e6a71903eed1b148f1f95ff0c9dc1852f343b",
+    },
+    "compare-ope fig4": {
+        "compare_ope.csv": "ca0834985a5200c794c9733753fcd814976c11ce5120636bfe260daf15a14802",
+        "oracle.json": "cd971a51ca76830460bcb94c4fd6df3fa33f590290b7d9097e0ed9e27f84ebb5",
+    },
+    "mc oracle": {
+        "coverage.csv": "86ae2752d4d6167097cc04488d3c04fbc4f241fb012b94555c05b1c2da970844",
+        "oracle.json": "0faaf5eeae99bb0c0cd4bdd808df0b43daa4ea8f0054f32002a8a64de3ec7286",
+        "qq_arm0_coord0.csv": "deb31f3394bc9bb50b8ab959c4ec0e2f29c8892815ae44cbdb697d3d9ce46962",
+        "qq_arm1_coord0.csv": "27e4f4fa31c2bbaf0f644e2425177cae496efcefe1c7f6dda967e6ad61b08adb",
+        "replications.csv": "c5a4d317606dfdeaf3af1b7de266c5af6484078946870e89d8addcd630e71563",
+    },
+    "true-coefficient oracle": {
+        "coverage.csv": "b79d25f3b2a511a3e67bc7772b7dbe5a554980243dcdcc0fc57f7492e53b93c2",
+        "oracle.json": "93467503b9fe914fce2aa5ce48966da55b578e71ae899663690a0edabd206378",
+        "qq_arm0_coord0.csv": "a91d07b12de731a624eb14e51c8fe234a456019fdf30e6d6cf66be0e22e366cd",
+        "qq_arm0_coord1.csv": "e570bbf64695619f9eb192df429b0d36ed9485edd588c8a38b383b9ea4979930",
+        "qq_arm1_coord0.csv": "71149a7787d7b66126e70a4e1bcb13dcf4c1103543461215c5074fa59fedbc8a",
+        "qq_arm1_coord1.csv": "693e230cc11f12e878ddc4d8001784680e1c57991668db5dedcf0714dcd351ea",
+        "replications.csv": "5442f034ba1597a50dcd96e4e8aebba2af5d4da50c89f8074b09edddba86d240",
+    },
+    "simulate fig4": {
+        "log.csv": "2dbf58bd025163fed1c47c60f3ea5262997b54359f12c5a98ced2e4429faf2e2",
+    },
+    "infer fig4": {
+        "report.json": "c1f25a59f92ccbba114dc0a1514d314d5985baec1df7af1ca3d2b33e295416fd",
+    },
+}
+
+
+def test_shipped_config_outputs_are_pinned(tmp_path):
+    assert _pinned_output_digests(tmp_path) == PINNED_OUTPUT_DIGESTS
