@@ -40,6 +40,7 @@ from .estimator import (
     LogFormatError,
     NoDataForArm,
     ScoreTarget,
+    SingularDesign,
     TargetPolicy,
     read_log_csv,
     write_log_csv,
@@ -243,9 +244,10 @@ def cmd_infer(config: dict, out_dir: Path, argv, log_path: str) -> int:
     log = read_log_csv(log_path, num_arms=num_arms)
     try:
         reports = [estimate_report(log, target, arm, levels=levels) for arm in range(log.num_arms)]
-    except NoDataForArm as exc:
-        raise ConfigError(
-            f"log {log_path}: arm {exc.arm + 1} (1-based) has no observations") from exc
+    except (NoDataForArm, SingularDesign) as exc:
+        problem = ("has no observations" if isinstance(exc, NoDataForArm) else
+                   f"has a singular weighted design (condition estimate {exc.cond:.3e})")
+        raise ConfigError(f"log {log_path}: arm {exc.arm + 1} (1-based) {problem}") from exc
     ope = ope_value(log, target, levels=levels, reports=reports) if target.family == "ope" else None
     out_dir.mkdir(parents=True, exist_ok=True)
     write_reports_json(reports, out_dir / "report.json", ope_report=ope)
@@ -324,6 +326,8 @@ def cmd_compare_ope(config: dict, out_dir: Path, argv) -> int:
     if exp.target.family != "ope":
         raise ConfigError(f"compare-ope requires an ope-family target, "
                           f"got target family {exp.target.family!r}")
+    if exp.replications < 2:  # a variance across replications needs two of them
+        raise ConfigError(f"compare-ope requires replications >= 2, got {exp.replications}")
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = replicate(exp)
     rows = [[name, r["level"], f"{r['coverage']:.6f}", f"{float(values.mean()):.10g}",

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimator import ScoreTarget, _solve_checked, check_covariance, normal_equations, scores
+from .estimator import ScoreTarget, _sandwich, _solve, check_covariance, normal_equations, scores
 from .rng import PURPOSE_ORACLE, PURPOSE_PARAMS, stream, whole_number
 
 ENVIRONMENT_NAMES = (
@@ -444,8 +444,7 @@ def _enumerate_oracle(env: EnvironmentSpec, target: ScoreTarget, arm: int) -> np
     X = np.stack([x for _, _, x in points])
     lat = None if points[0][1] is None else np.stack([latent for _, latent, _ in points])
     means = env.reward.mean_batch(X, lat)[:, arm]
-    design, moment = normal_equations(target, arm, X, means, probs, env.num_arms, 1.0)
-    return _solve_checked(design, moment, arm)
+    return _solve(normal_equations(target, arm, X, means, probs, env.num_arms, 1.0))
 
 
 def _mc_oracle(env: EnvironmentSpec, target: ScoreTarget, arm: int,
@@ -454,14 +453,11 @@ def _mc_oracle(env: EnvironmentSpec, target: ScoreTarget, arm: int,
     batch = sample_rounds(env, stream(seed, PURPOSE_ORACLE), n_oracle)
     X = batch.contexts
     Y = batch.potentials[:, arm]
-    n = n_oracle
-    design, moment = normal_equations(target, arm, X, Y, None, env.num_arms, n)
-    theta = _solve_checked(design, moment, arm)
+    rows = normal_equations(target, arm, X, Y, None, env.num_arms, n_oracle)
+    theta = _solve(rows)
     g = scores(target, arm, X, Y, theta, env.num_arms)
     cov_g = np.cov(g, rowvar=False).reshape(theta.size, theta.size)
-    inv = np.linalg.inv(design)
-    stderr = np.sqrt(np.diag(inv @ cov_g @ inv.T) / n)
-    return theta, stderr
+    return theta, np.sqrt(np.diag(_sandwich(rows.design, cov_g)) / n_oracle)
 
 
 def _gaussian_moment(variance: float, k: int) -> float:

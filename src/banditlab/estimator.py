@@ -6,8 +6,8 @@ outcome. All three scores are linear in theta,
 
     g(x, y; theta) = z (c_a y) - (z z' - S) theta,
 
-with the pieces ``ScoreTarget`` supplies (``regressors``, ``outcome_scale``,
-``shift``):
+with z from ``ScoreTarget.regressors`` and c_a, S and the width p of theta
+from ``ScoreTarget.pieces``:
 
     family          z   c_a       S         theta
     misspec_linear  x   1         0         best linear approximation of y by x
@@ -20,8 +20,8 @@ root of the empirical weighted estimating equation
     (1/T) sum_t (1{A_t = a} / pi_t) g(X_t, Y_t; theta) = 0,
 
 where ``pi_t`` is the realized propensity recorded at collection time: one
-linear solve of ``normal_equations``. The solver, the sandwich variance, the
-oracles and the ``ipwz_greedy`` policy are all written on this one form.
+linear solve of ``normal_equations``. The solver, the sandwich (``_sandwich``),
+the oracles and the policies' scores are all written on this one form.
 """
 
 from __future__ import annotations
@@ -148,27 +148,23 @@ class ScoreTarget:
         if self.family == "ope" and self.target_policy is None:
             raise ValueError("ope target requires a target_policy")
 
-    def theta_dim(self, context_dim: int) -> int:
-        return 1 if self.family == "ope" else context_dim
-
     def regressors(self, contexts: np.ndarray) -> np.ndarray:
         """z: the context itself, or a column of ones for the value target."""
         if self.family == "ope":
             return np.ones(contexts.shape[:-1] + (1,))
         return contexts
 
-    def outcome_scale(self, arm, num_arms: int | None):
-        """c_a: the target policy's probability of ``arm`` (one per entry of an arm array) for ope, else 1."""
-        if self.family != "ope":
-            return 1.0
-        if num_arms is None:
-            raise ValueError("num_arms required for the ope score")
-        return self.target_policy.vector(num_arms)[arm]
-
-    @property
-    def shift(self):
-        """S: Sigma_e for noisy_context, else 0."""
-        return self.sigma_e if self.family == "noisy_context" else 0.0
+    def pieces(self, num_arms: int, context_dim: int):
+        """(c_a per arm or None when every c_a is 1, S, the width p of z and theta) for
+        K arms and d-dimensional contexts; a ValueError if Sigma_e is not d x d."""
+        if self.family == "ope":
+            return self.target_policy.vector(num_arms), 0.0, 1
+        if self.family == "misspec_linear":
+            return None, 0.0, context_dim
+        if self.sigma_e.shape != (context_dim, context_dim):
+            raise ValueError(f"sigma_e must be a {context_dim}x{context_dim} matrix, "
+                             f"got shape {self.sigma_e.shape}")
+        return None, self.sigma_e, context_dim
 
 
 @dataclass
@@ -250,8 +246,10 @@ def score_g(target: ScoreTarget, arm: np.ndarray, x: np.ndarray, y: np.ndarray,
     Z = target.regressors(x)
     if theta.shape != Z.shape:
         raise ValueError("theta dimension must match the score dimension")
-    return _score_rows(Z, target.outcome_scale(arm, num_arms), _shift(target, Z.shape[-1]),
-                       y, theta)
+    if num_arms is None and target.family == "ope":
+        raise ValueError("num_arms required for the ope score")
+    c, S, _ = target.pieces(num_arms, x.shape[-1])
+    return _score_rows(Z, 1.0 if c is None else c[arm], S, y, theta)
 
 
 def _score_rows(Z: np.ndarray, c, S, y: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -260,47 +258,15 @@ def _score_rows(Z: np.ndarray, c, S, y: np.ndarray, theta: np.ndarray) -> np.nda
     return Z * (c * y)[:, None] - np.matmul(zz, theta[:, :, None])[:, :, 0]
 
 
-def _shift(target: ScoreTarget, width: int):
-    """S for ``width`` regressor columns; a ValueError if Sigma_e has another size."""
-    S = target.shift
-    if isinstance(S, np.ndarray) and S.shape != (width, width):
-        raise ValueError(f"sigma_e has shape {S.shape}, but Z has {width} columns")
-    return S
-
-
-def _design(target: ScoreTarget, Z: np.ndarray, w: np.ndarray | None, scale: float) -> np.ndarray:
-    """sum_t w_t (z_t z_t' - S) / scale over regressor rows ``Z``: the score's gradient."""
-    design = (Z.T @ Z if w is None else (Z * w[:, None]).T @ Z) / scale
-    S = _shift(target, Z.shape[1])
-    if isinstance(S, np.ndarray):  # the scalar zero shift adds nothing
-        design = design - ((Z.shape[0] if w is None else w.sum()) / scale) * S
-    return design
-
-
-def _moment(target: ScoreTarget, arm: int, Z: np.ndarray, Y: np.ndarray,
-            w: np.ndarray | None, num_arms: int, scale: float) -> np.ndarray:
-    """sum_t w_t z_t c_a y_t / scale; unit weights if ``w`` is None."""
-    moment = Z.T @ (Y if w is None else w * Y)
-    return target.outcome_scale(arm, num_arms) * moment / scale
-
-
-def normal_equations(target: ScoreTarget, arm: int, X: np.ndarray, Y: np.ndarray,
-                     w: np.ndarray | None, num_arms: int, scale: float):
-    """(sum_t w_t (z_t z_t' - S), sum_t w_t z_t c_a y_t) / scale; unit weights if ``w`` is None."""
-    Z = target.regressors(X)
-    return _design(target, Z, w, scale), _moment(target, arm, Z, Y, w, num_arms, scale)
-
-
 def scores(target: ScoreTarget, arm: int, X: np.ndarray, Y: np.ndarray,
            theta: np.ndarray, num_arms: int, w: np.ndarray | None = None) -> np.ndarray:
     """Rows g(X_t, Y_t; theta), each times w_t when weights are given; (n, p)."""
+    c, S, _ = target.pieces(num_arms, X.shape[1])
     Z = target.regressors(X)
-    c = target.outcome_scale(arm, num_arms)
-    resid = (Y if c == 1.0 else c * Y) - Z @ theta
+    resid = (Y if c is None else c[arm] * Y) - Z @ theta
     if w is not None:
         resid = w * resid
     rows = Z * resid[:, None]
-    S = target.shift
     if isinstance(S, np.ndarray):  # the scalar zero shift adds nothing
         shift = S @ theta
         rows += shift if w is None else w[:, None] * shift
@@ -317,30 +283,46 @@ def _require_conditioned(matrix: np.ndarray, arm: int) -> None:
         raise SingularDesign(arm, cond)
 
 
-def _solve(design: np.ndarray, moment: np.ndarray) -> np.ndarray:
-    """Root of the normal equations for a design already checked by ``_require_conditioned``."""
-    if design.shape == (1, 1):
-        return moment / design[0, 0]
-    return np.linalg.solve(design, moment)
-
-
-def _solve_checked(design: np.ndarray, moment: np.ndarray, arm: int) -> np.ndarray:
-    """Root of the normal equations, raising SingularDesign on an ill-conditioned design."""
-    _require_conditioned(design, arm)
-    return _solve(design, moment)
-
-
 class ArmRows(NamedTuple):
-    """One arm's rounds of a log and its weighted design, built once by ``arm_rows``."""
+    """One arm's weighted normal equations with the rows they are built from."""
 
-    X: np.ndarray       # (n, d) contexts of the rounds that pulled the arm
+    X: np.ndarray       # (n, d) contexts of the rows (for a log, the rounds that pulled the arm)
     Y: np.ndarray       # (n,) their outcomes
-    w: np.ndarray       # (n,) their inverse propensities
-    design: np.ndarray  # (p, p) sum_t w_t (z_t z_t' - S) / T, checked by _require_conditioned
+    w: np.ndarray | None  # (n,) their weights (for a log, inverse propensities); None for 1
+    design: np.ndarray  # (p, p) sum_t w_t (z_t z_t' - S) / scale, checked by _require_conditioned
+    moment: np.ndarray  # (p,) sum_t w_t z_t c_a y_t / scale
+
+
+def normal_equations(target: ScoreTarget, arm: int, X: np.ndarray, Y: np.ndarray,
+                     w: np.ndarray | None, num_arms: int, scale: float) -> ArmRows:
+    """``arm``'s normal equations over rows X, Y with weights ``w`` (None: unit weights),
+    over ``scale``; raises SingularDesign if the design is ill-conditioned."""
+    c, S, _ = target.pieces(num_arms, X.shape[1])
+    Z = target.regressors(X)
+    design = (Z.T @ Z if w is None else (Z * w[:, None]).T @ Z) / scale
+    if isinstance(S, np.ndarray):  # the scalar zero shift adds nothing
+        design = design - ((Z.shape[0] if w is None else w.sum()) / scale) * S
+    _require_conditioned(design, arm)
+    moment = Z.T @ (Y if w is None else w * Y)
+    return ArmRows(X, Y, w, design, (1.0 if c is None else c[arm]) * moment / scale)
+
+
+def _solve(rows: ArmRows) -> np.ndarray:
+    """Root of the normal equations ``rows`` (their design already checked)."""
+    if rows.design.shape == (1, 1):
+        return rows.moment / rows.design[0, 0]
+    return np.linalg.solve(rows.design, rows.moment)
+
+
+def _sandwich(design: np.ndarray, middle: np.ndarray) -> np.ndarray:
+    """The symmetrized sandwich G^-1 M G^-T of a design G and a middle matrix M."""
+    ginv = np.linalg.inv(design)
+    sigma = ginv @ middle @ ginv.T
+    return (sigma + sigma.T) / 2.0
 
 
 def arm_rows(log: BanditLog, target: ScoreTarget, arm: int) -> ArmRows:
-    """The rows of ``arm`` in ``log`` with their design: the input of the solve and its sandwich.
+    """The weighted normal equations of ``arm`` in ``log``: the input of the solve and its sandwich.
 
     Raises NoDataForArm if the arm was never pulled, then SingularDesign if
     its design is ill-conditioned.
@@ -348,11 +330,8 @@ def arm_rows(log: BanditLog, target: ScoreTarget, arm: int) -> ArmRows:
     idx = np.flatnonzero(log.arms == arm)
     if idx.size == 0:
         raise NoDataForArm(arm)
-    X = log.contexts.take(idx, axis=0)
-    w = 1.0 / log.propensities.take(idx)
-    design = _design(target, target.regressors(X), w, log.horizon)
-    _require_conditioned(design, arm)
-    return ArmRows(X, log.outcomes.take(idx), w, design)
+    return normal_equations(target, arm, log.contexts.take(idx, axis=0), log.outcomes.take(idx),
+                            1.0 / log.propensities.take(idx), log.num_arms, log.horizon)
 
 
 def ipwz_solve(log: BanditLog, target: ScoreTarget, arm: int,
@@ -361,9 +340,7 @@ def ipwz_solve(log: BanditLog, target: ScoreTarget, arm: int,
 
     ``rows`` are ``arm_rows(log, target, arm)`` when the caller has them.
     """
-    X, Y, w, design = arm_rows(log, target, arm) if rows is None else rows
-    return _solve(design, _moment(target, arm, target.regressors(X), Y, w,
-                                  log.num_arms, log.horizon))
+    return _solve(arm_rows(log, target, arm) if rows is None else rows)
 
 
 # --- CSV serialization -------------------------------------------------------

@@ -95,10 +95,18 @@ FAILURE_TOLERANCE = 0.05
 
 
 def check_levels(levels) -> tuple:
-    """The levels as a tuple, if a non-empty list in (0, 1)."""
+    """The levels as a tuple, if a non-empty list of distinct levels with finite quantiles."""
     if not (isinstance(levels, (list, tuple)) and levels and all(
             isinstance(level, numbers.Real) and 0.0 < level < 1.0 for level in levels)):
         raise ValueError(f"levels must be a non-empty list in (0, 1), got {levels!r}")
+    if len(set(levels)) < len(levels):
+        raise ValueError(f"levels must not repeat a level, got {levels!r}")
+    for level in levels:
+        try:
+            two_sided_z(float(level))
+        except ValueError:
+            raise ValueError(f"levels: {level!r} is too close to 1 for a finite "
+                             "normal quantile") from None
     return tuple(levels)
 
 

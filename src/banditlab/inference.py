@@ -11,11 +11,12 @@ g = z (c_a y) - (z z' - S) theta (the table of z, c_a and S is in the
 ``estimator`` module docstring), so its gradient is the constant -(z z' - S)
 and Gdot is the design of ``estimator.normal_equations``, coded directly
 rather than differentiated numerically; a finite-difference guard lives in
-the test suite.
+the test suite. ``sandwich_variance`` and ``variance_estimated_sigma`` share
+``estimator._sandwich`` with the Monte Carlo oracle's standard error.
 
 ``estimate_report`` makes one pass per arm: ``estimator.arm_rows`` gathers the
-arm's rows once and builds and checks their design once, and both the solve
-and the sandwich's Gdot use them.
+arm's rows and builds and checks their normal equations once, and both the
+solve and the sandwich's Gdot use them.
 
 Confidence intervals take their normal quantile from the standard library's
 ``statistics.NormalDist``.
@@ -35,14 +36,11 @@ from .estimator import (
     AuxiliaryData,
     BanditLog,
     ScoreTarget,
+    _sandwich,
     arm_rows,
     ipwz_solve,
     scores,
 )
-
-# Incremented whenever a negative variance diagonal (floating error) is floored.
-counters = {"negative_variance_floored": 0}
-
 
 _STANDARD_NORMAL = NormalDist()
 
@@ -73,19 +71,13 @@ def sandwich_variance(
     design, already checked, is Gdot.
     """
     theta = np.asarray(theta_hat, dtype=float).ravel()
-    X, Y, w, gdot = arm_rows(log, target, arm) if rows is None else rows
-    T = log.horizon
-    gw = scores(target, arm, X, Y, theta, log.num_arms, w)
-    imat = gw.T @ gw / T
-
-    ginv = np.linalg.inv(gdot)
-    sigma = ginv @ imat @ ginv.T
-    sigma = (sigma + sigma.T) / 2.0
-    neg = np.diag(sigma) < 0
-    if neg.any():
-        counters["negative_variance_floored"] += int(neg.sum())
+    rows = arm_rows(log, target, arm) if rows is None else rows
+    gw = scores(target, arm, rows.X, rows.Y, theta, log.num_arms, rows.w)
+    imat = gw.T @ gw / log.horizon
+    sigma = _sandwich(rows.design, imat)
+    if (np.diag(sigma) < 0).any():  # floating error: floor the variances at zero
         sigma[np.diag_indices_from(sigma)] = np.maximum(np.diag(sigma), 0.0)
-    return sigma, gdot, imat
+    return sigma, rows.design, imat
 
 
 @lru_cache(maxsize=64)
@@ -166,8 +158,8 @@ def estimate_report(
 ) -> EstimateReport:
     """Solve, estimate variance and build intervals for one arm.
 
-    The arm's rows are gathered, and its design built and checked, once for
-    both the solve and the sandwich.
+    The arm's rows are gathered, and their normal equations built and
+    checked, once for both the solve and the sandwich.
     """
     rows = arm_rows(log, target, arm)
     theta = ipwz_solve(log, target, arm, rows=rows)
@@ -233,15 +225,13 @@ def variance_estimated_sigma(
     vt = err * (err @ theta)[:, None] - sigma_e_hat @ theta
     h_bar = vt.T @ vt / n
 
-    ginv = np.linalg.inv(gdot)
     if regime == "n_dominant":
         middle, scaling = imat, "sqrt_T"
     elif regime == "proportional":
         middle, scaling = imat + h_bar / (n / T), "sqrt_T"
     else:
         middle, scaling = h_bar, "sqrt_n"
-    sigma = ginv @ middle @ ginv.T
-    return (sigma + sigma.T) / 2.0, scaling
+    return _sandwich(gdot, middle), scaling
 
 
 def write_reports_json(reports: list[EstimateReport], path,

@@ -38,7 +38,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .estimator import ScoreTarget, _score_rows, check_covariance
+from .estimator import ScoreTarget, _score_rows
 
 POLICY_KINDS = (
     "random", "eps_greedy_mab", "ucb_mab", "ts_mab",
@@ -410,17 +410,11 @@ def _well_conditioned(G: np.ndarray, threshold: float = 1e12) -> np.ndarray:
 
 
 def _score_pieces(kind: str, target: ScoreTarget | None, num_arms: int, context_dim: int):
-    """A target's score pieces, fixed for a block: its regressor rule, its c_a per
-    arm (None when every c_a is 1), S, and the coefficient width d_theta.
-
-    Checks that there is a target, and that a noisy_context target's Sigma_e is d x d.
-    """
+    """A target's score pieces, fixed for a block: its regressor rule, then its
+    ``ScoreTarget.pieces``, which check Sigma_e's size; a ValueError without a target."""
     if target is None:
         raise ValueError(f"{kind} requires a ScoreTarget")
-    if target.family == "noisy_context":
-        check_covariance(target.sigma_e, "sigma_e", dim=context_dim)
-    scale = target.target_policy.vector(num_arms) if target.family == "ope" else None
-    return target.regressors, scale, target.shift, target.theta_dim(context_dim)
+    return (target.regressors, *target.pieces(num_arms, context_dim))
 
 
 # --- policy kinds -------------------------------------------------------------

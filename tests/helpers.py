@@ -46,9 +46,7 @@ from banditlab.estimator import (
     NoDataForArm,
     ScoreTarget,
     TargetPolicy,
-    _design,
-    _require_conditioned,
-    _solve_checked,
+    _solve,
     normal_equations,
     scores,
 )
@@ -430,8 +428,7 @@ def _reference_arm_rows(log: BanditLog, arm: int):
 
 def _reference_ipwz_solve(log: BanditLog, target: ScoreTarget, arm: int, rows=None) -> np.ndarray:
     X, Y, w = _reference_arm_rows(log, arm) if rows is None else rows
-    design, moment = normal_equations(target, arm, X, Y, w, log.num_arms, log.horizon)
-    return _solve_checked(design, moment, arm)
+    return _solve(normal_equations(target, arm, X, Y, w, log.num_arms, log.horizon))
 
 
 def _reference_sandwich_variance(log: BanditLog, target: ScoreTarget, arm: int,
@@ -439,11 +436,10 @@ def _reference_sandwich_variance(log: BanditLog, target: ScoreTarget, arm: int,
     theta = np.asarray(theta_hat, dtype=float).ravel()
     X, Y, w = _reference_arm_rows(log, arm) if rows is None else rows
     T = log.horizon
-    gdot = _design(target, target.regressors(X), w, T)
+    gdot = normal_equations(target, arm, X, Y, w, log.num_arms, T).design
     gw = scores(target, arm, X, Y, theta, log.num_arms, w)
     imat = gw.T @ gw / T
 
-    _require_conditioned(gdot, arm)
     ginv = np.linalg.inv(gdot)
     sigma = ginv @ imat @ ginv.T
     sigma = (sigma + sigma.T) / 2.0

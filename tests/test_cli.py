@@ -530,6 +530,8 @@ def test_runtime_failure_exits_two(tmp_path, capsys):
     ("levels=[0.95,1.5]", "levels"),
     ('variance_mode="full"', "unknown key 'variance_mode'"),
     ("levels=0.95", "levels must be a non-empty list in (0, 1), got 0.95"),
+    ("levels=[0.95,0.95]", "levels must not repeat a level, got [0.95, 0.95]"),
+    ("levels=[0.9999999999999999]", "levels: 0.9999999999999999 is too close to 1"),
 ])
 def test_bad_levels_or_variance_mode_exits_one(tmp_path, capsys, override, message):
     cfg = _tiny_config(tmp_path)
@@ -545,6 +547,8 @@ def test_bad_levels_or_variance_mode_exits_one(tmp_path, capsys, override, messa
     ("levels=[0.95,1.5]", "levels"),
     ('variance_mode="full"', "unknown key 'variance_mode'"),
     ("levels=0.95", "levels must be a non-empty list in (0, 1), got 0.95"),
+    ("levels=[0.95,0.95]", "levels must not repeat a level, got [0.95, 0.95]"),
+    ("levels=[0.9999999999999999]", "levels: 0.9999999999999999 is too close to 1"),
 ])
 def test_infer_bad_levels_or_variance_mode_exits_one(tmp_path, capsys, override, message):
     cfg = _tiny_config(tmp_path)
@@ -555,6 +559,31 @@ def test_infer_bad_levels_or_variance_mode_exits_one(tmp_path, capsys, override,
                "--log", str(sim / "log.csv"), "--set", override])
     assert rc == 1
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_ope_single_replication_exits_one(tmp_path, capsys):
+    # The variance column needs two replications; with R >= 2 the failure
+    # tolerance leaves at least two usable ones.
+    out = tmp_path / "cmp"
+    rc = main(["compare-ope", "--config", str(CONFIGS / "fig4_ope_nonconv_boltzmann.json"),
+               "--out", str(out), "--set", "replications=1", "--set", "horizon=50"])
+    assert rc == 1
+    assert "compare-ope requires replications >= 2, got 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_infer_names_the_log_and_arm_of_a_singular_design(tmp_path, capsys):
+    # Every arm-1 context is 0, so arm 1's design sum_t w_t x_t^2 is 0.
+    log = tmp_path / "flat.csv"
+    log.write_text("t,x_1,s_1,a,pi,y\n1,0,,1,0.5,1\n2,0,,1,0.5,2\n"
+                   "3,1,,2,0.5,1\n4,-1,,2,0.5,0\n")
+    cfg = _tiny_config(tmp_path)  # nonconv_demo: two arms, misspec_linear
+    out = tmp_path / "inf"
+    rc = main(["infer", "--config", str(cfg), "--out", str(out), "--log", str(log)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: log {log}: arm 1 (1-based) has a singular weighted design")
     assert not out.exists()
 
 

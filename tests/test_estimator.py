@@ -71,7 +71,7 @@ class TestScoreG:
     def test_sigma_e_size_must_match_context(self):
         # A 1x1 Sigma_e would broadcast over a 2x2 z z'.
         target = ScoreTarget(family="noisy_context", sigma_e=[[1.0]])
-        with pytest.raises(ValueError, match=r"sigma_e has shape \(1, 1\), but Z has 2 columns"):
+        with pytest.raises(ValueError, match=r"sigma_e must be a 2x2 matrix, got shape \(1, 1\)"):
             score_g(target, np.array([0]), np.array([[1.0, 2.0]]), np.array([3.0]),
                     np.array([[1.0, 0.0]]))
 
@@ -193,7 +193,7 @@ def test_sigma_e_size_must_match_regressors():
     log = _log(rng.normal(size=(20, 2)), np.zeros(20, dtype=int), np.full(20, 0.5),
                rng.normal(size=20))
     target = ScoreTarget(family="noisy_context", sigma_e=[[1.0]])
-    with pytest.raises(ValueError, match=r"sigma_e has shape \(1, 1\), but Z has 2 columns"):
+    with pytest.raises(ValueError, match=r"sigma_e must be a 2x2 matrix, got shape \(1, 1\)"):
         ipwz_solve(log, target, 0)
 
 

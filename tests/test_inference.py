@@ -350,7 +350,7 @@ class TestEstimateReport:
         import banditlab.estimator as estimator
         import banditlab.inference as inference
 
-        calls = {"_design": 0, "_require_conditioned": 0}
+        calls = {"normal_equations": 0, "_require_conditioned": 0}
         for name in calls:
             original = getattr(estimator, name)
 
@@ -364,4 +364,4 @@ class TestEstimateReport:
         log = synthetic_log(build_environment("nc_gaussian", {"num_arms": 3}), 300, seed=4)
         for arm in range(3):
             estimate_report(log, ScoreTarget(family="misspec_linear"), arm)
-        assert calls == {"_design": 3, "_require_conditioned": 3}
+        assert calls == {"normal_equations": 3, "_require_conditioned": 3}
