@@ -165,7 +165,7 @@ def parse_env(doc: dict) -> EnvironmentSpec:
     _check_keys(doc, "env")
     if "name" not in doc:
         raise ConfigError("env config requires a 'name'")
-    return build_environment(doc["name"], doc.get("params") or {}, seed=doc.get("seed", 0))
+    return build_environment(doc["name"], doc.get("params"), seed=doc.get("seed", 0))
 
 
 def build_experiment(config: dict) -> ExperimentConfig:
@@ -173,7 +173,7 @@ def build_experiment(config: dict) -> ExperimentConfig:
     for key in ("env", "policy", "target", "horizon"):
         if key not in config:
             raise ConfigError(f"experiment config is missing {key!r}")
-    diagnostics = config.get("diagnostics") or {}
+    diagnostics = {} if config.get("diagnostics") is None else config["diagnostics"]
     _check_keys(diagnostics, "diagnostics")
     # The other keys reach ExperimentConfig as they are, to be checked there.
     rest = {k: v for k, v in config.items() if k not in ("env", "policy", "target", "diagnostics")}

@@ -15,6 +15,10 @@ state, potential outcomes for every arm). Six named benchmarks are built in:
 * ``ms_polynomial`` / ``ms_neural`` -- direct context-to-outcome environments
   with polynomial and ReLU mean reward functions.
 
+``support`` gives a finite-support environment's joint law as one ``Support``
+of row-aligned arrays: the probabilities P(s, x), the latent states s (None
+without noise) and the observed contexts x.
+
 ``oracle_target`` returns the ground-truth parameter for any score family,
 using an exact enumeration path on finite-support environments and a brute
 force Monte Carlo path (with a reported standard error) elsewhere.
@@ -118,6 +122,14 @@ class RoundBatch(NamedTuple):
     potentials: np.ndarray          # (n, K)
 
 
+class Support(NamedTuple):
+    """A finite-support environment's joint law of (latent, context), row by row."""
+
+    probs: np.ndarray               # (n,) probability of each row
+    latents: np.ndarray | None      # (n, d), or None without a latent state
+    contexts: np.ndarray            # (n, d) observed contexts
+
+
 class OracleResult(NamedTuple):
     theta: np.ndarray
     stderr: np.ndarray
@@ -134,24 +146,20 @@ def _check_cov(mat, key: str, dim: int) -> np.ndarray:
         raise InvalidParameterError(key, str(exc)) from exc
 
 
-def _check_table(given, values, probs, d: int) -> NoiseLaw:
-    given = np.atleast_2d(np.asarray(given, dtype=float).reshape(-1, d))
-    values = np.atleast_2d(np.asarray(values, dtype=float).reshape(-1, d))
-    probs = np.asarray(probs, dtype=float)
-    if np.any(probs < 0):
-        raise InvalidParameterError("noise_table", "probabilities must be nonnegative")
-    for g in distinct_rows(given):
-        mask = np.all(given == g, axis=1)
-        p = probs[mask]
-        if abs(p.sum() - 1.0) > 1e-9:
-            raise InvalidParameterError(
-                "noise_table", f"probabilities for latent {g.tolist()} sum to {p.sum()}")
-        drift = p @ (values[mask] - g)
-        if np.max(np.abs(drift)) > 1e-9:
-            raise InvalidParameterError(
-                "noise_table",
-                f"conditional error mean for latent {g.tolist()} is {drift.tolist()}, not zero")
-    return NoiseLaw(kind="table", given=given, values=values, probs=probs)
+def _numbers(value, key: str, shape: tuple) -> np.ndarray:
+    """``value`` as finite floats reshaped to ``shape`` (-1: any length); else an
+    InvalidParameterError naming ``key``. Bools, strings, empty and ragged input fail."""
+    try:
+        leaves = np.asarray(value, dtype=object)
+    except ValueError:  # too ragged for an object array
+        leaves = np.array([None])
+    if leaves.size == 0 or not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                                   and math.isfinite(v) for v in leaves.flat):
+        raise InvalidParameterError(key, f"must be finite numbers, got {value!r}")
+    try:
+        return leaves.astype(float).reshape(shape)
+    except ValueError:
+        raise InvalidParameterError(key, f"expected shape {shape}, got {leaves.shape}") from None
 
 
 def implied_sigma_e(env: EnvironmentSpec) -> np.ndarray | None:
@@ -160,13 +168,9 @@ def implied_sigma_e(env: EnvironmentSpec) -> np.ndarray | None:
         return None
     if env.noise_law.kind == "gaussian":
         return env.noise_law.cov
-    law, noise = env.context_law, env.noise_law
-    sigma = np.zeros((env.context_dim, env.context_dim))
-    for g, w in zip(law.points, law.weights):
-        mask = np.all(noise.given == g, axis=1)
-        err = noise.values[mask] - g
-        sigma += w * (err * noise.probs[mask][:, None]).T @ err
-    return sigma
+    sup = support(env)
+    err = sup.contexts - sup.latents
+    return (err * sup.probs[:, None]).T @ err
 
 
 # --- builders -----------------------------------------------------------------
@@ -196,7 +200,7 @@ def _scale(params: dict, key: str) -> float:
 def _take(params: dict, allowed: dict) -> dict:
     """Merge overrides into defaults, rejecting undeclared keys."""
     out = dict(allowed)
-    for key, value in (params or {}).items():
+    for key, value in params.items():
         if key not in allowed:
             raise InvalidParameterError(key, f"not a declared parameter (declared: {sorted(allowed)})")
         out[key] = value
@@ -206,15 +210,11 @@ def _take(params: dict, allowed: dict) -> dict:
 def _build_nonconv_demo(params: dict, rng: np.random.Generator) -> EnvironmentSpec:
     p = _take(params, {"sigma_eta": 1.0, "context_points": (-4.0, 1.0),
                        "context_weights": (0.5, 0.5), "arm_means": (0.5, 1.0 / 12.0)})
-    points = np.asarray(p["context_points"], dtype=float).reshape(-1, 1)
-    weights = np.asarray(p["context_weights"], dtype=float)
-    if weights.shape != (len(points),):
-        raise InvalidParameterError("context_weights", "expected one weight per context point")
+    points = _numbers(p["context_points"], "context_points", (-1, 1))
+    weights = _numbers(p["context_weights"], "context_weights", (len(points),))
     if abs(weights.sum() - 1.0) > 1e-9 or np.any(weights < 0):
         raise InvalidParameterError("context_weights", "must be a probability vector")
-    means = np.asarray(p["arm_means"], dtype=float)
-    if means.shape != (2,):
-        raise InvalidParameterError("arm_means", f"expected 2 means, got {means.tolist()}")
+    means = _numbers(p["arm_means"], "arm_means", (2,))
     return EnvironmentSpec(
         name="nonconv_demo", num_arms=2, context_dim=1,
         context_law=ContextLaw(kind="finite", points=points, weights=weights),
@@ -224,29 +224,47 @@ def _build_nonconv_demo(params: dict, rng: np.random.Generator) -> EnvironmentSp
     )
 
 
-_NC_HARD_TABLE = dict(
-    given=[[0.0], [0.0], [-1.0], [-1.0]],
-    values=[[1.0], [-2.0], [-2.0], [1.0]],
-    probs=[2.0 / 3.0, 1.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0],
-)
+# The nc_hard conditional error table, in the JSON form a noise_table override takes.
+_NC_HARD_TABLE = [
+    {"given": [0.0], "value": [1.0], "prob": 2.0 / 3.0},
+    {"given": [0.0], "value": [-2.0], "prob": 1.0 / 3.0},
+    {"given": [-1.0], "value": [-2.0], "prob": 2.0 / 3.0},
+    {"given": [-1.0], "value": [1.0], "prob": 1.0 / 3.0},
+]
 
 
 def parse_noise_table(rows, d: int) -> NoiseLaw:
-    """Finite conditional table from its JSON form: [{given, value, prob}, ...]."""
-    given = [row["given"] for row in rows]
-    values = [row["value"] for row in rows]
-    probs = [row["prob"] for row in rows]
-    return _check_table(given, values, probs, d)
+    """Finite conditional table from its JSON form, a non-empty list of {given, value, prob}:
+    each latent state's probabilities sum to one, and its errors value - given have mean zero."""
+    if not (isinstance(rows, list) and rows and all(
+            isinstance(row, dict) and row.keys() == {"given", "value", "prob"} for row in rows)):
+        raise InvalidParameterError("noise_table", f"must be a non-empty list of "
+                                    f"{{given, value, prob}} objects, got {rows!r}")
+    given = _numbers([row["given"] for row in rows], "noise_table", (len(rows), d))
+    values = _numbers([row["value"] for row in rows], "noise_table", (len(rows), d))
+    probs = _numbers([row["prob"] for row in rows], "noise_table", (len(rows),))
+    if np.any(probs < 0):
+        raise InvalidParameterError("noise_table", "probabilities must be nonnegative")
+    for g in distinct_rows(given):
+        mask = np.all(given == g, axis=1)
+        p = probs[mask]
+        if abs(p.sum() - 1.0) > 1e-9:
+            raise InvalidParameterError(
+                "noise_table", f"probabilities for latent {g.tolist()} sum to {p.sum()}")
+        drift = p @ (values[mask] - g)
+        if np.max(np.abs(drift)) > 1e-9:
+            raise InvalidParameterError(
+                "noise_table",
+                f"conditional error mean for latent {g.tolist()} is {drift.tolist()}, not zero")
+    return NoiseLaw(kind="table", given=given, values=values, probs=probs)
 
 
 def _build_nc_hard(theta: tuple, name: str):
     def build(params: dict, rng: np.random.Generator) -> EnvironmentSpec:
         p = _take(params, {"sigma_eta": 1.0, "theta": theta, "noise_table": None})
-        th = np.asarray(p["theta"], dtype=float).reshape(2, 1)
-        if p["noise_table"] is not None:
-            noise = parse_noise_table(p["noise_table"], d=1)
-        else:
-            noise = _check_table(d=1, **_NC_HARD_TABLE)
+        th = _numbers(p["theta"], "theta", (2, 1))
+        noise = parse_noise_table(
+            _NC_HARD_TABLE if p["noise_table"] is None else p["noise_table"], d=1)
         points = np.array([[0.0], [-1.0]])
         given = distinct_rows(noise.given)
         if not np.array_equal(given, distinct_rows(points)):
@@ -254,11 +272,7 @@ def _build_nc_hard(theta: tuple, name: str):
                                         "are not the latent states [0.0, -1.0]")
         return EnvironmentSpec(
             name=name, num_arms=2, context_dim=1,
-            context_law=ContextLaw(
-                kind="finite",
-                points=points,
-                weights=np.array([0.5, 0.5]),
-            ),
+            context_law=ContextLaw(kind="finite", points=points, weights=np.array([0.5, 0.5])),
             noise_law=noise,
             reward=RewardModel(kind="linear_latent", params=th),
             reward_noise_sd=_scale(p, "sigma_eta"),
@@ -273,12 +287,10 @@ def _build_nc_gaussian(params: dict, rng: np.random.Generator) -> EnvironmentSpe
                        "theta": None})
     d = _count(p, "d")
     K = _count(p, "num_arms")
-    sigma_s = _check_cov(p["sigma_s"] if p["sigma_s"] is not None else np.eye(d), "sigma_s", d)
-    sigma_e = _check_cov(p["sigma_e"] if p["sigma_e"] is not None else np.eye(d), "sigma_e", d)
-    sigma_th = _check_cov(
-        p["sigma_theta"] if p["sigma_theta"] is not None else np.eye(d), "sigma_theta", d)
+    sigma_s, sigma_e, sigma_th = (_check_cov(np.eye(d) if p[key] is None else p[key], key, d)
+                                  for key in ("sigma_s", "sigma_e", "sigma_theta"))
     if p["theta"] is not None:
-        theta = np.asarray(p["theta"], dtype=float).reshape(K, d)
+        theta = _numbers(p["theta"], "theta", (K, d))
     else:
         theta = rng.standard_normal((K, d)) @ np.linalg.cholesky(
             sigma_th + 1e-12 * np.eye(d)).T
@@ -292,42 +304,29 @@ def _build_nc_gaussian(params: dict, rng: np.random.Generator) -> EnvironmentSpe
     )
 
 
-def _build_ms_polynomial(params: dict, rng: np.random.Generator) -> EnvironmentSpec:
-    p = _take(params, {"degree": 3, "num_arms": 2, "sigma_eta": 1.0,
-                       "sigma_x": 1.0, "sigma_theta": 1.0, "theta": None})
-    degree = _count(p, "degree")
-    K = _count(p, "num_arms")
-    sigma_theta = _scale(p, "sigma_theta")
-    if p["theta"] is not None:
-        coeffs = np.asarray(p["theta"], dtype=float).reshape(K, degree)
-    else:
-        coeffs = np.sqrt(sigma_theta) * rng.standard_normal((K, degree))
-    return EnvironmentSpec(
-        name="ms_polynomial", num_arms=K, context_dim=1,
-        context_law=ContextLaw(kind="gaussian", cov=_check_cov([[p["sigma_x"]]], "sigma_x", 1)),
-        noise_law=None,
-        reward=RewardModel(kind="polynomial", params=coeffs),
-        reward_noise_sd=_scale(p, "sigma_eta"),
-    )
-
-
-def _build_ms_neural(params: dict, rng: np.random.Generator) -> EnvironmentSpec:
-    p = _take(params, {"num_arms": 2, "sigma_eta": 1.0, "sigma_x": 1.0,
-                       "sigma_theta": 1.0, "theta": None})
-    K = _count(p, "num_arms")
-    sigma_theta = _scale(p, "sigma_theta")
-    if p["theta"] is not None:
-        theta = np.asarray(p["theta"], dtype=float).reshape(K, 1)
-    else:
-        theta = np.sqrt(sigma_theta) * rng.standard_normal((K, 1))
-    return EnvironmentSpec(
-        name="ms_neural", num_arms=K, context_dim=1,
-        context_law=ContextLaw(kind="gaussian", cov=_check_cov([[p["sigma_x"]]], "sigma_x", 1)),
-        noise_law=None,
-        reward=RewardModel(kind="relu_linear", params=theta),
-        reward_noise_sd=_scale(p, "sigma_eta"),
-        true_params=theta,
-    )
+def _build_ms(name: str, kind: str):
+    """Direct context-to-outcome builder for reward ``kind``: ``polynomial`` coefficients
+    (K, degree), or ``relu_linear`` slopes (K, 1), which alone are also ``true_params``."""
+    def build(params: dict, rng: np.random.Generator) -> EnvironmentSpec:
+        declared = {"num_arms": 2, "sigma_eta": 1.0, "sigma_x": 1.0, "sigma_theta": 1.0,
+                    "theta": None}
+        p = _take(params, {"degree": 3, **declared} if kind == "polynomial" else declared)
+        width = _count(p, "degree") if kind == "polynomial" else 1
+        K = _count(p, "num_arms")
+        sigma_theta = _scale(p, "sigma_theta")
+        if p["theta"] is not None:
+            theta = _numbers(p["theta"], "theta", (K, width))
+        else:
+            theta = np.sqrt(sigma_theta) * rng.standard_normal((K, width))
+        return EnvironmentSpec(
+            name=name, num_arms=K, context_dim=1,
+            context_law=ContextLaw(kind="gaussian", cov=np.array([[_scale(p, "sigma_x")]])),
+            noise_law=None,
+            reward=RewardModel(kind=kind, params=theta),
+            reward_noise_sd=_scale(p, "sigma_eta"),
+            true_params=None if kind == "polynomial" else theta,
+        )
+    return build
 
 
 _BUILDERS = {
@@ -335,21 +334,23 @@ _BUILDERS = {
     "nc_hard1": _build_nc_hard((3.0, 1.0), "nc_hard1"),
     "nc_hard2": _build_nc_hard((-3.0, -1.0), "nc_hard2"),
     "nc_gaussian": _build_nc_gaussian,
-    "ms_polynomial": _build_ms_polynomial,
-    "ms_neural": _build_ms_neural,
+    "ms_polynomial": _build_ms("ms_polynomial", "polynomial"),
+    "ms_neural": _build_ms("ms_neural", "relu_linear"),
 }
 
 
 def build_environment(name: str, params: dict | None = None, seed: int = 0) -> EnvironmentSpec:
     """Resolve a named environment; randomly drawn parameters depend only on ``seed``."""
-    if name not in _BUILDERS:
+    if not isinstance(name, str) or name not in _BUILDERS:
         raise UnknownEnvironmentError(
-            f"unknown environment {name!r}; expected one of {ENVIRONMENT_NAMES}")
+            f"unknown environment {name!r} in env.name; expected one of {ENVIRONMENT_NAMES}")
+    if params is not None and not isinstance(params, dict):
+        raise InvalidParameterError("env.params", f"must be an object of overrides, got {params!r}")
     seed = whole_number(seed, "env.seed")
     if seed < 0:
         raise ValueError(f"env.seed must be >= 0, got {seed}")
     rng = stream(seed, PURPOSE_PARAMS)
-    return _BUILDERS[name](params or {}, rng)
+    return _BUILDERS[name]({} if params is None else params, rng)
 
 
 # --- sampling -----------------------------------------------------------------
@@ -391,22 +392,18 @@ def sample_rounds(env: EnvironmentSpec, rng: np.random.Generator, n: int) -> Rou
     return RoundBatch(contexts=contexts, latents=latents, potentials=means)
 
 
-def support(env: EnvironmentSpec):
-    """Joint finite support [(prob, latent, context), ...], or None if continuous."""
-    law = env.context_law
+def support(env: EnvironmentSpec) -> Support | None:
+    """The joint finite support, or None if continuous: one row per context-law point, or
+    per (point, noise-table row) in that order, with the product of their probabilities."""
+    law, noise = env.context_law, env.noise_law
     if law.kind != "finite":
         return None
-    if env.noise_law is None:
-        return [(float(w), None, pt) for pt, w in zip(law.points, law.weights)]
-    if env.noise_law.kind != "table":
+    if noise is None:
+        return Support(law.weights, None, law.points)
+    if noise.kind != "table":
         return None
-    out = []
-    noise = env.noise_law
-    for pt, w in zip(law.points, law.weights):
-        rows = np.all(noise.given == pt, axis=1)
-        for value, prob in zip(noise.values[rows], noise.probs[rows]):
-            out.append((float(w * prob), pt, value))
-    return out
+    point, row = np.nonzero(np.all(law.points[:, None, :] == noise.given[None, :, :], axis=2))
+    return Support(law.weights[point] * noise.probs[row], law.points[point], noise.values[row])
 
 
 def distinct_rows(X: np.ndarray, return_inverse: bool = False):
@@ -439,12 +436,9 @@ def _enumerate_oracle(env: EnvironmentSpec, target: ScoreTarget, arm: int) -> np
     point's mean reward as its outcome: reward noise has mean zero given
     (latent, context), so it drops out of every moment the score uses.
     """
-    points = support(env)
-    probs = np.array([prob for prob, _, _ in points])
-    X = np.stack([x for _, _, x in points])
-    lat = None if points[0][1] is None else np.stack([latent for _, latent, _ in points])
-    means = env.reward.mean_batch(X, lat)[:, arm]
-    return _solve(normal_equations(target, arm, X, means, probs, env.num_arms, 1.0))
+    sup = support(env)
+    means = env.reward.mean_batch(sup.contexts, sup.latents)[:, arm]
+    return _solve(normal_equations(target, arm, sup.contexts, means, sup.probs, env.num_arms, 1.0))
 
 
 def _mc_oracle(env: EnvironmentSpec, target: ScoreTarget, arm: int,

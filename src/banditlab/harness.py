@@ -154,8 +154,7 @@ class ExperimentConfig:
         object.__setattr__(self, "diagnostic_contexts", tuple(
             tuple(np.atleast_1d(c).tolist()) for c in self.diagnostic_contexts))
         sup = support(self.env)
-        xs = None if sup is None else np.array([x for _, _, x in sup])
-        for raw in self.diagnostic_contexts:
+        for i, raw in enumerate(self.diagnostic_contexts):
             try:
                 ctx = np.asarray(raw, dtype=float)
             except (TypeError, ValueError):
@@ -166,9 +165,12 @@ class ExperimentConfig:
             if ctx.shape != (d,):
                 raise ValueError(f"diagnostic context {ctx.tolist()} has shape {ctx.shape}, "
                                  f"but the environment's context dimension is {d}")
-            if xs is not None and not np.any(np.all(np.isclose(xs, ctx), axis=1)):
+            if sup is not None and not np.any(np.all(np.isclose(sup.contexts, ctx), axis=1)):
                 raise ValueError(
                     f"diagnostic context {ctx.tolist()} is outside the environment support")
+            if any(np.allclose(prev, ctx) for prev in self.diagnostic_contexts[:i]):
+                raise ValueError(f"diagnostics.contexts must not repeat a context within "
+                                 f"np.allclose, as {ctx.tolist()} does")
         if not isinstance(self.cadr_regressions, (list, tuple)):
             raise ValueError(f"cadr_regressions must be a list of names from "
                              f"{CADR_REGRESSIONS}, got {self.cadr_regressions!r}")
@@ -352,7 +354,7 @@ def _replicate_block(config: ExperimentConfig, blocks: list[range], thetas_star:
     contexts, so CADR needs no replay of the policy.
     """
     sup = support(config.env) if config.cadr_regressions else None
-    probes = None if sup is None else distinct_rows(np.array([x for _, _, x in sup]))
+    probes = None if sup is None else distinct_rows(sup.contexts)
     points = np.array(config.diagnostic_contexts, dtype=float)
     records, diags, failures = [], [], []
     for reps in blocks:

@@ -486,6 +486,32 @@ def test_mistyped_setting_named_for_every_command(tmp_path, capsys, command, ove
     assert not out.exists()
 
 
+@pytest.mark.parametrize("override, key", [
+    ("env.name=[1]", "env.name"), ("env.params=[1]", "'env.params'"),
+    ('env.params="x"', "'env.params'"), ("env.params=false", "'env.params'"),
+    ("env.params=0", "'env.params'"), ('env.params=""', "'env.params'"),
+    ("diagnostics=false", "diagnostics must be"), ("diagnostics=0", "diagnostics must be"),
+    ('diagnostics=""', "diagnostics must be"),
+    ("diagnostics.contexts=[[-4],[-4]]", "diagnostics.contexts must not repeat"),
+    ("diagnostics.contexts=[[1],[-4],[-4.00001]]", "diagnostics.contexts must not repeat"),
+])
+def test_malformed_env_or_diagnostics_named_before_output(tmp_path, capsys, override, key):
+    # Only a missing key or null reads as empty; a falsy non-object is an error.
+    cfg = _tiny_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["coverage", "--config", str(cfg), "--out", str(out), "--set", override]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override", ["env.params=null", "diagnostics=null"])
+def test_null_env_params_or_diagnostics_read_as_empty(tmp_path, override):
+    cfg = _tiny_config(tmp_path)
+    assert main(["coverage", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--set", override]) == 0
+
+
 # config_hash of every shipped config's oracle.json, as written since the
 # oracle key was introduced; a change of these bytes orphans saved oracles.
 SHIPPED_CONFIG_HASHES = {

@@ -135,9 +135,9 @@ def test_distinct_rows_on_shipped_environments(name):
     env = build_environment(name)
     sup = support(env)
     if sup is not None:
-        _assert_distinct_rows_are_numpy_unique(np.array([x for _, _, x in sup]))
+        _assert_distinct_rows_are_numpy_unique(sup.contexts)
         if env.has_latent:
-            _assert_distinct_rows_are_numpy_unique(np.array([s for _, s, _ in sup]))
+            _assert_distinct_rows_are_numpy_unique(sup.latents)
     if env.noise_law is not None and env.noise_law.kind == "table":
         _assert_distinct_rows_are_numpy_unique(env.noise_law.given)
 
@@ -208,10 +208,40 @@ def test_integer_parameters_must_be_whole_numbers(name, key, value):
     assert config_fingerprint([whole]) == config_fingerprint([integer])
 
 
+# Every declared parameter of every environment, and five malformed values.
+DECLARED = {
+    "nonconv_demo": ("sigma_eta", "context_points", "context_weights", "arm_means"),
+    "nc_hard1": ("sigma_eta", "theta", "noise_table"),
+    "nc_hard2": ("sigma_eta", "theta", "noise_table"),
+    "nc_gaussian": ("d", "num_arms", "sigma_eta", "sigma_s", "sigma_e", "sigma_theta", "theta"),
+    "ms_polynomial": ("degree", "num_arms", "sigma_eta", "sigma_x", "sigma_theta", "theta"),
+    "ms_neural": ("num_arms", "sigma_eta", "sigma_x", "sigma_theta", "theta"),
+}
+MALFORMED = ("x", [], {}, True, [["a"]])
+
+
+@pytest.mark.parametrize("name", ENVIRONMENT_NAMES)
+def test_declared_parameters_are_the_builders(name):
+    with pytest.raises(InvalidParameterError, match="not a declared parameter") as exc:
+        build_environment(name, {"undeclared": 1.0})
+    assert f"(declared: {sorted(DECLARED[name])})" in str(exc.value)
+
+
+@pytest.mark.parametrize("name, key, value", [
+    (name, key, value) for name in ENVIRONMENT_NAMES for key in DECLARED[name]
+    for value in MALFORMED])
+def test_malformed_parameter_names_its_key(name, key, value):
+    # A config error names its key: no TypeError, no bare NumPy message, no silent accept.
+    with pytest.raises(InvalidParameterError, match=f"'{key}'") as exc:
+        build_environment(name, {key: value})
+    assert exc.value.key == key
+
+
 _LATENT_ZERO_ROWS = [
     {"given": [0.0], "value": [1.0], "prob": 2 / 3},
     {"given": [0.0], "value": [-2.0], "prob": 1 / 3},
 ]
+_LATENT_ONE_ROW = [{"given": [-1.0], "value": [-1.0], "prob": 1.0}]
 
 
 @pytest.mark.parametrize("name", ["nc_hard1", "nc_hard2"])
@@ -223,6 +253,16 @@ _LATENT_ZERO_ROWS = [
 def test_noise_table_must_cover_exactly_the_latent_states(name, table):
     with pytest.raises(InvalidParameterError, match="'noise_table': given states"):
         build_environment(name, {"noise_table": table})
+
+
+@pytest.mark.parametrize("rows", [
+    [1, 2], "x", True, [{"given": [0.0]}], [{"given": [0.0, 1.0], "value": [1.0], "prob": 1.0}],
+    [{"given": [0.0], "value": [1.0], "prob": "a"}],
+    [dict(row, weight=1.0) for row in _LATENT_ZERO_ROWS + _LATENT_ONE_ROW],
+], ids=["numbers", "string", "bool", "missing_keys", "two_wide_given", "string_prob", "extra_key"])
+def test_malformed_noise_table_names_its_key(rows):
+    with pytest.raises(InvalidParameterError, match="'noise_table'"):
+        build_environment("nc_hard1", {"noise_table": rows})
 
 
 class TestOracles:
@@ -291,6 +331,6 @@ class TestOracles:
 def test_support_enumeration():
     env = build_environment("nc_hard1")
     sup = support(env)
-    assert len(sup) == 4
-    assert sum(p for p, _, _ in sup) == pytest.approx(1.0)
+    assert len(sup.probs) == 4
+    assert sum(sup.probs) == pytest.approx(1.0)
     assert support(build_environment("nc_gaussian")) is None

@@ -46,7 +46,7 @@ class TestRunTrajectory:
         for env_name in ("nonconv_demo", "nc_hard1"):
             env = build_environment(env_name)
             K, d = env.num_arms, env.context_dim
-            probes = np.unique(np.array([x for _, _, x in support(env)]), axis=0)
+            probes = np.unique(support(env).contexts, axis=0)
             for kind in POLICY_KINDS:
                 policy = PolicyConfig(kind=kind, pi_min=0.05, gamma=2.0)
                 for probed in (None, probes):
@@ -195,7 +195,7 @@ def _replication_by_replication(config: ExperimentConfig):
                                 seed=config.seed)
     v_star = float(thetas_star.sum())
     sup = support(config.env)
-    probes = None if sup is None else np.unique(np.array([x for _, _, x in sup]), axis=0)
+    probes = None if sup is None else np.unique(sup.contexts, axis=0)
     points = np.array(config.diagnostic_contexts, dtype=float)
     records, diags, failures = [], [], []
     for rep in range(config.replications):
@@ -429,7 +429,7 @@ class TestCadr:
         # gives the bits of the in-memory CADR that reads the recorded table.
         exp = build_experiment(json.loads(
             (CONFIGS / "fig4_ope_nonconv_boltzmann.json").read_text()))
-        probes = np.unique(np.array([x for _, _, x in support(exp.env)]), axis=0)
+        probes = np.unique(support(exp.env).contexts, axis=0)
         logs, _, table = _run_block(exp.env, exp.policy, exp.target, exp.horizon, exp.seed,
                                     [(0,), (1,)], probes=probes)
         behavior = dict(levels=exp.levels, behavior_policy=exp.policy,
@@ -636,7 +636,7 @@ def test_probe_table_is_the_replayed_policy(kind):
     # is the bits of the policy replayed alone from the log at that context.
     env = build_environment("nc_hard1")
     policy = PolicyConfig(kind=kind, pi_min=0.05, gamma=2.0)
-    probes = np.unique(np.array([x for _, _, x in support(env)]), axis=0)
+    probes = np.unique(support(env).contexts, axis=0)
     paths = [(rep,) for rep in range(3)]
     logs, block, table = _run_block(env, policy, OPE_UNIFORM, 80, 39, paths, probes=probes)
     plain_logs, plain_block, none = _run_block(env, policy, OPE_UNIFORM, 80, 39, paths)
@@ -662,7 +662,7 @@ def test_probed_block_makes_one_policy_call_per_round(monkeypatch, kind):
     import banditlab.harness as harness
 
     env = build_environment("nc_hard1")
-    probes = np.unique(np.array([x for _, _, x in support(env)]), axis=0)
+    probes = np.unique(support(env).contexts, axis=0)
     assert len(probes) > 1
     shapes = []
 
@@ -723,7 +723,7 @@ PINNED_BLOCK_DIGESTS = {
 
 def _pinned_digest(kind: str, K: int) -> str:
     env = _cadr_env("nc_hard1", K, [])
-    probes = distinct_rows(np.array([x for _, _, x in support(env)]))
+    probes = distinct_rows(support(env).contexts)
     # Settings away from round numbers, so that no reassociation is exact.
     policy = PolicyConfig(kind=kind, pi_min=0.05, gamma=3.0, ts_prior=(0.3, 2.0, 0.7),
                           ridge_lambda=0.7, linucb_alpha=1.3)
@@ -748,7 +748,7 @@ def test_block_bits_are_pinned(kind, K):
 def test_closed_form_cadr_matches_reference_loop(kind, K, env_name, points, T, regression, seed):
     env = _cadr_env(env_name, K, points)
     policy = PolicyConfig(kind=kind, pi_min=0.05, gamma=2.0)
-    probes = np.unique(np.array([x for _, _, x in support(env)]), axis=0)
+    probes = np.unique(support(env).contexts, axis=0)
     logs, _, table = _run_block(env, policy, OPE_UNIFORM, T, seed, [(0,), (1,)], probes=probes)
     uniform = OPE_UNIFORM.target_policy
     kw = dict(behavior_policy=policy, behavior_target=OPE_UNIFORM)
